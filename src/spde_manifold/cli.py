@@ -108,7 +108,6 @@ def _cmd_check(args) -> int:
         jac_mode=check["jac_mode"],
         da_mode=check["da_mode"],
         form_error_tol=check["form_error_tol"],
-        threads=args.threads,
         metadata={"config_hash": config_hash(cfg)},
     )
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
@@ -154,9 +153,8 @@ def _cmd_simulate(args) -> int:
         jac_mode=check["jac_mode"],
         da_mode=check["da_mode"],
         form_error_tol=check["form_error_tol"],
-        threads=args.threads,
     )
-    sim_cfg = build_sim_config(cfg, seed=seed, threads=args.threads)
+    sim_cfg = build_sim_config(cfg, seed=seed)
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
     rundir = _run_dir(_out_root(args.out), "simulate", cfg, seed)
     header, rows = record.to_csv_rows()
@@ -237,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="output root (default $SPDE_MANIFOLD_OUT or ./runs)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
     p = sub.add_parser("report", help="aggregate manifests under the output root")
     p.add_argument("--out", default=None, help="output root to scan")
     return parser

@@ -18,8 +18,8 @@ import numpy as np
 
 from .grid import GridState, sine_mode
 from .hermite import DualField, MultiIndex, NormScale, SpectralState
-from .manifold import Parametrization, linear_span_chart, translation_chart
-from .models import ItoTypeModel, PLaplaceModel
+from .manifold import JAC_MODES, Parametrization, linear_span_chart, translation_chart
+from .models import DA_MODES, ItoTypeModel, PLaplaceModel
 from .simulate import SimConfig
 from .tangency import SamplingSpec
 
@@ -54,6 +54,13 @@ _CHECK_DEFAULTS = {
     "jac_mode": "auto",
     "da_mode": "auto",
     "form_error_tol": 1e-2,
+}
+
+_CHECK_ENUMS = {
+    "form": ("bracket", "stratonovich", "both"),
+    "method": ("auto", "lattice", "halton"),
+    "jac_mode": JAC_MODES,
+    "da_mode": DA_MODES,
 }
 
 _SIM_DEFAULTS = {
@@ -435,11 +442,9 @@ def _canon_check(check: dict) -> dict:
     out["points_per_axis"] = _as_int(out["points_per_axis"], "check.points_per_axis")
     for key in ("margin_frac", "base_threshold", "spill_factor", "form_error_tol"):
         out[key] = _as_float(out[key], f"check.{key}")
-    if out["form"] not in ("bracket", "stratonovich", "both"):
-        raise ConfigError(f"check.form must be bracket/stratonovich/both, got {out['form']!r}")
-    for key in ("method", "jac_mode", "da_mode"):
-        if not isinstance(out[key], str):
-            raise ConfigError(f"check.{key} must be a string")
+    for key, allowed in _CHECK_ENUMS.items():
+        if out[key] not in allowed:
+            raise ConfigError(f"check.{key} must be {'/'.join(allowed)}, got {out[key]!r}")
     return out
 
 
@@ -572,7 +577,7 @@ def build_sampling(cfg: dict) -> SamplingSpec:
     )
 
 
-def build_sim_config(cfg: dict, seed=None, threads: int = 1) -> SimConfig:
+def build_sim_config(cfg: dict, seed=None) -> SimConfig:
     sim = cfg["sim"]
     return SimConfig(
         horizon=sim["horizon"],
@@ -581,5 +586,4 @@ def build_sim_config(cfg: dict, seed=None, threads: int = 1) -> SimConfig:
         seed=sim["seed"] if seed is None else int(seed),
         record_distance=sim["record_distance"],
         explosion_ceiling=sim["explosion_ceiling"],
-        threads=threads,
     )

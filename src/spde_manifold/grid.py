@@ -29,22 +29,32 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Interior values of a function on (0, 1) with implicit zero boundary."""
+    """Interior values of a function on (0, 1) with implicit zero boundary.
+
+    With ``batched`` the values have shape (P, M): P states on one grid.
+    """
 
     values: np.ndarray
     basis_tag: str = GRID_TAG
+    batched: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("grid values must be a non-empty 1-D array")
+        if v.ndim != 1 + self.batched or v.shape[-1] < 1:
+            shape = "(P, M)" if self.batched else "non-empty 1-D"
+            raise ValueError(f"grid values must be a {shape} array")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def M(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
+
+    @property
+    def batch(self) -> tuple:
+        """Leading path shape: () for one state, (P,) for P states."""
+        return self.values.shape[:-1]
 
     @property
     def h(self) -> float:
@@ -58,12 +68,28 @@ class GridState:
     def zero(cls, m: int) -> "GridState":
         return cls(np.zeros(m))
 
+    @classmethod
+    def of(cls, values) -> "GridState":
+        """One state for 1-D values, a batch for (P, M) values."""
+        return cls(values, batched=np.ndim(values) == 2)
+
+    @classmethod
+    def combine(cls, terms) -> "GridState":
+        """Sum of weight * state over (state, weight) pairs, in order;
+        a weight is a scalar or a per-path (P,) vector."""
+        acc = None
+        for state, weight in terms:
+            w = float(weight) if np.ndim(weight) == 0 else np.asarray(weight, dtype=float)[..., None]
+            v = state.values * w
+            acc = v if acc is None else acc + v
+        return cls.of(acc)
+
     def _binary(self, other, sign):
         if not isinstance(other, GridState):
             return NotImplemented
         if other.M != self.M:
             raise ValueError("grid size mismatch")
-        return GridState(self.values + sign * other.values)
+        return GridState.of(self.values + sign * other.values)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -72,7 +98,9 @@ class GridState:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):
-        return GridState(self.values * float(scalar))
+        if np.ndim(scalar) == 0:
+            return GridState(self.values * float(scalar), batched=self.batched)
+        return GridState.of(self.values * np.asarray(scalar, dtype=float)[..., None])
 
     __rmul__ = __mul__
 

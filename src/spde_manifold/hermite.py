@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "evaluate",
     "top_band_ratio",
     "hermite_weights",
+    "ladder_matrix",
     "order_grid",
     "simplex_indices",
     "state_to_json_dict",
@@ -100,27 +101,46 @@ def _mask_simplex(c: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def _pad_tensor(c: np.ndarray, d: int, n_from: int, n_to: int) -> np.ndarray:
+    """Zero-pad the trailing d axes from order n_from to n_to."""
     if n_to < n_from:
         raise ValueError("cannot pad to a smaller order")
     if n_to == n_from:
         return c
-    out = np.zeros((n_to + 1,) * d)
-    out[tuple(slice(0, n_from + 1) for _ in range(d))] = c
+    out = np.zeros(c.shape[: c.ndim - d] + (n_to + 1,) * d)
+    out[(Ellipsis,) + tuple(slice(0, n_from + 1) for _ in range(d))] = c
     return out
 
 
+def _per_row(scalar, trailing: int):
+    """A scalar, or a per-path vector shaped to broadcast over ``trailing`` axes."""
+    if isinstance(scalar, float) or np.ndim(scalar) == 0:
+        return float(scalar)
+    s = np.asarray(scalar, dtype=float)
+    return s.reshape(s.shape + (1,) * trailing)
+
+
 class _CoeffTensor:
-    """Shared storage behaviour for states and duals (frozen numpy tensor)."""
+    """Shared storage behaviour for states and duals (frozen numpy tensor).
+
+    States may carry one leading path axis: ``coeffs`` of shape
+    ``(P,) + (N + 1,) * d`` holds P states of the same order, and every
+    operation acts on each path.  Per-path scalars are (P,) vectors.
+    """
 
     def _init_tensor(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.N + 1,) * self.d:
-            raise ValueError(
-                f"coefficient tensor must have shape {(self.N + 1,) * self.d}, got {c.shape}"
-            )
+        tensor = (self.N + 1,) * self.d
+        lead = c.ndim - self.d
+        if c.shape[lead:] != tensor or lead not in (0, 1):
+            raise ValueError(f"coefficient tensor must have shape {tensor}, got {c.shape}")
         c = _mask_simplex(c, self.d, self.N).copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def batch(self) -> tuple:
+        """Leading path shape: () for one state, (P,) for P states."""
+        return self.coeffs.shape[: self.coeffs.ndim - self.d]
 
     def coefficient(self, index) -> float:
         index = MultiIndex(index)
@@ -140,8 +160,23 @@ class _CoeffTensor:
         """Project onto |index| <= n (array resized to order min(N, n))."""
         if n >= self.N:
             return self
-        sl = tuple(slice(0, n + 1) for _ in range(self.d))
+        sl = (Ellipsis,) + tuple(slice(0, n + 1) for _ in range(self.d))
         return type(self)(self.d, n, self.coeffs[sl])
+
+    @classmethod
+    def combine(cls, terms):
+        """Sum of weight * state over (state, weight) pairs, in order.
+
+        A weight is a scalar or a per-path (P,) vector; orders are padded
+        to the largest.  One state is built instead of one per operation.
+        """
+        d = terms[0][0].d
+        n = max(state.N for state, _ in terms)
+        acc = None
+        for state, weight in terms:
+            c = _pad_tensor(state.coeffs, d, state.N, n) * _per_row(weight, d)
+            acc = c if acc is None else acc + c
+        return cls(d, n, acc)
 
     def _binary(self, other, sign):
         if not isinstance(other, type(self)):
@@ -160,7 +195,7 @@ class _CoeffTensor:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):
-        return type(self)(self.d, self.N, self.coeffs * float(scalar))
+        return type(self)(self.d, self.N, self.coeffs * _per_row(scalar, self.d))
 
     __rmul__ = __mul__
 
@@ -188,6 +223,19 @@ class SpectralState(_CoeffTensor):
     @classmethod
     def zero(cls, d: int, n: int) -> "SpectralState":
         return cls(d, n, np.zeros((n + 1,) * d))
+
+    @cached_property
+    def _shift_tables(self):
+        """(T_cos, T_sin) with exp(-x D) p = cos(x lambda) T_cos + sin(x lambda) T_sin
+        for this single d=1 state p.  Row l of E * (E^H p)_l, split into real
+        and imaginary parts; a chart shifts one profile over and over, so
+        they are built once per state and keep every shift real."""
+        evecs = _shift_eig(self.N)[1]
+        m = (evecs * (self.coeffs @ evecs.conj())).T
+        t_cos, t_sin = m.real.copy(), -m.imag
+        t_cos.setflags(write=False)
+        t_sin.setflags(write=False)
+        return t_cos, t_sin
 
     @classmethod
     def basis(cls, index, n: int | None = None) -> "SpectralState":
@@ -267,15 +315,19 @@ def norm_at(state: SpectralState, q: float) -> float:
     return float(np.sqrt(np.sum(w * state.coeffs**2)))
 
 
-def pair(dual: DualField, state: SpectralState) -> float:
-    """Duality pairing: plain coefficient contraction, bilinear and symmetric."""
+def pair(dual: DualField, state: SpectralState):
+    """Duality pairing: plain coefficient contraction, bilinear and symmetric.
+
+    A scalar for one state, a (P,) vector for a batch of P states.
+    """
     _require_hermite(state, "pair")
     if dual.d != state.d:
         raise ValueError(f"dimension mismatch: dual d={dual.d}, state d={state.d}")
     n = max(dual.N, state.N)
     a = _pad_tensor(dual.coeffs, dual.d, dual.N, n)
     b = _pad_tensor(state.coeffs, state.d, state.N, n)
-    return float(np.sum(a * b))
+    flat = b.reshape(b.shape[: b.ndim - state.d] + (-1,))
+    return (flat @ a.ravel())[()]
 
 
 @dataclass(frozen=True)
@@ -344,20 +396,15 @@ def derivative(state: SpectralState, axis: int = 0) -> SpectralState:
     d, n = state.d, state.N
     if not 0 <= axis < d:
         raise ValueError(f"axis {axis} out of range for d={d}")
-    up, down = _ladder_factors(n)
     if d == 1:
-        c = state.coeffs
-        out = np.zeros(n + 2)
-        out[:n] = up[:n] * c[1:]
-        out[1:] -= down * c
-        return SpectralState(1, n + 1, out)
+        return SpectralState(1, n + 1, state.coeffs @ ladder_matrix(n, 1).T)
+    up, down = _ladder_factors(n)
     src = _pad_tensor(state.coeffs, d, n, n + 1)
     out = np.zeros_like(src)
-    a = np.moveaxis(src, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    shape = (-1,) + (1,) * (d - 1)
-    o[:-1] += up.reshape(shape) * a[1:]
-    o[1:] -= down.reshape(shape) * a[:-1]
+    a = np.moveaxis(src, axis - d, -1)
+    o = np.moveaxis(out, axis - d, -1)
+    o[..., :-1] += up * a[..., 1:]
+    o[..., 1:] -= down * a[..., :-1]
     return SpectralState(d, n + 1, out)
 
 
@@ -371,10 +418,31 @@ def _ladder_factors(n: int):
     return up, down
 
 
+@lru_cache(maxsize=None)
+def ladder_matrix(n: int, order: int = 1) -> np.ndarray:
+    """Dense d=1 derivative of the given order (>= 1), from order n to n + order.
+
+    Shape (n + order + 1, n + 1); order 2 is the product of two ladder
+    steps.  Built on first use and cached per (n, order).
+    """
+    up, down = _ladder_factors(n + order - 1)
+    k = np.arange(n + order)
+    out = np.zeros((n + order + 1, n + order))
+    out[k[:-1], k[1:]] = up[:-1]
+    out[k + 1, k] = -down
+    if order > 1:
+        out = out @ ladder_matrix(n, order - 1)
+    out.setflags(write=False)
+    return out
+
+
 def second_derivative(state: SpectralState, axes=(0, 0)) -> SpectralState:
     """Mixed second derivative; axes are applied in sorted order so the
     (i, j) and (j, i) results are identical arrays."""
     i, j = sorted(int(a) for a in axes)
+    if state.d == 1 and i == j == 0:
+        _require_hermite(state, "second_derivative")
+        return SpectralState(1, state.N + 2, state.coeffs @ ladder_matrix(state.N, 2).T)
     return derivative(derivative(state, i), j)
 
 
@@ -401,29 +469,41 @@ def translate(state: SpectralState, shift) -> SpectralState:
 
     Implemented as exp(-sum_i x_i D_i) with D_i the truncated derivative
     generator; a zero shift returns the input unchanged.  For d >= 2 the
-    result is projected back onto the total-order simplex.
+    result is projected back onto the total-order simplex.  A (P, d)
+    shift gives the batch of P shifted states; a batched state is shifted
+    path by path.
     """
     _require_hermite(state, "translate")
-    x = np.atleast_1d(np.asarray(shift, dtype=float))
-    if x.shape != (state.d,):
-        raise ValueError(f"shift must have {state.d} entries, got shape {x.shape}")
-    if np.all(x == 0.0):
+    d = state.d
+    x = np.asarray(shift, dtype=float)
+    x = x.reshape(d) if x.ndim < 2 and x.size == d else x
+    if x.shape[-1:] != (d,) or x.ndim > 2:
+        raise ValueError(f"shift must have {d} entries, got shape {x.shape}")
+    unshifted = (x == 0.0).all(-1)
+    if unshifted.ndim == 0 and unshifted:
         return state
-    evals, evecs = _shift_eig(state.N)
-    if state.d == 1:
-        phase = np.exp(1j * x[0] * evals)
-        c = evecs @ (phase * (state.coeffs @ evecs.conj()))
-        return SpectralState(1, state.N, c.real)
-    c = state.coeffs.astype(complex)
-    for axis in range(state.d):
-        if x[axis] == 0.0:
-            continue
-        phase = np.exp(1j * x[axis] * evals)
-        a = np.moveaxis(c, axis, 0)
-        flat = a.reshape(state.N + 1, -1)
-        flat = evecs @ (phase[:, None] * (evecs.conj().T @ flat))
-        c = np.moveaxis(flat.reshape(a.shape), 0, axis)
-    return SpectralState(state.d, state.N, _mask_simplex(c.real, state.d, state.N))
+    if d == 1 and not state.batch:
+        angle = x[..., :1] * _shift_eig(state.N)[0]
+        t_cos, t_sin = state._shift_tables
+        c = np.cos(angle) @ t_cos + np.sin(angle) @ t_sin
+    else:
+        evals, evecs = _shift_eig(state.N)
+        c = state.coeffs.astype(complex)
+        if x.ndim == 2 and not state.batch:
+            c = np.broadcast_to(c, x.shape[:1] + c.shape)
+        for axis in range(d):
+            if np.all(x[..., axis] == 0.0):
+                continue
+            phase = np.exp(1j * x[..., axis, None] * evals)
+            phase = phase.reshape(phase.shape[:-1] + (1,) * (d - 1) + evals.shape)
+            a = np.moveaxis(c, axis - d, -1)
+            a = (phase * (a @ evecs.conj())) @ evecs.T
+            c = np.moveaxis(a, -1, axis - d)
+    c = c.real
+    if unshifted.any():
+        # paths with a zero shift keep their state exactly
+        c = np.where(unshifted.reshape(unshifted.shape + (1,) * d), state.coeffs, c)
+    return SpectralState(d, state.N, _mask_simplex(c, d, state.N))
 
 
 def top_band_ratio(state: SpectralState, q: float = 0.0) -> float:

@@ -1,7 +1,10 @@
 """Concrete drift/diffusion models.
 
 Three families share one small protocol (``geometry``, ``n_noise``,
-``drift``, ``diffusion``, optional ``diffusion_derivative``):
+``drift``, ``diffusion``, optional ``diffusion_derivative``).  Models
+whose ``batched`` attribute is true also accept a batch of states (one
+row per path) in ``drift`` and ``diffusion``; ``as_batched`` wraps any
+other model so it is called row by row.  The families:
 
 * transport models whose coefficients are dual pairings against the
   state, with quadratic transport drift and linear transport noise;
@@ -22,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import GridGeometry, HermiteGeometry
+from .geometry import GridGeometry, HermiteGeometry, stack_states, unstack_states
 from .grid import GridState
 from .hermite import (
     DEFAULT_SCALE,
@@ -46,7 +49,10 @@ __all__ = [
     "linear_drift",
     "StratCorrection",
     "stratonovich_correction",
+    "as_batched",
 ]
+
+DA_MODES = ("auto", "analytic", "fd")
 
 
 # -- transport model with pairing coefficients -------------------------------
@@ -69,6 +75,8 @@ class ItoTypeModel:
     sigma: tuple
     extra_fields: tuple = ()
     scale: NormScale = DEFAULT_SCALE
+
+    batched = True
 
     def __post_init__(self):
         if len(self.b) != self.d:
@@ -117,36 +125,36 @@ class ItoTypeModel:
 
 
 def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
-    """Matrix of noise pairings, shape (d, J); entry (i, j) pairs sigma[j][i]."""
-    out = np.empty((model.d, model.J))
+    """Matrix of noise pairings, shape (d, J); entry (i, j) pairs sigma[j][i].
+
+    A batch of P states gives shape (P, d, J).
+    """
+    out = np.empty(y.batch + (model.d, model.J))
     for j in range(model.J):
         for i in range(model.d):
-            out[i, j] = pair(model.sigma[j][i], y)
+            out[..., i, j] = pair(model.sigma[j][i], y)
     return out
 
 
 def ito_drift(model: ItoTypeModel, y: SpectralState) -> SpectralState:
     """Transport drift: half the pairing covariance against second
-    derivatives minus the paired first-order transport term."""
+    derivatives minus the paired first-order transport term.
+
+    A term whose weight vanishes on every path is skipped.
+    """
     s = sigma_pairings(model, y)
-    cov = s @ s.T  # (d, d)
-    out = None
+    cov = s @ np.swapaxes(s, -1, -2)  # (..., d, d)
+    terms = []
     for i in range(model.d):
         for j in range(i, model.d):
-            w = 0.5 * cov[i, j] if i == j else cov[i, j]
-            if w == 0.0:
-                continue
-            term = second_derivative(y, (i, j)) * w
-            out = term if out is None else out + term
+            w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
+            if w.any():
+                terms.append((second_derivative(y, (i, j)), w))
     for i in range(model.d):
         bi = pair(model.b[i], y)
-        if bi == 0.0 and out is not None:
-            continue
-        term = derivative(y, axis=i) * (-bi)
-        out = term if out is None else out + term
-    if out is None:
-        out = SpectralState.zero(model.d, min(model.N + 2, y.N + 2))
-    return out
+        if bi.any() or not terms:
+            terms.append((derivative(y, axis=i), -bi))
+    return SpectralState.combine(terms)
 
 
 def ito_diffusion_from_pairings(
@@ -158,7 +166,7 @@ def ito_diffusion_from_pairings(
     for j in range(model.J):
         f = None
         for i in range(model.d):
-            term = partials[i] * (-pairings[i, j])
+            term = partials[i] * (-pairings[..., i, j])
             f = term if f is None else f + term
         fields.append(f)
     return fields
@@ -185,6 +193,8 @@ class PLaplaceModel:
     p_exponent: float
     M: int
     fields: tuple = ()
+
+    batched = True
 
     def __post_init__(self):
         if self.p_exponent < 2.0:
@@ -217,10 +227,11 @@ def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
     if y.M != model.M:
         raise ValueError("grid size mismatch")
     h = y.h
-    padded = np.concatenate(([0.0], y.values, [0.0]))
-    g = np.diff(padded) / h  # M + 1 face slopes
+    v = y.values
+    wall = np.zeros(v.shape[:-1] + (1,))
+    g = np.diff(np.concatenate((wall, v, wall), -1), axis=-1) / h  # M + 1 face slopes
     flux = np.abs(g) ** (model.p_exponent - 2.0) * g
-    return GridState(np.diff(flux) / h)
+    return GridState.of(np.diff(flux, axis=-1) / h)
 
 
 # -- generic linear operator with eigenpairs ----------------------------------
@@ -228,7 +239,10 @@ def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
 
 @dataclass(frozen=True, eq=False)
 class LinearEigenModel:
-    """A linear drift operator validated against declared eigenpairs."""
+    """A linear drift operator validated against declared eigenpairs.
+
+    ``operator`` maps one state, so batches go through ``as_batched``.
+    """
 
     operator: Callable
     eigenpairs: tuple  # ((state, eigenvalue), ...)
@@ -295,6 +309,8 @@ def stratonovich_correction(
     analytic.  The finite-difference mode re-evaluates at half step and
     reports the relative disagreement.
     """
+    if da_mode not in DA_MODES:
+        raise ValueError(f"da_mode must be one of {'/'.join(DA_MODES)}, got {da_mode!r}")
     geo = model.geometry
     fields = model.diffusion(y)
     if da_mode == "auto":
@@ -328,3 +344,33 @@ def stratonovich_correction(
             f"the correction by a relative {disagreement:.3e}"
         )
     return StratCorrection(total, da_mode, disagreement, warnings)
+
+
+# -- per-row adapter ------------------------------------------------------------
+
+
+class _RowwiseModel:
+    """Calls a single-state model once per path of a batched state."""
+
+    batched = True
+
+    def __init__(self, model):
+        self.model = model
+        self.geometry = model.geometry
+        self.n_noise = model.n_noise
+
+    def drift(self, y):
+        if not y.batch:
+            return self.model.drift(y)
+        return stack_states([self.model.drift(row) for row in unstack_states(y)])
+
+    def diffusion(self, y) -> list:
+        if not y.batch:
+            return self.model.diffusion(y)
+        per_row = [self.model.diffusion(row) for row in unstack_states(y)]
+        return [stack_states(list(fields)) for fields in zip(*per_row)]
+
+
+def as_batched(model):
+    """The model itself when it takes batched states, else a per-row adapter."""
+    return model if getattr(model, "batched", False) else _RowwiseModel(model)

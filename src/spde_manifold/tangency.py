@@ -14,7 +14,6 @@ non-tangency.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,7 +29,7 @@ from .manifold import (
     bracket,
     jacobian,
 )
-from .models import stratonovich_correction
+from .models import as_batched, stratonovich_correction
 
 __all__ = [
     "InvalidSamplingError",
@@ -125,6 +124,8 @@ def sample_points(spec: SamplingSpec, domain: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DiffusionCheck:
+    """At a (P, m) batch of points every field gains a leading path axis."""
+
     a: np.ndarray  # (n_noise, m) tangent coordinates per noise component
     rho: np.ndarray  # (n_noise,) relative normal residuals
     spill: float
@@ -145,6 +146,13 @@ def _frame_at(model, param, x, jac_mode, h_fd):
     return jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
 
 
+def _max(a, b):
+    """Larger of two spills, per path when either is batched."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return max(a, b)
+    return np.maximum(a, b)
+
+
 def check_diffusion_tangency(
     model,
     param: Parametrization,
@@ -158,17 +166,28 @@ def check_diffusion_tangency(
     if frame is None:
         frame = _frame_at(model, param, x, jac_mode, h_fd)
     state = param.eval(frame.x)
-    fields = model.diffusion(state)
+    fields = as_batched(model).diffusion(state)
     n = len(fields)
-    a = np.zeros((n, param.m))
-    rho = np.zeros(n)
+    batch = frame.x.shape[:-1]
+    a = np.zeros(batch + (n, param.m))
+    rho = np.zeros(batch + (n,))
     spill = 0.0
     for j, f in enumerate(fields):
         proj = frame.project(f)
-        a[j] = proj.coords
-        rho[j] = proj.rel_residual
-        spill = max(spill, proj.spill)
+        a[..., j, :] = proj.coords
+        rho[..., j] = proj.rel_residual
+        spill = _max(spill, proj.spill)
     return DiffusionCheck(a, rho, spill, frame)
+
+
+def _bracket_drift(param, frame, drift, a, h_hess):
+    """Drift minus half the chart-Hessian contraction of each noise coordinate."""
+    terms = [(drift, 1.0)]
+    for j in range(a.shape[-2]):
+        aj = a[..., j, :]
+        if aj.any():
+            terms.append((bracket(param, frame.x, aj, aj, h_fd=h_hess), -0.5))
+    return type(drift).combine(terms) if len(terms) > 1 else drift
 
 
 def check_drift_tangency(
@@ -190,7 +209,9 @@ def check_drift_tangency(
     ``form`` "bracket" subtracts half the chart-Hessian contraction of
     the diffusion coordinates; "stratonovich" subtracts half the
     diffusion-derivative correction and recovers the same reduced drift
-    through the chart-derivative decomposition.
+    through the chart-derivative decomposition.  The bracket form also
+    takes a (P, m) batch of points; the stratonovich form takes one point
+    and batches its own 2m shifted frames.
     """
     if frame is None:
         frame = _frame_at(model, param, x, jac_mode, h_fd)
@@ -199,14 +220,8 @@ def check_drift_tangency(
     state = param.eval(frame.x)
     drift = model.drift(state)
     if form == "bracket":
-        w = drift
-        for j in range(diffusion.a.shape[0]):
-            aj = diffusion.a[j]
-            if not np.any(aj):
-                continue
-            w = w - bracket(param, frame.x, aj, aj, h_fd=h_hess) * 0.5
-        proj = frame.project(w)
-        return DriftCheck(proj.coords, proj.rel_residual, max(diffusion.spill, proj.spill), form)
+        proj = frame.project(_bracket_drift(param, frame, drift, diffusion.a, h_hess))
+        return DriftCheck(proj.coords, proj.rel_residual, _max(diffusion.spill, proj.spill), form)
     if form == "stratonovich":
         corr = stratonovich_correction(model, state, da_mode=da_mode, h_fd=h_fd)
         w = drift - corr.value * 0.5
@@ -215,17 +230,16 @@ def check_drift_tangency(
         beta = proj.coords.copy()
         n_noise = diffusion.a.shape[0]
         if n_noise:
+            # the 2m shifted chart points x +- h e_k form one batch
+            offsets = h_chart * np.eye(param.m)
+            shifted = check_diffusion_tangency(
+                model, param, frame.x + np.concatenate([offsets, -offsets]),
+                jac_mode=jac_mode, h_fd=h_fd,
+            ).a
             da_dot_a = np.zeros(param.m)
             for k in range(param.m):
-                e = np.zeros(param.m)
-                e[k] = h_chart
-                plus = check_diffusion_tangency(
-                    model, param, frame.x + e, jac_mode=jac_mode, h_fd=h_fd
-                ).a
-                minus = check_diffusion_tangency(
-                    model, param, frame.x - e, jac_mode=jac_mode, h_fd=h_fd
-                ).a
-                col = (plus - minus) * (0.5 / h_chart)  # d a / d x_k, shape (n, m)
+                # d a / d x_k, shape (n, m)
+                col = (shifted[k] - shifted[param.m + k]) * (0.5 / h_chart)
                 for j in range(n_noise):
                     da_dot_a += col[j] * diffusion.a[j][k]
             beta = beta + 0.5 * da_dot_a
@@ -249,13 +263,20 @@ def reduced_coefficients(
     h_fd: float = FD_STEP_JACOBIAN,
     h_hess: float = FD_STEP_HESSIAN,
 ):
-    """Chart-coordinate noise and drift coefficients (a, beta) at x."""
+    """Chart-coordinate noise and drift coefficients (a, beta) at x.
+
+    At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m);
+    models without batch support are evaluated row by row.
+    """
+    model = as_batched(model)
     frame = _frame_at(model, param, x, jac_mode, h_fd)
-    diff = check_diffusion_tangency(model, param, x, frame=frame)
-    drift = check_drift_tangency(
-        model, param, x, "bracket", frame=frame, diffusion=diff, h_hess=h_hess
-    )
-    return diff.a, drift.beta
+    state = param.eval(frame.x)
+    fields = model.diffusion(state)
+    a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
+    for j, f in enumerate(fields):
+        a[..., j, :] = frame.coordinates(f)
+    beta = frame.coordinates(_bracket_drift(param, frame, model.drift(state), a, h_hess))
+    return a, beta
 
 
 # -- chart sweep and report ---------------------------------------------------
@@ -396,7 +417,6 @@ def sweep(
     h_hess: float = FD_STEP_HESSIAN,
     form_error_tol: float = 1e-2,
     tail_warn: float = 1e-3,
-    threads: int = 1,
     metadata: dict | None = None,
 ) -> TangencyReport:
     """Run the tangency checks over sampled chart points and aggregate.
@@ -410,16 +430,10 @@ def sweep(
     pts = sample_points(sampling, param.domain)
     s_count, m = pts.shape
 
-    def run(idx):
-        return _check_point(
-            model, param, pts[idx], form, jac_mode, da_mode, h_fd, h_hess, tail_warn
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, range(s_count)))
-    else:
-        records = [run(i) for i in range(s_count)]
+    records = [
+        _check_point(model, param, x, form, jac_mode, da_mode, h_fd, h_hess, tail_warn)
+        for x in pts
+    ]
 
     n_noise = model.n_noise
     rho_diff = np.full((s_count, n_noise), np.nan)

@@ -79,6 +79,22 @@ def test_check_invalid_sampling_exit_one(out_root, tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_unknown_check_enum_exit_one(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "bad_jac.json"
+    cfg_path.write_text(json.dumps({"preset": "ito_zero", "check": {"jac_mode": "analytc"}}))
+    rc = main(["check", "--config", str(cfg_path), "--out", str(out_root)])
+    assert rc == 1
+    assert "check.jac_mode" in capsys.readouterr().err
+    assert not any(out_root.iterdir())
+
+
+def test_threads_option_is_gone(out_root, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "ito_zero", "--threads", "2", "--out", str(out_root)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -109,6 +125,8 @@ def test_simulate_writes_trajectory(out_root, capsys):
     assert summary["verdict"] == "tangent"
     assert summary["n_exited"] == 0 and summary["n_exploded"] == 0
     assert summary["max_coupled_err"] == 0.0
+    assert summary["n_unconverged_distance"] == 0
+    assert summary["max_spill"] >= 0.0
 
 
 def test_simulate_seed_override(out_root, capsys):

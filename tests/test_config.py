@@ -213,6 +213,25 @@ def test_check_and_sim_validation():
         load_config({"preset": "ito_zero", "sim": {"seed": 1.5}})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("jac_mode", "analytc"), ("da_mode", "exact"), ("method", "sobol"), ("form", "all")],
+)
+def test_check_enums_reject_unknown_values(key, value):
+    with pytest.raises(ConfigError, match=f"check.{key}"):
+        load_config({"preset": "ito_translation_d1", "check": {key: value}})
+
+
+def test_check_enums_accept_every_known_value():
+    for key, values in (
+        ("jac_mode", ("auto", "analytic", "fd")),
+        ("da_mode", ("auto", "analytic", "fd")),
+        ("method", ("auto", "lattice", "halton")),
+    ):
+        for value in values:
+            assert load_config({"preset": "ito_zero", "check": {key: value}})["check"][key] == value
+
+
 def test_built_models_match_sections():
     cfg = load_config("ito_translation_d1")
     model = build_model(cfg)
@@ -270,10 +289,9 @@ def test_dual_builders():
         build_dual({"kind": "mystery"})
 
 
-def test_sim_config_seed_and_thread_overrides():
+def test_sim_config_seed_override():
     cfg = load_config("ito_zero")
-    sim = build_sim_config(cfg, seed=99, threads=3)
-    assert sim.seed == 99 and sim.threads == 3
+    assert build_sim_config(cfg, seed=99).seed == 99
     assert build_sim_config(cfg).seed == cfg["sim"]["seed"]
 
 

@@ -241,6 +241,20 @@ def test_translate_linear_in_state(rng):
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
+def test_translate_batches_match_single_shifts(rng):
+    profile = SpectralState(1, 12, rng.standard_normal(13))
+    shifts = np.array([[0.3], [0.0], [-0.7]])
+    batch = translate(profile, shifts)
+    assert batch.coeffs.shape == (3, 13)
+    stacked = SpectralState(1, 12, np.stack([profile.coeffs * k for k in (1.0, 2.0, -1.0)]))
+    moved = translate(stacked, shifts)
+    for k, x in enumerate(shifts):
+        np.testing.assert_allclose(batch.coeffs[k], translate(profile, x).coeffs, atol=1e-13)
+        want = translate(SpectralState(1, 12, stacked.coeffs[k]), x).coeffs
+        np.testing.assert_allclose(moved.coeffs[k], want, atol=1e-13)
+    np.testing.assert_array_equal(batch.coeffs[1], profile.coeffs)  # zero shift is exact
+
+
 def test_translate_shape_validation():
     with pytest.raises(ValueError):
         translate(basis([0]), [0.1, 0.2])

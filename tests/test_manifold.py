@@ -96,6 +96,12 @@ def test_analytic_mode_requires_analytic_chart():
         jacobian(chart, [0.5], HermiteGeometry(1, 4), mode="analytic")
 
 
+def test_unknown_jacobian_mode_rejected():
+    chart = translation_chart(basis([0], 8), BOX1)
+    with pytest.raises(ValueError, match="jacobian mode"):
+        jacobian(chart, [0.1], HermiteGeometry(1, 8), mode="analytc")
+
+
 def test_degenerate_chart_raises():
     # eval x -> x^2 v has vanishing derivative at the origin
     v = basis([1], 4)

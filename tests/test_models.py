@@ -357,6 +357,12 @@ def test_correction_warns_on_step_sensitive_difference():
     assert any("step-sensitive" in w for w in out.warnings)
 
 
+def test_correction_rejects_unknown_mode():
+    model = transport_model(n=8)
+    with pytest.raises(ValueError, match="da_mode"):
+        stratonovich_correction(model, basis([0], 8), da_mode="exact")
+
+
 def test_correction_skips_zero_components():
     model = ItoTypeModel(
         d=1, J=0, N=6, b=(DualField.zero(1),), sigma=(),

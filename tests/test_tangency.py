@@ -234,6 +234,31 @@ def test_inconsistent_noise_derivative_raises_form_error():
         sweep(model, chart, SamplingSpec(points_per_axis=3))
 
 
+def test_sweep_runs_single_state_models_row_by_row():
+    model, chart = transport_setup(16)
+
+    class OneState:
+        geometry = model.geometry
+        n_noise = model.n_noise
+
+        def drift(self, y):
+            assert not y.batch
+            return model.drift(y)
+
+        def diffusion(self, y):
+            assert not y.batch
+            return model.diffusion(y)
+
+        def diffusion_derivative(self, y, u, j):
+            return model.diffusion_derivative(y, u, j)
+
+    want = sweep(model, chart, SamplingSpec(points_per_axis=4))
+    got = sweep(OneState(), chart, SamplingSpec(points_per_axis=4))
+    np.testing.assert_allclose(got.beta_strat, want.beta_strat, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.rho_drift, want.rho_drift, rtol=0.0, atol=1e-12)
+    assert got.verdict == want.verdict
+
+
 def test_bracket_only_sweep_skips_strat_columns():
     model, chart = transport_setup(16)
     rep = sweep(model, chart, SamplingSpec(points_per_axis=3), form="bracket")
@@ -283,15 +308,6 @@ def test_poorly_resolved_chart_state_warns():
     chart = translation_chart(basis([8], 8), [[-2.0, 2.0]])
     rep = sweep(model, chart, SamplingSpec(points=np.array([[0.1]])))
     assert any("poorly resolved" in w for w in rep.warnings)
-
-
-def test_threaded_sweep_matches_serial():
-    model, chart = transport_setup(24)
-    rep1 = sweep(model, chart, SamplingSpec(points_per_axis=4))
-    rep2 = sweep(model, chart, SamplingSpec(points_per_axis=4), threads=2)
-    np.testing.assert_array_equal(rep1.rho_drift, rep2.rho_drift)
-    np.testing.assert_array_equal(rep1.beta, rep2.beta)
-    assert rep1.verdict == rep2.verdict
 
 
 # -- report shape ------------------------------------------------------------------------
