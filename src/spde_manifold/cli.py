@@ -21,13 +21,13 @@ from .config import (
     ConfigError,
     build_manifold,
     build_model,
-    build_sampling,
     build_sim_config,
     config_hash,
     load_config,
     manifold_hash,
     model_hash,
     preset_names,
+    sweep_config,
 )
 from .manifold import DegenerateChartError
 from .simulate import coupled_compare
@@ -95,19 +95,10 @@ def _run_dir(root: Path, command: str, cfg: dict, seed: int) -> Path:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["sim"]["seed"] if args.seed is None else args.seed
-    model = build_model(cfg)
-    param = build_manifold(cfg)
-    check = cfg["check"]
     report = sweep(
-        model,
-        param,
-        build_sampling(cfg),
-        base_threshold=check["base_threshold"],
-        spill_factor=check["spill_factor"],
-        form=check["form"],
-        jac_mode=check["jac_mode"],
-        da_mode=check["da_mode"],
-        form_error_tol=check["form_error_tol"],
+        build_model(cfg),
+        build_manifold(cfg),
+        **sweep_config(cfg),
         metadata={"config_hash": config_hash(cfg)},
     )
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
@@ -120,6 +111,7 @@ def _cmd_check(args) -> int:
         "points": int(report.points.shape[0]),
         "n_degenerate": int(report.degenerate.sum()),
         "form_agreement": report.form_agreement,
+        "max_step_disagreement": report.max_step_disagreement,
         "n_warnings": len(report.warnings),
     }
     manifest = _manifest(
@@ -142,18 +134,7 @@ def _cmd_simulate(args) -> int:
     seed = cfg["sim"]["seed"] if args.seed is None else args.seed
     model = build_model(cfg)
     param = build_manifold(cfg)
-    check = cfg["check"]
-    report = sweep(
-        model,
-        param,
-        build_sampling(cfg),
-        base_threshold=check["base_threshold"],
-        spill_factor=check["spill_factor"],
-        form=check["form"],
-        jac_mode=check["jac_mode"],
-        da_mode=check["da_mode"],
-        form_error_tol=check["form_error_tol"],
-    )
+    report = sweep(model, param, **sweep_config(cfg))
     sim_cfg = build_sim_config(cfg, seed=seed)
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
     rundir = _run_dir(_out_root(args.out), "simulate", cfg, seed)

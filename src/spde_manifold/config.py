@@ -36,6 +36,7 @@ __all__ = [
     "build_model",
     "build_manifold",
     "build_sampling",
+    "sweep_config",
     "build_sim_config",
 ]
 
@@ -575,6 +576,15 @@ def build_sampling(cfg: dict) -> SamplingSpec:
         method=check["method"],
         margin_frac=check["margin_frac"],
     )
+
+
+_SWEEP_KEYS = ("base_threshold", "spill_factor", "form", "jac_mode", "da_mode", "form_error_tol")
+
+
+def sweep_config(cfg: dict) -> dict:
+    """Keyword arguments of ``sweep`` for a config: its sampling and check settings."""
+    check = cfg["check"]
+    return {"sampling": build_sampling(cfg), **{key: check[key] for key in _SWEEP_KEYS}}
 
 
 def build_sim_config(cfg: dict, seed=None) -> SimConfig:

@@ -506,20 +506,21 @@ def translate(state: SpectralState, shift) -> SpectralState:
     return SpectralState(d, state.N, _mask_simplex(c, d, state.N))
 
 
-def top_band_ratio(state: SpectralState, q: float = 0.0) -> float:
+def top_band_ratio(state: SpectralState, q: float = 0.0):
     """Relative coefficient mass on the top-order band |n| == N.
 
     Used as a truncation-quality proxy: a represented function whose top
-    band carries visible mass is not resolved at this truncation.
+    band carries visible mass is not resolved at this truncation.  A
+    batch of states gives one ratio per path.
     """
     _require_hermite(state, "top_band_ratio")
     w = hermite_weights(state.d, state.N, q)
-    total = float(np.sqrt(np.sum(w * state.coeffs**2)))
-    if total == 0.0:
-        return 0.0
-    band = order_grid(state.d, state.N) == state.N
-    top = float(np.sqrt(np.sum((w * state.coeffs**2)[band])))
-    return top / total
+    mass = (w * state.coeffs**2).reshape(state.batch + (-1,))
+    total = np.sqrt(mass.sum(-1))
+    top = np.sqrt(mass[..., (order_grid(state.d, state.N) == state.N).ravel()].sum(-1))
+    # a zero state has no top band either
+    ratio = top / np.where(total == 0.0, 1.0, total)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 # -- evaluation and quadrature ---------------------------------------------

@@ -39,18 +39,21 @@ __all__ = [
 
 FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
+COND_WARN = 1e12  # Gram condition number above which a frame warns
 JAC_MODES = ("auto", "analytic", "fd")
 
 
 class DegenerateChartError(RuntimeError):
     """Chart derivative lost full column rank at the probed point.
 
-    For a batch of points, ``rows`` is the (P,) mask of degenerate paths.
+    For a batch of points, ``rows`` is the (P,) mask of degenerate paths
+    and ``messages`` holds the single-point message of each, in row order.
     """
 
-    def __init__(self, message: str, rows=None):
+    def __init__(self, message: str, rows=None, messages=None):
         super().__init__(message)
         self.rows = rows
+        self.messages = [message] if messages is None else messages
 
 
 def _points(param, x) -> np.ndarray:
@@ -261,7 +264,7 @@ def jacobian(
     mode: str = "auto",
     h_fd: float = FD_STEP_JACOBIAN,
     rank_floor: float = 1e-10,
-    cond_warn: float = 1e12,
+    cond_warn: float = COND_WARN,
 ) -> TangentFrame:
     """Tangent frame at a chart point, or one frame per row of a (P, m) batch.
 
@@ -282,22 +285,23 @@ def jacobian(
     order = geometry.embed_order(cols)
     sw = np.sqrt(geometry.weight_vector(order))
     b = _weighted_columns(sw, geometry, cols, order)
-    if b.shape[-1] == 1:
-        q, r = _factor(b)
-        sv = np.abs(r[..., 0])
-    else:
-        q = r = None  # factored on first use
-        sv = np.linalg.svd(b, compute_uv=False)
+    # one factorization serves the rank test and every later projection:
+    # Q is orthonormal, so the columns share their singular values with R
+    q, r = _factor(b)
+    sv = np.abs(r[..., 0]) if r.shape[-1] == 1 else np.linalg.svd(r, compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
     bad = lo <= rank_floor * np.maximum(1.0, hi)
     if bad.any():
-        bad = np.broadcast_to(bad, x.shape[:-1])
-        k = np.flatnonzero(bad)[0] if bad.ndim else ()
-        raise DegenerateChartError(
+        batch = x.shape[:-1]
+        bad = np.broadcast_to(bad, batch)
+        sv = np.broadcast_to(sv, batch + sv.shape[-1:])
+        messages = [
             f"chart derivative is rank deficient at x={x[k].tolist()}: "
-            f"singular values {sv[k if sv.ndim > 1 else ()].tolist()}",
-            rows=bad if bad.ndim else None,
-        )
+            f"singular values {sv[k].tolist()}"
+            for k in np.ndindex(batch)
+            if bad[k]
+        ]
+        raise DegenerateChartError(messages[0], rows=bad if batch else None, messages=messages)
     cond = (hi / lo) ** 2
     warnings = []
     if cond.max() > cond_warn:

@@ -288,10 +288,17 @@ def linear_drift(model: LinearEigenModel, y):
 
 @dataclass
 class StratCorrection:
+    """For a batch of states ``value`` is batched and ``step_disagreement``
+    is (P,); ``warnings`` then holds one message per step-sensitive path,
+    in path order."""
+
     value: object
     mode: str
     step_disagreement: float
     warnings: list = field(default_factory=list)
+
+
+FD_SENSITIVITY_TOL = 1e-5  # step disagreement above which the fd correction warns
 
 
 def stratonovich_correction(
@@ -300,14 +307,15 @@ def stratonovich_correction(
     *,
     da_mode: str = "auto",
     h_fd: float = 1e-4,
-    sensitivity_tol: float = 1e-5,
+    sensitivity_tol: float = FD_SENSITIVITY_TOL,
 ) -> StratCorrection:
     """sum_j DA^j(y) A^j(y) for the model's diffusion components.
 
     ``da_mode``: "analytic" uses the model's derivative, "fd" uses
     directional central differences of the diffusion map, "auto" prefers
     analytic.  The finite-difference mode re-evaluates at half step and
-    reports the relative disagreement.
+    reports the relative disagreement.  A batch of states is corrected
+    path by path: each path has its own step and its own disagreement.
     """
     if da_mode not in DA_MODES:
         raise ValueError(f"da_mode must be one of {'/'.join(DA_MODES)}, got {da_mode!r}")
@@ -316,11 +324,10 @@ def stratonovich_correction(
     if da_mode == "auto":
         da_mode = "analytic" if hasattr(model, "diffusion_derivative") else "fd"
     total = None
-    disagreement = 0.0
-    warnings = []
+    disagreement = np.zeros(y.batch) if y.batch else 0.0
     for j, u in enumerate(fields):
         norm_u = geo.norm_mid(u)
-        if norm_u == 0.0:
+        if not np.any(norm_u):
             continue
         if da_mode == "analytic":
             term = model.diffusion_derivative(y, u, j)
@@ -333,16 +340,19 @@ def stratonovich_correction(
             eps = h_fd / (1.0 + norm_u)
             term = directional(eps)
             check = directional(0.5 * eps)
-            denom = max(geo.norm_mid(term), 1e-30)
-            disagreement = max(disagreement, geo.norm_mid(term - check) / denom)
+            denom = np.maximum(geo.norm_mid(term), 1e-30)
+            disagreement = np.maximum(disagreement, geo.norm_mid(term - check) / denom)
         total = term if total is None else total + term
     if total is None:
         total = geo.zero_state()
-    if da_mode == "fd" and disagreement > sensitivity_tol:
-        warnings.append(
+    warnings = []
+    if da_mode == "fd":
+        warnings = [
             f"directional difference is step-sensitive: halving the step moved "
-            f"the correction by a relative {disagreement:.3e}"
-        )
+            f"the correction by a relative {d:.3e}"
+            for d in np.atleast_1d(disagreement)
+            if d > sensitivity_tol
+        ]
     return StratCorrection(total, da_mode, disagreement, warnings)
 
 
@@ -358,6 +368,9 @@ class _RowwiseModel:
         self.model = model
         self.geometry = model.geometry
         self.n_noise = model.n_noise
+        if hasattr(model, "diffusion_derivative"):
+            # only forwarded when present: "auto" keeps picking the analytic form
+            self.diffusion_derivative = self._diffusion_derivative
 
     def drift(self, y):
         if not y.batch:
@@ -369,6 +382,15 @@ class _RowwiseModel:
             return self.model.diffusion(y)
         per_row = [self.model.diffusion(row) for row in unstack_states(y)]
         return [stack_states(list(fields)) for fields in zip(*per_row)]
+
+    def _diffusion_derivative(self, y, u, j: int):
+        if not y.batch:
+            return self.model.diffusion_derivative(y, u, j)
+        ys = unstack_states(y)
+        us = unstack_states(u) if u.batch else [u] * len(ys)
+        return stack_states(
+            [self.model.diffusion_derivative(yr, ur, j) for yr, ur in zip(ys, us)]
+        )
 
 
 def as_batched(model):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .hermite import HERMITE_TAG, top_band_ratio
 from .manifold import (
+    COND_WARN,
     FD_STEP_HESSIAN,
     FD_STEP_JACOBIAN,
     DegenerateChartError,
@@ -29,7 +30,7 @@ from .manifold import (
     bracket,
     jacobian,
 )
-from .models import as_batched, stratonovich_correction
+from .models import FD_SENSITIVITY_TOL, as_batched, stratonovich_correction
 
 __all__ = [
     "InvalidSamplingError",
@@ -47,6 +48,12 @@ __all__ = [
 
 VERDICT_TANGENT = "tangent"
 VERDICT_NOT_TANGENT = "not_tangent"
+
+# The sweep checks its points in blocks whose batched chart state holds
+# about this many float64 entries (252 points at Hermite N=64, 64 points
+# on a 256-point grid): every layer runs once per block, while peak memory
+# stays that of a small batch.
+SWEEP_BLOCK_ENTRIES = 2 ** 14
 
 
 class InvalidSamplingError(ValueError):
@@ -119,7 +126,7 @@ def sample_points(spec: SamplingSpec, domain: np.ndarray) -> np.ndarray:
     return pts
 
 
-# -- single-point checks -----------------------------------------------------
+# -- pointwise checks ----------------------------------------------------------
 
 
 @dataclass
@@ -142,10 +149,6 @@ class DriftCheck:
     warnings: list = field(default_factory=list)
 
 
-def _frame_at(model, param, x, jac_mode, h_fd):
-    return jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
-
-
 def _max(a, b):
     """Larger of two spills, per path when either is batched."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
@@ -164,7 +167,7 @@ def check_diffusion_tangency(
 ) -> DiffusionCheck:
     """Project every diffusion component at phi(x) onto the tangent frame."""
     if frame is None:
-        frame = _frame_at(model, param, x, jac_mode, h_fd)
+        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     state = param.eval(frame.x)
     fields = as_batched(model).diffusion(state)
     n = len(fields)
@@ -209,12 +212,12 @@ def check_drift_tangency(
     ``form`` "bracket" subtracts half the chart-Hessian contraction of
     the diffusion coordinates; "stratonovich" subtracts half the
     diffusion-derivative correction and recovers the same reduced drift
-    through the chart-derivative decomposition.  The bracket form also
-    takes a (P, m) batch of points; the stratonovich form takes one point
-    and batches its own 2m shifted frames.
+    through the chart-derivative decomposition.  Both forms also take a
+    (P, m) batch of points and then answer per point.
     """
+    model = as_batched(model)
     if frame is None:
-        frame = _frame_at(model, param, x, jac_mode, h_fd)
+        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     if diffusion is None:
         diffusion = check_diffusion_tangency(model, param, x, frame=frame)
     state = param.eval(frame.x)
@@ -227,26 +230,26 @@ def check_drift_tangency(
         w = drift - corr.value * 0.5
         proj = frame.project(w)
         # recover the reduced drift: add back half of (Da^j a^j) per component
-        beta = proj.coords.copy()
-        n_noise = diffusion.a.shape[0]
-        if n_noise:
-            # the 2m shifted chart points x +- h e_k form one batch
-            offsets = h_chart * np.eye(param.m)
-            shifted = check_diffusion_tangency(
-                model, param, frame.x + np.concatenate([offsets, -offsets]),
-                jac_mode=jac_mode, h_fd=h_fd,
-            ).a
-            da_dot_a = np.zeros(param.m)
+        beta = proj.coords
+        if diffusion.a.shape[-2]:
+            # d a / d x_k from the shifted points x +- h e_k, one direction at a time
+            da_dot_a = 0.0
             for k in range(param.m):
-                # d a / d x_k, shape (n, m)
-                col = (shifted[k] - shifted[param.m + k]) * (0.5 / h_chart)
-                for j in range(n_noise):
-                    da_dot_a += col[j] * diffusion.a[j][k]
+                step = np.zeros(param.m)
+                step[k] = h_chart
+                plus = check_diffusion_tangency(
+                    model, param, frame.x + step, jac_mode=jac_mode, h_fd=h_fd
+                ).a
+                minus = check_diffusion_tangency(
+                    model, param, frame.x - step, jac_mode=jac_mode, h_fd=h_fd
+                ).a
+                col = (plus - minus) * (0.5 / h_chart)
+                da_dot_a = da_dot_a + np.einsum("...jl,...j->...l", col, diffusion.a[..., k])
             beta = beta + 0.5 * da_dot_a
         return DriftCheck(
             beta,
             proj.rel_residual,
-            max(diffusion.spill, proj.spill),
+            _max(diffusion.spill, proj.spill),
             form,
             corr.step_disagreement,
             list(corr.warnings),
@@ -269,7 +272,7 @@ def reduced_coefficients(
     models without batch support are evaluated row by row.
     """
     model = as_batched(model)
-    frame = _frame_at(model, param, x, jac_mode, h_fd)
+    frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     state = param.eval(frame.x)
     fields = model.diffusion(state)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
@@ -301,6 +304,7 @@ class TangencyReport:
     spill_factor: float
     warnings: list
     metadata: dict
+    max_step_disagreement: float = 0.0  # largest fd step disagreement; 0 when analytic
 
     def to_json_dict(self) -> dict:
         def clean(arr):
@@ -366,41 +370,26 @@ class TangencyReport:
         return header, rows
 
 
-def _check_point(model, param, x, form, jac_mode, da_mode, h_fd, h_hess, tail_warn):
-    record = {"x": x, "degenerate": False, "warnings": []}
-    try:
-        frame = _frame_at(model, param, x, jac_mode, h_fd)
-    except DegenerateChartError as err:
-        record["degenerate"] = True
-        record["warnings"].append(str(err))
-        return record
-    record["warnings"].extend(frame.warnings)
-    state = param.eval(frame.x)
-    if getattr(state, "basis_tag", None) == HERMITE_TAG:
-        tail = top_band_ratio(state)
-        if tail > tail_warn:
-            record["warnings"].append(
-                f"chart state poorly resolved at x={x.tolist()}: top band ratio {tail:.3e}"
-            )
-    diff = check_diffusion_tangency(model, param, x, frame=frame)
-    record["diff"] = diff
-    spill = diff.spill
-    if form in ("bracket", "both"):
-        db = check_drift_tangency(
-            model, param, x, "bracket", frame=frame, diffusion=diff, h_hess=h_hess
-        )
-        record["bracket"] = db
-        spill = max(spill, db.spill)
-    if form in ("stratonovich", "both"):
-        ds = check_drift_tangency(
-            model, param, x, "stratonovich", frame=frame, diffusion=diff,
-            jac_mode=jac_mode, da_mode=da_mode, h_fd=h_fd,
-        )
-        record["strat"] = ds
-        record["warnings"].extend(ds.warnings)
-        spill = max(spill, ds.spill)
-    record["spill"] = spill
-    return record
+def _block_frame(param, geometry, x, jac_mode, h_fd):
+    """Frame at the non-degenerate rows of a (B, m) block of points.
+
+    Returns the kept row indices, their frame (None when every row is
+    degenerate) and the rank message of each dropped row.
+    """
+    kept = np.arange(x.shape[0])
+    dropped = {}
+    while kept.size:
+        try:
+            return kept, jacobian(param, x[kept], geometry, mode=jac_mode, h_fd=h_fd), dropped
+        except DegenerateChartError as err:
+            dropped.update(zip(kept[err.rows], err.messages))
+            kept = kept[~err.rows]
+    return kept, None, dropped
+
+
+def _flagged(values, rows, limit):
+    """The rows whose per-row value exceeds ``limit``, in row order."""
+    return rows[np.broadcast_to(values, rows.shape) > limit]
 
 
 def sweep(
@@ -421,49 +410,77 @@ def sweep(
 ) -> TangencyReport:
     """Run the tangency checks over sampled chart points and aggregate.
 
-    The verdict is "tangent" iff every residual at every non-degenerate
-    point is within max(base_threshold, spill_factor * spill at that
-    point).  Degenerate points are recorded, not fatal; a sweep where
-    every point degenerates raises.
+    The points are checked in blocks of ``SWEEP_BLOCK_ENTRIES`` state
+    entries, each block as one batch; every result is per point, so the
+    block size changes no number.  The verdict is "tangent" iff every
+    residual at every non-degenerate point is within
+    max(base_threshold, spill_factor * spill at that point).  Degenerate
+    points are recorded, not fatal; a sweep where every point
+    degenerates raises.
     """
     sampling = sampling or SamplingSpec()
     pts = sample_points(sampling, param.domain)
     s_count, m = pts.shape
-
-    records = [
-        _check_point(model, param, x, form, jac_mode, da_mode, h_fd, h_hess, tail_warn)
-        for x in pts
-    ]
+    model = as_batched(model)
+    geo = model.geometry
+    strat = form in ("stratonovich", "both")
 
     n_noise = model.n_noise
     rho_diff = np.full((s_count, n_noise), np.nan)
     a_coords = np.full((s_count, n_noise, m), np.nan)
     beta = np.full((s_count, m), np.nan)
     rho_drift = np.full(s_count, np.nan)
-    rho_strat = np.full(s_count, np.nan) if form in ("stratonovich", "both") else None
-    beta_strat = np.full((s_count, m), np.nan) if form in ("stratonovich", "both") else None
+    rho_strat = np.full(s_count, np.nan) if strat else None
+    beta_strat = np.full((s_count, m), np.nan) if strat else None
     spill = np.zeros(s_count)
+    step_disagreement = np.zeros(s_count)
     degenerate = np.zeros(s_count, dtype=bool)
-    warnings: list = []
+    notes = [[] for _ in range(s_count)]  # warnings per point, in check order
 
-    for s, rec in enumerate(records):
-        warnings.extend(rec["warnings"])
-        if rec["degenerate"]:
-            degenerate[s] = True
+    block = max(1, SWEEP_BLOCK_ENTRIES // geo.flat(geo.zero_state()).size)
+    for start in range(0, s_count, block):
+        idx = np.arange(start, min(start + block, s_count))
+        kept, frame, dropped = _block_frame(param, geo, pts[idx], jac_mode, h_fd)
+        for k, note in dropped.items():
+            degenerate[idx[k]] = True
+            notes[idx[k]].append(note)
+        if frame is None:
             continue
-        diff = rec["diff"]
-        rho_diff[s] = diff.rho
-        a_coords[s] = diff.a
-        spill[s] = rec["spill"]
-        if "bracket" in rec:
-            rho_drift[s] = rec["bracket"].rho
-            beta[s] = rec["bracket"].beta
-        if "strat" in rec and rho_strat is not None:
-            rho_strat[s] = rec["strat"].rho
-            beta_strat[s] = rec["strat"].beta
-        if "bracket" not in rec and "strat" in rec:
-            rho_drift[s] = rec["strat"].rho
-            beta[s] = rec["strat"].beta
+        rows = idx[kept]
+        for s, note in zip(_flagged(frame.cond, rows, COND_WARN), frame.warnings):
+            notes[s].append(note)
+        state = param.eval(frame.x)
+        if getattr(state, "basis_tag", None) == HERMITE_TAG:
+            tail = np.broadcast_to(top_band_ratio(state), rows.shape)
+            for k in np.flatnonzero(tail > tail_warn):
+                notes[rows[k]].append(
+                    f"chart state poorly resolved at x={pts[rows[k]].tolist()}: "
+                    f"top band ratio {tail[k]:.3e}"
+                )
+        diff = check_diffusion_tangency(model, param, frame.x, frame=frame)
+        rho_diff[rows] = diff.rho
+        a_coords[rows] = diff.a
+        block_spill = diff.spill
+        if form in ("bracket", "both"):
+            db = check_drift_tangency(
+                model, param, frame.x, "bracket", frame=frame, diffusion=diff, h_hess=h_hess
+            )
+            rho_drift[rows], beta[rows] = db.rho, db.beta
+            block_spill = _max(block_spill, db.spill)
+        if strat:
+            ds = check_drift_tangency(
+                model, param, frame.x, "stratonovich", frame=frame, diffusion=diff,
+                jac_mode=jac_mode, da_mode=da_mode, h_fd=h_fd,
+            )
+            rho_strat[rows], beta_strat[rows] = ds.rho, ds.beta
+            if form == "stratonovich":
+                rho_drift[rows], beta[rows] = ds.rho, ds.beta
+            step_disagreement[rows] = ds.step_disagreement
+            for s, note in zip(_flagged(ds.step_disagreement, rows, FD_SENSITIVITY_TOL), ds.warnings):
+                notes[s].append(note)
+            block_spill = _max(block_spill, ds.spill)
+        spill[rows] = block_spill
+    warnings = [note for point in notes for note in point]
 
     valid = ~degenerate
     if not np.any(valid):
@@ -515,4 +532,5 @@ def sweep(
         spill_factor=spill_factor,
         warnings=warnings,
         metadata=metadata or {},
+        max_step_disagreement=float(step_disagreement.max()),
     )

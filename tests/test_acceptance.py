@@ -17,7 +17,6 @@ from spde_manifold import (
     SpectralState,
     build_manifold,
     build_model,
-    build_sampling,
     build_sim_config,
     check_embedding,
     coupled_compare,
@@ -27,6 +26,7 @@ from spde_manifold import (
     norm_at,
     simulate_full,
     sweep,
+    sweep_config,
     translate,
 )
 from spde_manifold.cli import main
@@ -37,16 +37,7 @@ from spde_manifold.hermite import gauss_hermite_rule, hermite_values
 
 def _sweep_preset(source, **overrides):
     cfg = load_config(source)
-    check = cfg["check"]
-    return sweep(
-        build_model(cfg),
-        build_manifold(cfg),
-        build_sampling(cfg),
-        base_threshold=check["base_threshold"],
-        spill_factor=check["spill_factor"],
-        form=check["form"],
-        **overrides,
-    )
+    return sweep(build_model(cfg), build_manifold(cfg), **{**sweep_config(cfg), **overrides})
 
 
 def test_criterion_1():

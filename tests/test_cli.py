@@ -53,6 +53,26 @@ def test_check_tangent_exit_zero(out_root, capsys):
     assert len(rows) == manifest["summary"]["points"]  # one noise component
 
 
+def test_check_summary_reports_step_disagreement(out_root, tmp_path, capsys):
+    assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
+    manifest = run_dir_for(out_root, "check", "ito_zero", 1) / "manifest.json"
+    # the preset's derivative is analytic: no step to disagree
+    assert json.loads(manifest.read_text())["summary"]["max_step_disagreement"] == 0.0
+
+    source = {
+        "preset": "ito_translation_d1",
+        "model": {"N": 16},
+        "check": {"points_per_axis": 3, "da_mode": "fd"},
+    }
+    cfg_path = tmp_path / "fd.json"
+    cfg_path.write_text(json.dumps(source))
+    assert main(["check", "--config", str(cfg_path), "--out", str(out_root)]) == 0
+    capsys.readouterr()
+    manifest = run_dir_for(out_root, "check", source, 2024) / "manifest.json"
+    value = json.loads(manifest.read_text())["summary"]["max_step_disagreement"]
+    assert 0.0 < value < 1e-5  # finite differences, well below the warning level
+
+
 def test_check_negative_exit_two(out_root, capsys):
     rc = main(["check", "--config", "negative_control", "--out", str(out_root)])
     captured = capsys.readouterr()

@@ -119,6 +119,46 @@ def test_near_parallel_columns_warn_but_survive():
     assert any("ill-conditioned" in w for w in frame.warnings)
 
 
+def svd_of_weighted_columns(frame):
+    geo, order = frame.geometry, frame.base_order
+    sw = np.sqrt(geo.weight_vector(order))
+    b = np.stack([sw * geo.flat(c, order) for c in frame.columns], axis=-1)
+    return np.linalg.svd(b, compute_uv=False)
+
+
+def test_frame_spectrum_comes_from_its_one_factorization():
+    # the frame takes its singular values from R of its thin QR; they must
+    # be those of the weighted columns, at one point and per point of a batch
+    span = linear_span_chart(
+        [basis([0], 8) + basis([2], 8) * 0.5, basis([1], 8) * 3.0 + basis([0], 8)], BOX2
+    )
+    profile = basis([0, 0], 8) + basis([1, 0], 8) * 0.3 + basis([0, 2], 8) * 0.2
+    cases = [
+        (span, [0.3, -0.2], HermiteGeometry(1, 8)),
+        (translation_chart(profile, BOX2), [[0.1, -0.3], [0.5, 0.2], [-1.0, 0.7]],
+         HermiteGeometry(2, 8)),
+    ]
+    for chart, x, geo in cases:
+        frame = jacobian(chart, x, geo)
+        want = svd_of_weighted_columns(frame)
+        np.testing.assert_allclose(frame.singular_values, want, rtol=1e-12)
+        np.testing.assert_allclose(
+            frame.cond, (want[..., 0] / want[..., -1]) ** 2, rtol=1e-12
+        )
+
+
+def test_batched_degenerate_rows_carry_their_own_messages():
+    v = basis([1], 4)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2)
+    geo = HermiteGeometry(1, 4)
+    with pytest.raises(DegenerateChartError) as err:
+        jacobian(chart, [[0.5], [0.0], [0.3], [0.0]], geo)
+    np.testing.assert_array_equal(err.value.rows, [False, True, False, True])
+    with pytest.raises(DegenerateChartError) as one:
+        jacobian(chart, [0.0], geo)
+    assert err.value.messages == [str(one.value)] * 2
+
+
 # -- tangent coordinates ------------------------------------------------------------
 
 

@@ -17,9 +17,10 @@ from spde_manifold import (
     second_derivative,
     stratonovich_correction,
 )
-from spde_manifold.geometry import GridGeometry, HermiteGeometry
+from spde_manifold.geometry import GridGeometry, HermiteGeometry, stack_states
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
 from spde_manifold.models import (
+    as_batched,
     ito_diffusion,
     ito_diffusion_from_pairings,
     ito_drift,
@@ -371,3 +372,56 @@ def test_correction_skips_zero_components():
     out = stratonovich_correction(model, basis([0], 6), da_mode="fd")
     assert not out.value.coeffs.any()
     assert out.step_disagreement == 0.0
+
+
+def test_correction_of_a_batch_matches_its_rows():
+    model = transport_model(n=16)
+    rows = [basis([0], 16), basis([0], 16) + basis([2], 16) * 0.3, SpectralState.zero(1, 16)]
+    y = stack_states(rows)
+    for mode in ("analytic", "fd"):
+        got = stratonovich_correction(model, y, da_mode=mode)
+        assert got.step_disagreement.shape == (3,)
+        for k, row in enumerate(rows):
+            one = stratonovich_correction(model, row, da_mode=mode)
+            n = max(one.value.N, got.value.N)
+            np.testing.assert_allclose(
+                got.value.padded(n).coeffs[k], one.value.padded(n).coeffs, atol=1e-12
+            )
+            assert got.step_disagreement[k] == pytest.approx(one.step_disagreement, abs=1e-12)
+
+
+def test_correction_warns_per_step_sensitive_row():
+    rows = [basis([0], 4), basis([0], 4) * 1e-3, basis([1], 4)]
+    got = stratonovich_correction(as_batched(_CubicNoise(4)), stack_states(rows), h_fd=0.5)
+    want = [w for row in rows for w in stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).warnings]
+    assert got.warnings == want
+    assert len(want) == 2  # the small row is not step-sensitive
+
+
+def test_single_state_model_keeps_its_analytic_derivative_on_a_batch():
+    model = transport_model(n=8)
+
+    class OneState:
+        geometry = model.geometry
+        n_noise = model.n_noise
+
+        def drift(self, y):
+            assert not y.batch
+            return model.drift(y)
+
+        def diffusion(self, y):
+            assert not y.batch
+            return model.diffusion(y)
+
+        def diffusion_derivative(self, y, u, j):
+            assert not y.batch and not u.batch
+            return model.diffusion_derivative(y, u, j)
+
+    y = stack_states([basis([0], 8), basis([0], 8) + basis([2], 8) * 0.3])
+    got = stratonovich_correction(as_batched(OneState()), y)
+    assert got.mode == "analytic"
+    want = stratonovich_correction(model, y)
+    np.testing.assert_allclose(got.value.coeffs, want.value.coeffs, atol=1e-14)
+    # without a derivative the adapter has none either, and "auto" differentiates
+    del OneState.diffusion_derivative
+    assert stratonovich_correction(as_batched(OneState()), y).mode == "fd"

@@ -16,15 +16,21 @@ from spde_manifold import (
     PLaplaceModel,
     SamplingSpec,
     SpectralState,
+    build_manifold,
+    build_model,
     check_diffusion_tangency,
     check_drift_tangency,
+    jacobian,
     linear_span_chart,
+    load_config,
+    preset_names,
     reduced_coefficients,
     sweep,
+    sweep_config,
     translation_chart,
 )
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.tangency import sample_points
+from spde_manifold.tangency import SWEEP_BLOCK_ENTRIES, sample_points
 
 
 def basis(index, n=None):
@@ -234,6 +240,19 @@ def test_inconsistent_noise_derivative_raises_form_error():
         sweep(model, chart, SamplingSpec(points_per_axis=3))
 
 
+def test_drift_forms_recover_one_reduced_drift_on_a_plane():
+    # transport noise over 2-d shifts: the stratonovich form rebuilds beta
+    # from the chart derivative of a along both axes
+    n = 16
+    at_zero, off = DualField.dirac([0.0, 0.0], n=n), DualField.dirac([0.3, -0.2], n=n)
+    model = ItoTypeModel(d=2, J=1, N=n, b=(at_zero, off), sigma=((at_zero, off),))
+    chart = translation_chart(basis([0, 0], n), [[-1.0, 1.0], [-1.0, 1.0]])
+    rep = sweep(model, chart, SamplingSpec(points_per_axis=3))
+    assert rep.verdict == "tangent"
+    np.testing.assert_allclose(rep.beta_strat, rep.beta, atol=1e-7)
+    assert np.abs(rep.beta).max() > 0.1
+
+
 def test_sweep_runs_single_state_models_row_by_row():
     model, chart = transport_setup(16)
 
@@ -308,6 +327,139 @@ def test_poorly_resolved_chart_state_warns():
     chart = translation_chart(basis([8], 8), [[-2.0, 2.0]])
     rep = sweep(model, chart, SamplingSpec(points=np.array([[0.1]])))
     assert any("poorly resolved" in w for w in rep.warnings)
+
+
+# -- batched sweep against single-point sweeps ---------------------------------------------
+
+POINT_FIELDS = (
+    "rho_diffusion", "a_coords", "beta", "rho_drift", "rho_drift_strat", "beta_strat",
+    "spill", "thresholds",
+)
+
+
+def assert_matches_pointwise(model, chart, sampling, tol=None, **kwargs):
+    """Sweep the sampled points as a batch and one at a time, and compare.
+
+    Every field must agree to 1e-12 unless ``tol`` names a looser bound.
+    """
+    tol = tol or {}
+    got = sweep(model, chart, sampling, **kwargs)
+    warnings = []
+    for s, x in enumerate(got.points):
+        try:
+            one = sweep(model, chart, SamplingSpec(points=[x]), **kwargs)
+        except DegenerateChartError:
+            # a lone degenerate point fails its own sweep; the batch records
+            # it with the point's own rank message
+            with pytest.raises(DegenerateChartError) as err:
+                jacobian(chart, x, model.geometry, mode=kwargs.get("jac_mode", "auto"))
+            assert got.degenerate[s]
+            assert np.isnan(got.rho_drift[s]) and np.isnan(got.beta[s]).all()
+            warnings.append(str(err.value))
+            continue
+        assert not got.degenerate[s]
+        for name in POINT_FIELDS:
+            want = getattr(one, name)
+            if want is None:
+                assert getattr(got, name) is None, name
+                continue
+            bound = tol.get(name, 1e-12)
+            np.testing.assert_allclose(
+                getattr(got, name)[s], want[0], rtol=bound, atol=bound, err_msg=f"{name} at {x}"
+            )
+        warnings.extend(one.warnings)
+    assert got.warnings == warnings
+    return got
+
+
+def preset_sweep(source):
+    cfg = load_config(source)
+    kwargs = sweep_config(cfg)
+    return build_model(cfg), build_manifold(cfg), kwargs.pop("sampling"), kwargs
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_batched_sweep_matches_pointwise_on_presets(preset):
+    model, chart, sampling, kwargs = preset_sweep({"preset": preset, "check": {"points_per_axis": 4}})
+    assert_matches_pointwise(model, chart, sampling, **kwargs)
+
+
+@pytest.mark.parametrize("preset, per_axis", [("ito_translation_d1", 300), ("plaplace_p2_eigen", 9)])
+def test_batched_sweep_matches_pointwise_across_blocks(preset, per_axis):
+    model, chart, sampling, kwargs = preset_sweep(
+        {"preset": preset, "check": {"points_per_axis": per_axis}}
+    )
+    geo = model.geometry
+    rows_per_block = SWEEP_BLOCK_ENTRIES // geo.flat(geo.zero_state()).size
+    rep = assert_matches_pointwise(model, chart, sampling, **kwargs)
+    assert rep.points.shape[0] > rows_per_block  # at least two blocks
+
+
+# BLAS sums a one-row and a many-row product in different orders, and an fd
+# frame divides that rounding by its step h; the stratonovich beta takes the
+# chart derivative of the fd frame's coordinates, another division by h.
+# Translation charts shift through such products, linear spans do not.
+EPS = np.finfo(float).eps
+FD_FRAME_TOL = {name: 100 * EPS / 1e-4 for name in POINT_FIELDS}
+FD_FRAME_TOL["beta_strat"] = 100 * EPS / 1e-4**2
+
+
+@pytest.mark.parametrize(
+    "preset, tol",
+    [
+        ("ito_translation_d1", FD_FRAME_TOL),
+        ("ito_translation_d1_negative", FD_FRAME_TOL),
+        ("negative_control", None),
+        ("plaplace_p2_eigen", None),
+    ],
+)
+def test_batched_sweep_matches_pointwise_with_finite_differences(preset, tol):
+    model, chart, sampling, kwargs = preset_sweep(
+        {"preset": preset, "check": {"points_per_axis": 4, "jac_mode": "fd", "da_mode": "fd"}}
+    )
+    rep = assert_matches_pointwise(model, chart, sampling, tol=tol, **kwargs)
+    # transport noise depends on the state; the grid and extra fields do not
+    assert (rep.max_step_disagreement > 0.0) == (preset.startswith("ito_translation"))
+
+
+def test_batched_sweep_matches_pointwise_with_degenerate_points():
+    n = 8
+    v = basis([1], n)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]],
+                            eval=lambda x: v * float(x[0]) ** 2)
+    model = ItoTypeModel(
+        d=1, J=1, N=n, b=(dirac0(n),), sigma=((dirac0(n),),),
+        extra_fields=(basis([2], n),),
+    )
+    rep = assert_matches_pointwise(model, chart, SamplingSpec(points_per_axis=5), form="both")
+    np.testing.assert_array_equal(rep.degenerate, [False, False, True, False, False])
+
+
+class CubicNoise:
+    """A single-state model with one noise field cubic in the state."""
+
+    def __init__(self, n):
+        self.geometry = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=()).geometry
+        self.n_noise = 1
+
+    def drift(self, y):
+        return y * 0.0
+
+    def diffusion(self, y):
+        return [y * float(y.l2() ** 2)]
+
+
+def test_batched_sweep_keeps_per_point_warnings_in_order():
+    # a top-heavy profile warns at every point, and the coarse fd step on
+    # the cubic noise makes the correction step-sensitive
+    n = 8
+    chart = translation_chart(basis([8], n), [[-2.0, 2.0]])
+    rep = assert_matches_pointwise(
+        CubicNoise(n), chart, SamplingSpec(points_per_axis=4), form="stratonovich", h_fd=0.5
+    )
+    # each point's warnings stay together, in check order
+    assert [w.split(" ")[0] for w in rep.warnings] == ["chart", "directional"] * 4
+    assert rep.max_step_disagreement > 1e-5
 
 
 # -- report shape ------------------------------------------------------------------------
