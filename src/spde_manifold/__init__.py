@@ -1,132 +1,41 @@
 """Tangency verification and coupled simulation for stochastic evolution
-equations restricted to finite-dimensional solution families."""
+equations restricted to finite-dimensional solution families.
 
-from .geometry import GridGeometry, HermiteGeometry
-from .grid import GridState, grid_inner, grid_norm, laplace_eigenvalue, sine_mode
-from .hermite import (
-    DEFAULT_SCALE,
-    DualField,
-    MultiIndex,
-    NormScale,
-    SpectralState,
-    check_embedding,
-    derivative,
-    evaluate,
-    integrate_path,
-    norm_at,
-    pair,
-    second_derivative,
-    state_from_json_dict,
-    state_to_json_dict,
-    top_band_ratio,
-    translate,
-)
-from .manifold import (
-    DegenerateChartError,
-    Parametrization,
-    TangentFrame,
-    bracket,
-    distance_to_manifold,
-    jacobian,
-    linear_span_chart,
-    tangent_coordinates,
-    translation_chart,
-)
-from .models import (
-    ItoTypeModel,
-    LinearEigenModel,
-    PLaplaceModel,
-    stratonovich_correction,
-)
-from .simulate import (
-    SimConfig,
-    coupled_compare,
-    simulate_full,
-    simulate_reduced,
-    wiener_increments,
-)
-from .tangency import (
-    FormDisagreementError,
-    InvalidSamplingError,
-    SamplingSpec,
-    TangencyReport,
-    check_diffusion_tangency,
-    check_drift_tangency,
-    reduced_coefficients,
-    sweep,
-)
+The package exports the library surface: loading a config, building its
+model and chart, the tangency sweep and the coupled simulation, and the
+errors a caller can catch.  Everything else is imported from its module.
+"""
+
 from .config import (
     ConfigError,
     build_manifold,
     build_model,
-    build_sampling,
     build_sim_config,
-    config_hash,
     load_config,
-    preset_names,
     sweep_config,
 )
+from .manifold import DegenerateChartError, Parametrization, linear_span_chart, translation_chart
+from .simulate import SimConfig, coupled_compare
+from .tangency import FormDisagreementError, InvalidSamplingError, SamplingSpec, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "SpectralState",
-    "DualField",
-    "MultiIndex",
-    "NormScale",
-    "DEFAULT_SCALE",
-    "norm_at",
-    "pair",
-    "derivative",
-    "second_derivative",
-    "translate",
-    "evaluate",
-    "integrate_path",
-    "check_embedding",
-    "top_band_ratio",
-    "state_to_json_dict",
-    "state_from_json_dict",
-    "GridState",
-    "grid_inner",
-    "grid_norm",
-    "sine_mode",
-    "laplace_eigenvalue",
-    "HermiteGeometry",
-    "GridGeometry",
-    "Parametrization",
-    "TangentFrame",
-    "DegenerateChartError",
-    "jacobian",
-    "tangent_coordinates",
-    "bracket",
-    "distance_to_manifold",
-    "translation_chart",
-    "linear_span_chart",
-    "ItoTypeModel",
-    "PLaplaceModel",
-    "LinearEigenModel",
-    "stratonovich_correction",
-    "SamplingSpec",
-    "InvalidSamplingError",
-    "FormDisagreementError",
-    "TangencyReport",
-    "check_diffusion_tangency",
-    "check_drift_tangency",
-    "reduced_coefficients",
-    "sweep",
-    "SimConfig",
-    "wiener_increments",
-    "simulate_full",
-    "simulate_reduced",
-    "coupled_compare",
-    "ConfigError",
     "load_config",
-    "config_hash",
-    "preset_names",
     "build_model",
     "build_manifold",
-    "build_sampling",
     "sweep_config",
     "build_sim_config",
+    "sweep",
+    "coupled_compare",
+    "Parametrization",
+    "translation_chart",
+    "linear_span_chart",
+    "SamplingSpec",
+    "SimConfig",
+    "ConfigError",
+    "InvalidSamplingError",
+    "FormDisagreementError",
+    "DegenerateChartError",
 ]

@@ -230,10 +230,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_report(args)
-    except (ConfigError, InvalidSamplingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FormDisagreementError, DegenerateChartError) as err:
+    except (ConfigError, InvalidSamplingError, FormDisagreementError, DegenerateChartError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

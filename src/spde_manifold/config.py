@@ -446,6 +446,14 @@ def _canon_check(check: dict) -> dict:
     for key, allowed in _CHECK_ENUMS.items():
         if out[key] not in allowed:
             raise ConfigError(f"check.{key} must be {'/'.join(allowed)}, got {out[key]!r}")
+    if out["points_per_axis"] < 1:
+        raise ConfigError("check.points_per_axis must be at least 1")
+    # a margin of half the box or more leaves no box to sample
+    if not 0.0 <= out["margin_frac"] < 0.5:
+        raise ConfigError(f"check.margin_frac must be in [0, 0.5), got {out['margin_frac']!r}")
+    for key in ("base_threshold", "spill_factor"):
+        if not out[key] >= 0.0:
+            raise ConfigError(f"check.{key} must not be negative, got {out[key]!r}")
     return out
 
 
@@ -458,9 +466,14 @@ def _canon_sim(sim: dict, m: int) -> dict:
     out["paths"] = _as_int(out["paths"], "sim.paths")
     out["seed"] = _as_int(out["seed"], "sim.seed")
     out["explosion_ceiling"] = _as_float(out["explosion_ceiling"], "sim.explosion_ceiling")
-    out["record_distance"] = bool(out["record_distance"])
+    if not isinstance(out["record_distance"], bool):
+        raise ConfigError(
+            f"sim.record_distance must be true or false, got {out['record_distance']!r}"
+        )
     if out["horizon"] <= 0 or out["dt"] <= 0:
         raise ConfigError("sim.horizon and sim.dt must be positive")
+    if not out["explosion_ceiling"] > 0:
+        raise ConfigError("sim.explosion_ceiling must be positive")
     if out["paths"] < 1:
         raise ConfigError("sim.paths must be at least 1")
     x0 = [_as_float(v, "sim.x0") for v in out["x0"]]

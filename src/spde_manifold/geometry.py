@@ -27,13 +27,10 @@ from .hermite import (
 __all__ = ["HermiteGeometry", "GridGeometry", "stack_states", "unstack_states", "take_rows"]
 
 
-def _value(total):
-    """A float for one state, the (P,) array for a batch."""
-    return float(total) if np.ndim(total) == 0 else total
-
-
 def _sqrt(total):
-    return _value(np.sqrt(np.maximum(total, 0.0)))
+    """Root of a mass: a float for one state, the (P,) array for a batch."""
+    root = np.sqrt(np.maximum(total, 0.0))
+    return float(root) if np.ndim(root) == 0 else root
 
 
 def stack_states(states):
@@ -100,11 +97,6 @@ class HermiteGeometry:
     def norm_mid(self, state: SpectralState):
         return _sqrt(self._mass(self.flat(state), state.N))
 
-    def inner(self, u: SpectralState, v: SpectralState):
-        order = max(u.N, v.N)
-        w = self.weight_vector(order)
-        return _value(np.sum(w * self.flat(u, order) * self.flat(v, order), axis=-1))
-
     def norm_diff(self, u: SpectralState, v: SpectralState):
         """norm_mid(u - v) without building the intermediate state."""
         if u.N == v.N:
@@ -161,9 +153,6 @@ class GridGeometry:
 
     def norm_mid(self, state: GridState):
         return _sqrt(self.h * np.sum(state.values * state.values, axis=-1))
-
-    def inner(self, u: GridState, v: GridState):
-        return _value(self.h * np.sum(u.values * v.values, axis=-1))
 
     def norm_diff(self, u: GridState, v: GridState):
         diff = u.values - v.values

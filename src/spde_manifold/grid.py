@@ -18,12 +18,8 @@ from .hermite import GRID_TAG
 
 __all__ = [
     "GridState",
-    "grid_inner",
-    "grid_norm",
     "sine_mode",
     "laplace_eigenvalue",
-    "grid_to_json_dict",
-    "grid_from_json_dict",
 ]
 
 
@@ -108,16 +104,6 @@ class GridState:
         return self * -1.0
 
 
-def grid_inner(u: GridState, v: GridState) -> float:
-    if u.M != v.M:
-        raise ValueError("grid size mismatch")
-    return u.h * float(np.dot(u.values, v.values))
-
-
-def grid_norm(u: GridState) -> float:
-    return math.sqrt(max(grid_inner(u, u), 0.0))
-
-
 def sine_mode(m: int, k: int, normalize: bool = True) -> GridState:
     """Sampled sine mode sin(k pi x) on the interior grid.
 
@@ -136,18 +122,3 @@ def laplace_eigenvalue(m: int, k: int) -> float:
     """Eigenvalue of the second-difference operator for the k-th sine mode."""
     h = 1.0 / (m + 1)
     return -(2.0 / h**2) * (1.0 - math.cos(k * math.pi * h))
-
-
-def grid_to_json_dict(state: GridState) -> dict:
-    entries = [[[int(i)], float(v)] for i, v in enumerate(state.values)]
-    return {"d": 1, "N": state.M - 1, "basis_tag": GRID_TAG, "entries": entries}
-
-
-def grid_from_json_dict(data: dict) -> GridState:
-    if data.get("basis_tag") != GRID_TAG:
-        raise ValueError("expected a sine_grid state")
-    m = int(data["N"]) + 1
-    v = np.zeros(m)
-    for row, val in data["entries"]:
-        v[int(row[0])] = float(val)
-    return GridState(v)

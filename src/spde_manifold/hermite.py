@@ -7,13 +7,11 @@ order ``q`` is measured by the weighted coefficient norm with weight
 coefficient-level operators the rest of the package builds on: dual
 pairings, ladder derivatives, shifts realised as the matrix exponential
 of the truncated derivative generator, embedding checks along a
-three-norm scale, and left Riemann path integrals with a refinement
-diagnostic.
+three-norm scale, and pointwise evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -32,14 +30,12 @@ __all__ = [
     "NormScale",
     "DEFAULT_SCALE",
     "EmbeddingReport",
-    "PathIntegral",
     "norm_at",
     "pair",
     "derivative",
     "second_derivative",
     "translate",
     "check_embedding",
-    "integrate_path",
     "hermite_values",
     "gauss_hermite_rule",
     "evaluate",
@@ -47,9 +43,6 @@ __all__ = [
     "hermite_weights",
     "ladder_matrix",
     "order_grid",
-    "simplex_indices",
-    "state_to_json_dict",
-    "state_from_json_dict",
 ]
 
 
@@ -75,15 +68,6 @@ def order_grid(d: int, n: int) -> np.ndarray:
     out = np.indices((n + 1,) * d).sum(axis=0)
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def simplex_indices(d: int, n: int) -> np.ndarray:
-    """All multi-indices with |n| <= n in lexicographic order, shape (count, d)."""
-    rows = [i for i in itertools.product(range(n + 1), repeat=d) if sum(i) <= n]
-    arr = np.array(rows, dtype=int).reshape(len(rows), d)
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +185,6 @@ class _CoeffTensor:
 
     def __neg__(self):
         return self * -1.0
-
-    def l2(self) -> float:
-        return float(np.linalg.norm(self.coeffs.ravel()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,71 +563,3 @@ def evaluate(state: SpectralState, points) -> np.ndarray:
             acc = np.tensordot(hermite_values(state.N, p[axis]), acc, axes=(0, 0))
         vals[k] = acc
     return vals.reshape(pts.shape[:-1])
-
-
-# -- path integration -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathIntegral:
-    value: SpectralState
-    refinement_residual_mid: float | None
-    refinement_residual_weak: float | None
-
-
-def integrate_path(samples, dt: float, scale: NormScale = DEFAULT_SCALE) -> PathIntegral:
-    """Left Riemann integral of a sampled path of states.
-
-    ``samples[k]`` is the value at t = k*dt; the integral covers
-    [0, len(samples)*dt).  When the sample count is even, the residual
-    against the stride-2 coarsening is reported in the mid and weak
-    norms so the refinement behaviour along the scale is observable.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("integrate_path needs at least one sample")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    _require_hermite(samples[0], "integrate_path")
-    d = samples[0].d
-    for s in samples:
-        _require_hermite(s, "integrate_path")
-        if s.d != d:
-            raise ValueError("samples must share the same dimension")
-    n = max(s.N for s in samples)
-    acc = np.zeros((n + 1,) * d)
-    for s in samples:
-        acc += _pad_tensor(s.coeffs, d, s.N, n)
-    fine = acc * dt
-    value = SpectralState(d, n, fine)
-    res_mid = res_weak = None
-    if len(samples) % 2 == 0:
-        coarse = np.zeros_like(acc)
-        for s in samples[::2]:
-            coarse += _pad_tensor(s.coeffs, d, s.N, n)
-        resid = SpectralState(d, n, fine - coarse * (2.0 * dt))
-        res_mid = norm_at(resid, scale.q_mid)
-        res_weak = norm_at(resid, scale.q_weak)
-    return PathIntegral(value, res_mid, res_weak)
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def state_to_json_dict(obj) -> dict:
-    """Canonical JSON form: lexicographic multi-index entries including zeros."""
-    idx = simplex_indices(obj.d, obj.N)
-    entries = [[list(map(int, row)), float(obj.coeffs[tuple(row)])] for row in idx]
-    tag = getattr(obj, "basis_tag", HERMITE_TAG)
-    return {"d": obj.d, "N": obj.N, "basis_tag": tag, "entries": entries}
-
-
-def state_from_json_dict(data: dict):
-    tag = data.get("basis_tag", HERMITE_TAG)
-    if tag != HERMITE_TAG:
-        raise ValueError(f"expected a hermite state, got basis_tag={tag!r}")
-    d, n = int(data["d"]), int(data["N"])
-    c = np.zeros((n + 1,) * d)
-    for row, val in data["entries"]:
-        c[tuple(int(r) for r in row)] = float(val)
-    return SpectralState(d, n, c)

@@ -30,7 +30,7 @@ __all__ = [
     "ProjectionResult",
     "DistanceResult",
     "jacobian",
-    "tangent_coordinates",
+    "block_frame",
     "bracket",
     "distance_to_manifold",
     "translation_chart",
@@ -184,12 +184,6 @@ class TangentFrame:
     def m(self) -> int:
         return len(self.columns)
 
-    @property
-    def gram(self) -> np.ndarray:
-        """Mid-norm Gram matrix of the columns, (m, m) per path."""
-        b = self._factors(self.base_order, qr=False)[1]
-        return np.swapaxes(b, -1, -2) @ b
-
     def _factors(self, order, qr: bool = True):
         """sqrt(w), the weighted columns and (with ``qr``) their thin QR at one order."""
         got = self._cache.get(order)
@@ -315,9 +309,30 @@ def jacobian(
     return TangentFrame(x, cols, geometry, order, sv, cond, warnings, cache)
 
 
-def tangent_coordinates(frame: TangentFrame, field_state) -> ProjectionResult:
-    """Least-squares coordinates of a field value on the frame, mid norm."""
-    return frame.project(field_state)
+def block_frame(
+    param: Parametrization,
+    x: np.ndarray,
+    geometry,
+    *,
+    mode: str = "auto",
+    h_fd: float = FD_STEP_JACOBIAN,
+):
+    """Frame at the non-degenerate rows of a (B, m) batch of points.
+
+    A degenerate row is dropped and the frame retried on the rest, so it
+    costs no other row its frame.  Returns the kept row indices, their
+    frame (None when every row is degenerate) and the rank message of
+    each dropped row, keyed by row.
+    """
+    kept = np.arange(x.shape[0])
+    dropped = {}
+    while kept.size:
+        try:
+            return kept, jacobian(param, x[kept], geometry, mode=mode, h_fd=h_fd), dropped
+        except DegenerateChartError as err:
+            dropped.update(zip(kept[err.rows], err.messages))
+            kept = kept[~err.rows]
+    return kept, None, dropped
 
 
 def _hessian_states(param: Parametrization, x: np.ndarray, h: float) -> list:
@@ -423,12 +438,8 @@ def distance_to_manifold(
     act = np.arange(paths)
     for it in range(max_iter):
         iterations[act] = it + 1
-        frame = None
-        while act.size and frame is None:
-            try:
-                frame = jacobian(param, x[act], geometry, h_fd=h_fd)
-            except DegenerateChartError as err:
-                act = act[~err.rows]
+        kept, frame, _ = block_frame(param, x[act], geometry, h_fd=h_fd)
+        act = act[kept]
         if frame is None:
             break
         x_act = x[act]

@@ -1,6 +1,6 @@
 """Concrete drift/diffusion models.
 
-Three families share one small protocol (``geometry``, ``n_noise``,
+Two families share one small protocol (``geometry``, ``n_noise``,
 ``drift``, ``diffusion``, optional ``diffusion_derivative``).  Models
 whose ``batched`` attribute is true also accept a batch of states (one
 row per path) in ``drift`` and ``diffusion``; ``as_batched`` wraps any
@@ -9,8 +9,7 @@ other model so it is called row by row.  The families:
 * transport models whose coefficients are dual pairings against the
   state, with quadratic transport drift and linear transport noise;
 * a divergence-form grid model with exponent p >= 2 on the unit
-  interval (p == 2 reduces exactly to the second-difference operator);
-* a generic linear operator with declared eigenpairs.
+  interval (p == 2 reduces exactly to the second-difference operator).
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -19,9 +18,7 @@ directional central differences otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,7 +26,6 @@ from .geometry import GridGeometry, HermiteGeometry, stack_states, unstack_state
 from .grid import GridState
 from .hermite import (
     DEFAULT_SCALE,
-    DualField,
     NormScale,
     SpectralState,
     derivative,
@@ -40,13 +36,11 @@ from .hermite import (
 __all__ = [
     "ItoTypeModel",
     "PLaplaceModel",
-    "LinearEigenModel",
     "ito_drift",
     "ito_diffusion",
     "sigma_pairings",
     "ito_diffusion_from_pairings",
     "plaplace_drift",
-    "linear_drift",
     "StratCorrection",
     "stratonovich_correction",
     "as_batched",
@@ -100,11 +94,6 @@ class ItoTypeModel:
     @property
     def n_noise(self) -> int:
         return self.J + len(self.extra_fields)
-
-    @property
-    def sigma_sq_sum(self) -> float:
-        """Summability proxy: total squared coefficient mass of the noise duals."""
-        return float(sum(s.l2() ** 2 for row in self.sigma for s in row))
 
     def drift(self, y: SpectralState) -> SpectralState:
         return ito_drift(self, y)
@@ -232,55 +221,6 @@ def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
     g = np.diff(np.concatenate((wall, v, wall), -1), axis=-1) / h  # M + 1 face slopes
     flux = np.abs(g) ** (model.p_exponent - 2.0) * g
     return GridState.of(np.diff(flux, axis=-1) / h)
-
-
-# -- generic linear operator with eigenpairs ----------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class LinearEigenModel:
-    """A linear drift operator validated against declared eigenpairs.
-
-    ``operator`` maps one state, so batches go through ``as_batched``.
-    """
-
-    operator: Callable
-    eigenpairs: tuple  # ((state, eigenvalue), ...)
-    fields: tuple = ()
-    geometry: object = None
-    eigen_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.geometry is None:
-            raise ValueError("linear model needs an explicit geometry")
-        for v, lam in self.eigenpairs:
-            resid = self.operator(v) - v * float(lam)
-            denom = self.geometry.norm_mid(v)
-            if denom == 0.0:
-                raise ValueError("eigenvector must be nonzero")
-            rel = self.geometry.norm_mid(resid) / denom
-            if rel > self.eigen_tol:
-                raise ValueError(
-                    f"declared eigenpair fails: relative residual {rel:.3e} "
-                    f"for eigenvalue {lam}"
-                )
-
-    @property
-    def n_noise(self) -> int:
-        return len(self.fields)
-
-    def drift(self, y):
-        return linear_drift(self, y)
-
-    def diffusion(self, y) -> list:
-        return list(self.fields)
-
-    def diffusion_derivative(self, y, u, j: int):
-        return self.geometry.zero_state() * 0.0
-
-
-def linear_drift(model: LinearEigenModel, y):
-    return model.operator(y)
 
 
 # -- Stratonovich-style drift correction --------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import take_rows
-from .manifold import DegenerateChartError, Parametrization, distance_to_manifold
+from .manifold import Parametrization, block_frame, distance_to_manifold
 from .models import as_batched
 from .tangency import reduced_coefficients
 
@@ -195,17 +195,13 @@ def simulate_reduced(
     exit_step: list = [None] * paths.size
     live = np.arange(paths.size)
     for step in range(n_steps):
-        coeffs = None
-        while live.size and coeffs is None:
-            try:
-                coeffs = reduced_coefficients(model, param, xs[live])
-            except DegenerateChartError as err:
-                for k in live[err.rows]:
-                    exited[k], exit_step[k] = True, step
-                live = live[~err.rows]
-        if coeffs is None:
+        kept, frame, dropped = block_frame(param, xs[live], model.geometry)
+        for k in live[list(dropped)]:
+            exited[k], exit_step[k] = True, step
+        live = live[kept]
+        if frame is None:
             break
-        a, beta = coeffs
+        a, beta = reduced_coefficients(model, param, frame.x, frame=frame)
         dw = increments[live, step]
         xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
         rows.append(xs.copy())

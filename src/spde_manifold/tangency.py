@@ -27,6 +27,7 @@ from .manifold import (
     DegenerateChartError,
     Parametrization,
     TangentFrame,
+    block_frame,
     bracket,
     jacobian,
 )
@@ -262,6 +263,7 @@ def reduced_coefficients(
     param: Parametrization,
     x,
     *,
+    frame: TangentFrame | None = None,
     jac_mode: str = "auto",
     h_fd: float = FD_STEP_JACOBIAN,
     h_hess: float = FD_STEP_HESSIAN,
@@ -269,10 +271,12 @@ def reduced_coefficients(
     """Chart-coordinate noise and drift coefficients (a, beta) at x.
 
     At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m);
-    models without batch support are evaluated row by row.
+    models without batch support are evaluated row by row.  A given
+    ``frame`` is used as is, and x is then read from it.
     """
     model = as_batched(model)
-    frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
+    if frame is None:
+        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     state = param.eval(frame.x)
     fields = model.diffusion(state)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
@@ -370,23 +374,6 @@ class TangencyReport:
         return header, rows
 
 
-def _block_frame(param, geometry, x, jac_mode, h_fd):
-    """Frame at the non-degenerate rows of a (B, m) block of points.
-
-    Returns the kept row indices, their frame (None when every row is
-    degenerate) and the rank message of each dropped row.
-    """
-    kept = np.arange(x.shape[0])
-    dropped = {}
-    while kept.size:
-        try:
-            return kept, jacobian(param, x[kept], geometry, mode=jac_mode, h_fd=h_fd), dropped
-        except DegenerateChartError as err:
-            dropped.update(zip(kept[err.rows], err.messages))
-            kept = kept[~err.rows]
-    return kept, None, dropped
-
-
 def _flagged(values, rows, limit):
     """The rows whose per-row value exceeds ``limit``, in row order."""
     return rows[np.broadcast_to(values, rows.shape) > limit]
@@ -440,7 +427,7 @@ def sweep(
     block = max(1, SWEEP_BLOCK_ENTRIES // geo.flat(geo.zero_state()).size)
     for start in range(0, s_count, block):
         idx = np.arange(start, min(start + block, s_count))
-        kept, frame, dropped = _block_frame(param, geo, pts[idx], jac_mode, h_fd)
+        kept, frame, dropped = block_frame(param, pts[idx], geo, mode=jac_mode, h_fd=h_fd)
         for k, note in dropped.items():
             degenerate[idx[k]] = True
             notes[idx[k]].append(note)

@@ -12,27 +12,30 @@ import time
 import numpy as np
 
 from spde_manifold import (
-    DEFAULT_SCALE,
     SimConfig,
-    SpectralState,
     build_manifold,
     build_model,
     build_sim_config,
-    check_embedding,
     coupled_compare,
-    derivative,
-    evaluate,
     load_config,
-    norm_at,
-    simulate_full,
     sweep,
     sweep_config,
-    translate,
 )
 from spde_manifold.cli import main
 from spde_manifold.geometry import GridGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.hermite import gauss_hermite_rule, hermite_values
+from spde_manifold.hermite import (
+    DEFAULT_SCALE,
+    SpectralState,
+    check_embedding,
+    derivative,
+    evaluate,
+    gauss_hermite_rule,
+    hermite_values,
+    norm_at,
+    translate,
+)
+from spde_manifold.simulate import simulate_full
 
 
 def _sweep_preset(source, **overrides):

@@ -99,6 +99,16 @@ def test_check_invalid_sampling_exit_one(out_root, tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_simulate_string_record_distance_exit_one(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "string_flag.json"
+    cfg_path.write_text(json.dumps({"preset": "ito_zero", "sim": {"record_distance": "false"}}))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_root)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "sim.record_distance" in captured.err
+    assert not any(out_root.glob("*/manifest.json"))
+
+
 def test_unknown_check_enum_exit_one(out_root, tmp_path, capsys):
     cfg_path = tmp_path / "bad_jac.json"
     cfg_path.write_text(json.dumps({"preset": "ito_zero", "check": {"jac_mode": "analytc"}}))

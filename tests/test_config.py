@@ -2,27 +2,31 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from spde_manifold import (
     ConfigError,
-    ItoTypeModel,
-    NormScale,
-    PLaplaceModel,
     Parametrization,
     SamplingSpec,
     SimConfig,
     build_manifold,
     build_model,
-    build_sampling,
     build_sim_config,
-    config_hash,
     load_config,
+)
+from spde_manifold.config import (
+    build_dual,
+    build_sampling,
+    build_state,
+    canonical_json,
+    config_hash,
+    manifold_hash,
+    model_hash,
     preset_names,
 )
-from spde_manifold.config import build_dual, build_state, canonical_json, manifold_hash, model_hash
 from spde_manifold.grid import laplace_eigenvalue
+from spde_manifold.hermite import NormScale
+from spde_manifold.models import ItoTypeModel, PLaplaceModel
 
 ALL_PRESETS = (
     "heat_equation",
@@ -230,6 +234,43 @@ def test_check_enums_accept_every_known_value():
     ):
         for value in values:
             assert load_config({"preset": "ito_zero", "check": {key: value}})["check"][key] == value
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("check", "margin_frac", -0.5),  # would sample outside the chart box
+        ("check", "margin_frac", 0.5),  # would shrink the box to a point
+        ("check", "margin_frac", 0.6),  # would turn the box inside out
+        ("check", "points_per_axis", 0),
+        ("check", "base_threshold", -1e-6),
+        ("check", "spill_factor", -1.0),
+        ("sim", "explosion_ceiling", 0.0),
+        ("sim", "explosion_ceiling", -1.0),
+    ],
+)
+def test_out_of_range_settings_fail_at_load(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config({"preset": "heat_equation", section: {key: value}})
+
+
+def test_range_edges_load():
+    edges = {"margin_frac": 0.0, "points_per_axis": 1, "base_threshold": 0.0, "spill_factor": 0.0}
+    cfg = load_config({"preset": "heat_equation", "check": edges})
+    assert {key: cfg["check"][key] for key in edges} == edges
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_record_distance_must_be_a_json_boolean(value):
+    with pytest.raises(ConfigError, match="sim.record_distance"):
+        load_config({"preset": "ito_zero", "sim": {"record_distance": value}})
+
+
+def test_record_distance_keeps_its_boolean():
+    for value in (False, True):
+        cfg = load_config({"preset": "ito_zero", "sim": {"record_distance": value}})
+        assert cfg["sim"]["record_distance"] is value
+        assert build_sim_config(cfg).record_distance is value
 
 
 def test_built_models_match_sections():

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spde_manifold.grid import (
-    GridState,
-    grid_from_json_dict,
-    grid_inner,
-    grid_norm,
-    grid_to_json_dict,
-    laplace_eigenvalue,
-    sine_mode,
-)
+from spde_manifold.geometry import GridGeometry
+from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
 
 
 def test_grid_state_properties():
@@ -52,15 +45,20 @@ def test_sine_mode_values_and_norm():
     np.testing.assert_allclose(
         mode.values, math.sqrt(2.0) * np.sin(k * math.pi * xs), atol=1e-14
     )
-    assert grid_norm(mode) == pytest.approx(1.0, rel=1e-13)
+    assert GridGeometry(m).norm_mid(mode) == pytest.approx(1.0, rel=1e-13)
+
+
+def _inner(geo, u, v):
+    """The geometry's inner product: its weights against the pointwise product."""
+    return float(geo.weight_vector() @ (u.values * v.values))
 
 
 def test_sine_modes_orthogonal():
     m = 20
+    geo = GridGeometry(m)
     for j in range(1, 4):
         for k in range(j + 1, 5):
-            ip = grid_inner(sine_mode(m, j), sine_mode(m, k))
-            assert abs(ip) < 1e-13
+            assert abs(_inner(geo, sine_mode(m, j), sine_mode(m, k))) < 1e-13
 
 
 def test_sine_mode_k_out_of_range():
@@ -86,13 +84,11 @@ def test_laplace_eigenvalue_closed_form():
 
 
 def test_grid_inner_is_trapezoid_free_h_weighted_dot():
+    geo = GridGeometry(3)
     a = GridState([1.0, 2.0, 3.0])
     b = GridState([4.0, 5.0, 6.0])
-    assert grid_inner(a, b) == pytest.approx(0.25 * (4 + 10 + 18), rel=1e-15)
-
-
-def test_grid_json_round_trip():
-    s = GridState([0.25, -1.5, 3.0])
-    back = grid_from_json_dict(grid_to_json_dict(s))
-    np.testing.assert_array_equal(back.values, s.values)
-    assert back.M == 3
+    # every interior point weighs h, the end points included
+    np.testing.assert_array_equal(geo.weight_vector(), [0.25, 0.25, 0.25])
+    assert _inner(geo, a, b) == pytest.approx(0.25 * (4 + 10 + 18), rel=1e-15)
+    assert geo.norm_mid(a) ** 2 == pytest.approx(0.25 * (1 + 4 + 9), rel=1e-15)
+    assert geo.norm_diff(a, b) ** 2 == pytest.approx(0.25 * 27, rel=1e-15)

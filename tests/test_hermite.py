@@ -1,12 +1,12 @@
 """Spectral-state calculus: norms, pairings, ladder operators, shifts."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from spde_manifold import (
+from spde_manifold.grid import GridState
+from spde_manifold.hermite import (
     DEFAULT_SCALE,
     DualField,
     MultiIndex,
@@ -15,17 +15,14 @@ from spde_manifold import (
     check_embedding,
     derivative,
     evaluate,
-    integrate_path,
+    gauss_hermite_rule,
+    hermite_values,
     norm_at,
     pair,
     second_derivative,
-    state_from_json_dict,
-    state_to_json_dict,
     top_band_ratio,
     translate,
 )
-from spde_manifold.grid import GridState
-from spde_manifold.hermite import gauss_hermite_rule, hermite_values
 
 PI_QUARTER = math.pi ** (-0.25)  # h_0(0)
 
@@ -319,78 +316,6 @@ def test_evaluate_known_values():
     np.testing.assert_allclose(
         evaluate(basis([0]), ts), PI_QUARTER * np.exp(-0.5 * ts * ts), rtol=1e-13
     )
-
-
-# -- path integration ----------------------------------------------------------------
-
-
-def test_integrate_constant_path():
-    s = basis([2], 4)
-    out = integrate_path([s] * 8, dt=0.25)
-    np.testing.assert_allclose(out.value.coeffs, 2.0 * s.coeffs, rtol=1e-14)
-    # even sample count: refinement residuals are reported and weak <= mid
-    assert out.refinement_residual_mid is not None
-    assert out.refinement_residual_weak <= out.refinement_residual_mid + 1e-15
-
-
-def test_integrate_linear_path_closed_form():
-    # samples t_k = k/m of t * h_0: left Riemann sum is 1/2 - 1/(2m)
-    m = 10
-    s = basis([0])
-    samples = [s * (k / m) for k in range(m)]
-    out = integrate_path(samples, dt=1.0 / m)
-    want = (0.5 - 0.5 / m)
-    assert out.value.coefficient([0]) == pytest.approx(want, rel=1e-13)
-
-
-def test_integrate_residual_ratio_below_one(rng):
-    samples = [SpectralState(1, 6, rng.standard_normal(7)) for _ in range(16)]
-    out = integrate_path(samples, dt=0.1)
-    assert out.refinement_residual_weak <= out.refinement_residual_mid + 1e-15
-
-
-def test_integrate_path_validation():
-    with pytest.raises(ValueError):
-        integrate_path([], dt=0.1)
-    with pytest.raises(ValueError):
-        integrate_path([basis([0])], dt=0.0)
-    with pytest.raises(TypeError):
-        integrate_path([GridState(np.ones(3))], dt=0.1)
-
-
-def test_integral_coefficients_shared_across_norm_queries():
-    s = basis([1], 3)
-    out = integrate_path([s, s], dt=0.5).value
-    before = out.coeffs.copy()
-    norm_at(out, 0.0)
-    norm_at(out, 1.0)
-    np.testing.assert_array_equal(out.coeffs, before)
-
-
-# -- serialization ---------------------------------------------------------------------
-
-
-def test_state_json_round_trip(rng):
-    c = np.where(np.add.outer(np.arange(4), np.arange(4)) <= 3,
-                 rng.standard_normal((4, 4)), 0.0)
-    s = SpectralState(2, 3, c)
-    doc = state_to_json_dict(s)
-    json.dumps(doc)  # must be serializable as-is
-    back = state_from_json_dict(doc)
-    assert back.d == 2 and back.N == 3
-    np.testing.assert_array_equal(back.coeffs, s.coeffs)
-
-
-def test_state_json_lexicographic_and_complete():
-    doc = state_to_json_dict(basis([1], 2))
-    idx = [tuple(e[0]) for e in doc["entries"]]
-    assert idx == sorted(idx)
-    assert len(idx) == 3  # every |n| <= N index listed, zeros included
-
-
-def test_state_json_rejects_grid_tag():
-    with pytest.raises(ValueError):
-        state_from_json_dict({"d": 1, "N": 1, "basis_tag": "sine_grid", "entries": []})
 
 
 def test_states_are_immutable():

@@ -8,18 +8,12 @@ import pytest
 from spde_manifold import (
     DegenerateChartError,
     Parametrization,
-    SpectralState,
-    bracket,
-    derivative,
-    distance_to_manifold,
-    jacobian,
     linear_span_chart,
-    second_derivative,
-    tangent_coordinates,
-    translate,
     translation_chart,
 )
 from spde_manifold.geometry import HermiteGeometry
+from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
+from spde_manifold.manifold import bracket, distance_to_manifold, jacobian
 
 
 def basis(index, n=None):
@@ -165,7 +159,7 @@ def test_batched_degenerate_rows_carry_their_own_messages():
 def test_project_member_of_span():
     geo = HermiteGeometry(1, 8)
     frame = jacobian(linear_span_chart([basis([0], 8), basis([1], 8)], BOX2), [0.0, 0.0], geo)
-    res = tangent_coordinates(frame, basis([0], 8) * 2.5)
+    res = frame.project(basis([0], 8) * 2.5)
     np.testing.assert_allclose(res.coords, [2.5, 0.0], atol=1e-13)
     assert res.rel_residual < 1e-13
 
@@ -173,7 +167,7 @@ def test_project_member_of_span():
 def test_project_orthogonal_field():
     geo = HermiteGeometry(1, 8)
     frame = jacobian(linear_span_chart([basis([0], 8), basis([1], 8)], BOX2), [0.0, 0.0], geo)
-    res = tangent_coordinates(frame, basis([2], 8))
+    res = frame.project(basis([2], 8))
     np.testing.assert_allclose(res.coords, [0.0, 0.0], atol=1e-13)
     assert res.rel_residual == pytest.approx(1.0, rel=1e-12)
 
@@ -300,6 +294,20 @@ def test_distance_matches_grid_search():
     grid_best = min(geo.norm_diff(translate(profile, s), y) for s in shifts)
     assert res.distance <= grid_best + 1e-12
     assert abs(res.distance - grid_best) < 1e-6
+
+
+def test_distance_stops_only_the_path_whose_frame_degenerates():
+    geo = HermiteGeometry(1, 4)
+    v = basis([1], 4)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2)
+    y = chart.eval(np.array([[0.6], [0.5]]))
+    res = distance_to_manifold(chart, y, [[0.5], [0.0]], geo)
+    alone = distance_to_manifold(chart, chart.eval(np.array([0.6])), [0.5], geo)
+    assert list(res.path_converged) == [True, False]
+    assert res.x[0, 0] == alone.x[0] and res.distance[0] == alone.distance
+    # the degenerate start is kept, with its distance to the target
+    assert res.x[1, 0] == 0.0
+    assert res.distance[1] == pytest.approx(geo.norm_mid(v * 0.25), rel=1e-14)
 
 
 def test_distance_iteration_cap_reports_nonconverged():

@@ -5,27 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from spde_manifold import (
-    DualField,
-    GridState,
-    ItoTypeModel,
-    LinearEigenModel,
-    PLaplaceModel,
-    SpectralState,
-    derivative,
-    pair,
-    second_derivative,
-    stratonovich_correction,
-)
-from spde_manifold.geometry import GridGeometry, HermiteGeometry, stack_states
-from spde_manifold.grid import laplace_eigenvalue, sine_mode
+from spde_manifold.geometry import HermiteGeometry, stack_states
+from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
+from spde_manifold.hermite import DualField, SpectralState, derivative, pair, second_derivative
 from spde_manifold.models import (
+    ItoTypeModel,
+    PLaplaceModel,
     as_batched,
     ito_diffusion,
     ito_diffusion_from_pairings,
     ito_drift,
     plaplace_drift,
     sigma_pairings,
+    stratonovich_correction,
 )
 
 H0_AT_ZERO = math.pi ** (-0.25)
@@ -159,12 +151,6 @@ def test_diffusion_derivative_of_constant_extra_is_zero():
     assert not out.coeffs.any()
 
 
-def test_sigma_sq_sum():
-    dual = DualField(1, 2, [3.0, 4.0, 0.0])
-    model = ItoTypeModel(d=1, J=1, N=4, b=(DualField.zero(1),), sigma=((dual,),))
-    assert model.sigma_sq_sum == pytest.approx(25.0)
-
-
 def test_transport_model_validation():
     with pytest.raises(ValueError):
         ItoTypeModel(d=2, J=0, N=4, b=(DualField.zero(2),), sigma=())
@@ -241,57 +227,6 @@ def test_plaplace_noise_protocol():
     assert not model.diffusion_derivative(y, f, 0).values.any()
 
 
-# -- declared-eigenpair linear model ---------------------------------------------------
-
-
-def _laplace_operator(m):
-    inner = PLaplaceModel(2.0, m)
-    return lambda y: plaplace_drift(inner, y)
-
-
-def test_linear_model_accepts_true_eigenpairs():
-    m = 16
-    pairs = tuple(
-        (sine_mode(m, k), laplace_eigenvalue(m, k)) for k in (1, 2)
-    )
-    model = LinearEigenModel(
-        operator=_laplace_operator(m), eigenpairs=pairs, geometry=GridGeometry(m)
-    )
-    c1, c2 = 0.8, -0.3
-    y = sine_mode(m, 1) * c1 + sine_mode(m, 2) * c2
-    out = model.drift(y)
-    want = (
-        sine_mode(m, 1) * (c1 * laplace_eigenvalue(m, 1))
-        + sine_mode(m, 2) * (c2 * laplace_eigenvalue(m, 2))
-    )
-    np.testing.assert_allclose(out.values, want.values, atol=1e-9)
-
-
-def test_linear_model_rejects_false_eigenvalue():
-    m = 8
-    with pytest.raises(ValueError, match="eigenpair fails"):
-        LinearEigenModel(
-            operator=_laplace_operator(m),
-            eigenpairs=((sine_mode(m, 1), -1.0),),
-            geometry=GridGeometry(m),
-        )
-
-
-def test_linear_model_rejects_zero_eigenvector():
-    m = 8
-    with pytest.raises(ValueError, match="nonzero"):
-        LinearEigenModel(
-            operator=_laplace_operator(m),
-            eigenpairs=((GridState.zero(m), 0.0),),
-            geometry=GridGeometry(m),
-        )
-
-
-def test_linear_model_needs_geometry():
-    with pytest.raises(ValueError, match="geometry"):
-        LinearEigenModel(operator=lambda y: y, eigenpairs=())
-
-
 # -- noise-derivative correction ---------------------------------------------------------
 
 
@@ -348,7 +283,7 @@ class _CubicNoise:
         return y * 0.0
 
     def diffusion(self, y):
-        return [y * float(y.l2() ** 2)]
+        return [y * float(np.sum(y.coeffs**2))]
 
 
 def test_correction_warns_on_step_sensitive_difference():

@@ -1,0 +1,45 @@
+"""The public surface of the package and the names the benchmark tracer wraps."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import spde_manifold
+import spde_manifold.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _library_use_names() -> list:
+    """Backticked names in the bullet list of the README's "Library use" section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- (.*(?:\n  .*)*)", section, flags=re.MULTILINE)
+    return [name for item in bullets for name in re.findall(r"`([A-Za-z_]\w*)`", item)]
+
+
+def test_every_exported_name_resolves():
+    for name in spde_manifold.__all__:
+        assert getattr(spde_manifold, name, None) is not None, name
+    assert len(set(spde_manifold.__all__)) == len(spde_manifold.__all__)
+
+
+def test_readme_library_use_lists_exactly_the_exports():
+    names = _library_use_names()
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(spde_manifold.__all__)
+
+
+def test_bench_tracer_finds_every_target():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    original = spde_manifold.manifold.jacobian
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()  # raises TraceTargetError when a traced name is gone
+        assert spde_manifold.manifold.jacobian is not original
+    finally:
+        tracer.uninstall()
+    assert spde_manifold.manifold.jacobian is original
+    assert spde_manifold.tangency.jacobian is original

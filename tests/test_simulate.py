@@ -1,35 +1,26 @@
 """Noise streams, Euler paths in both spaces, and the coupled comparison."""
 
 import functools
-import math
 
 import numpy as np
 import pytest
 
 from spde_manifold import (
-    DualField,
-    ItoTypeModel,
     Parametrization,
-    PLaplaceModel,
     SimConfig,
-    SpectralState,
     build_manifold,
     build_model,
     coupled_compare,
-    derivative,
-    distance_to_manifold,
     linear_span_chart,
     load_config,
-    second_derivative,
-    simulate_full,
-    simulate_reduced,
-    translate,
     translation_chart,
-    wiener_increments,
 )
 from spde_manifold.geometry import GridGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.models import plaplace_drift
+from spde_manifold.hermite import DualField, SpectralState, derivative, second_derivative, translate
+from spde_manifold.manifold import distance_to_manifold
+from spde_manifold.models import ItoTypeModel, PLaplaceModel
+from spde_manifold.simulate import simulate_full, simulate_reduced, wiener_increments
 from spde_manifold.tangency import reduced_coefficients
 
 
@@ -183,6 +174,22 @@ def test_reduced_path_exits_chart_domain():
     assert len(path.xs) == expected_exit + 1
     assert len(path.times) == len(path.xs)
     assert path.xs[-1, 0] < 0.9 <= path.xs[-2, 0]
+
+
+def test_reduced_path_stops_where_its_frame_degenerates():
+    # x -> x^2 v loses rank at the origin: the path started there stops at
+    # step 0, and the other path runs on exactly as it does alone
+    m = 8
+    v = sine_mode(m, 1)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * float(x[0]) ** 2)
+    model = PLaplaceModel(2.0, m)
+    cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0)
+    both = simulate_reduced(model, chart, [[0.5], [0.0]], cfg, [0, 1])
+    alone = simulate_reduced(model, chart, [0.5], cfg, 0)
+    assert list(both.exited) == [False, True]
+    assert both.exit_step == [None, 0]
+    np.testing.assert_array_equal(both.xs[:, 0], alone.xs)
+    assert not alone.exited
 
 
 # -- coupled comparison -------------------------------------------------------------------

@@ -8,29 +8,30 @@ import pytest
 
 from spde_manifold import (
     DegenerateChartError,
-    DualField,
     FormDisagreementError,
     InvalidSamplingError,
-    ItoTypeModel,
     Parametrization,
-    PLaplaceModel,
     SamplingSpec,
-    SpectralState,
     build_manifold,
     build_model,
-    check_diffusion_tangency,
-    check_drift_tangency,
-    jacobian,
     linear_span_chart,
     load_config,
-    preset_names,
-    reduced_coefficients,
     sweep,
     sweep_config,
     translation_chart,
 )
+from spde_manifold.config import preset_names
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.tangency import SWEEP_BLOCK_ENTRIES, sample_points
+from spde_manifold.hermite import DualField, SpectralState
+from spde_manifold.manifold import jacobian
+from spde_manifold.models import ItoTypeModel, PLaplaceModel
+from spde_manifold.tangency import (
+    SWEEP_BLOCK_ENTRIES,
+    check_diffusion_tangency,
+    check_drift_tangency,
+    reduced_coefficients,
+    sample_points,
+)
 
 
 def basis(index, n=None):
@@ -446,7 +447,7 @@ class CubicNoise:
         return y * 0.0
 
     def diffusion(self, y):
-        return [y * float(y.l2() ** 2)]
+        return [y * float(np.sum(y.coeffs**2))]
 
 
 def test_batched_sweep_keeps_per_point_warnings_in_order():
