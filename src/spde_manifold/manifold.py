@@ -40,6 +40,7 @@ __all__ = [
 FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
 COND_WARN = 1e12  # Gram condition number above which a frame warns
+SHIFT_MEMO_ENTRIES = 2 ** 16  # coefficient entries a translation chart keeps memoized
 JAC_MODES = ("auto", "analytic", "fd")
 
 
@@ -492,6 +493,36 @@ def distance_to_manifold(
 # -- built-in charts ---------------------------------------------------------
 
 
+class _ShiftMemo:
+    """Shifted profiles keyed by point (or batch of points).
+
+    eval/jac/hess at one point, or one batch of points, share the shift.
+    The table holds at most ``SHIFT_MEMO_ENTRIES`` coefficient entries in
+    total: it is cleared when the next shift would pass that, and a shift
+    larger than the cap on its own is not kept.
+    """
+
+    def __init__(self, profile: SpectralState):
+        self.profile = profile
+        self.table: dict = {}
+        self.entries = 0
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        got = self.table.get(key)
+        if got is None:
+            got = translate(self.profile, x)
+            size = got.coeffs.size
+            if self.entries + size > SHIFT_MEMO_ENTRIES:
+                self.table.clear()
+                self.entries = 0
+            if size <= SHIFT_MEMO_ENTRIES:
+                self.table[key] = got
+                self.entries += size
+        return got
+
+
 def translation_chart(profile: SpectralState, domain) -> Parametrization:
     """Chart x -> profile shifted by x, with analytic ladder derivatives.
 
@@ -499,29 +530,14 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
     profile, and the chart Hessian is the matrix of second derivatives.
     """
     d = profile.d
-    cache: dict = {}
-
-    def _base(x):
-        # memoize the shifted profile; eval/jac/hess at one point (or one
-        # batch of points) share it
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        got = cache.get(key)
-        if got is None:
-            if len(cache) >= 256:
-                cache.clear()
-            got = cache[key] = translate(profile, x)
-        return got
-
-    def _eval(x):
-        return _base(x)
+    shifted = _ShiftMemo(profile)
 
     def _jac(x):
-        base = _base(x)
+        base = shifted(x)
         return [-derivative(base, axis=k) for k in range(d)]
 
     def _hess(x):
-        base = _base(x)
+        base = shifted(x)
         out = [[None] * d for _ in range(d)]
         for k in range(d):
             for l in range(k, d):
@@ -531,7 +547,7 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
         return out
 
     return Parametrization(
-        m=d, domain=domain, eval=_eval, jac=_jac, hess=_hess,
+        m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess,
         kind_tag="translation", name="translation", batched=True,
     )
 

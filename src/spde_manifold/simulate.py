@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import take_rows
 from .manifold import Parametrization, block_frame, distance_to_manifold
 from .models import as_batched
-from .tangency import reduced_coefficients
+from .tangency import reduced_coefficients, row_blocks
 
 __all__ = [
     "SimConfig",
@@ -43,6 +42,10 @@ class SimConfig:
     seed: int = 0
     record_distance: bool = True
     explosion_ceiling: float = 1e6
+
+    def __post_init__(self):
+        if not self.explosion_ceiling > 0:
+            raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
 
     @property
     def n_steps(self) -> int:
@@ -215,6 +218,59 @@ def simulate_reduced(
     return ReducedPath(times, np.asarray(rows)[:, 0], bool(exited[0]), exit_step[0])
 
 
+# Gauss-Newton step tolerance of the recorded distances: the distance error
+# is quadratic in it, so 1e-5 keeps the recorded value good to ~1e-10
+DIST_STEP_TOL = 1e-5
+# a chart point inside the box by at least this much can start the next row
+CHAIN_MARGIN = 1e-9
+# a row is solved again when its chain start moved by more than this,
+# relative to the start it was solved from: well inside the step
+# tolerance, so the solve ends where it would from the chain start
+CHAIN_START_TOL = 0.1 * DIST_STEP_TOL
+
+
+def _chained_distances(param, geo, full_rows, xs, live, x0):
+    """Distance to the chart of every live (step, path) row, in row blocks.
+
+    ``full_rows`` maps flat row indices (step * P + path) to the batched
+    full states, ``xs`` (T, P, m) holds the reduced coordinates and
+    ``live`` (T, P) the recorded rows.  The answer is that of the serial
+    chain, where a row starts at the last earlier row of its path that
+    converged inside the chart, or at ``x0``.  The first pass starts each
+    row at its reduced coordinate instead (step 0 at ``x0``); each later
+    pass computes the chain starts from the current results and solves
+    again the rows whose start moved.  After pass k the first k rows of
+    every path are final, so at most T + 1 passes run.  Returns the
+    distances and the non-converged flags, both (T, P), and the summed
+    Gauss-Newton path-iterations.
+    """
+    n_steps, n_paths, m = xs.shape
+    steps = np.arange(n_steps)[:, None]
+    start = xs.reshape(-1, m).copy()
+    start[: n_paths] = x0
+    x = np.zeros_like(start)
+    dist = np.full(start.shape[0], np.nan)
+    converged = np.zeros(start.shape[0], dtype=bool)
+    rows = np.flatnonzero(live)
+    todo, iterations = rows, 0
+    while todo.size:
+        for idx in row_blocks(todo, geo):
+            res = distance_to_manifold(param, full_rows(idx), start[idx], geo, step_tol=DIST_STEP_TOL)
+            x[idx], dist[idx], converged[idx] = res.x, res.distance, res.path_converged
+            iterations += res.iterations
+        keep = (converged & param.contains(x, margin=CHAIN_MARGIN)).reshape(n_steps, n_paths)
+        last = np.maximum.accumulate(np.where(keep, steps, -1), axis=0)
+        prev = np.vstack([np.full((1, n_paths), -1), last[:-1]])
+        chain = np.where(
+            (prev >= 0)[..., None], x.reshape(n_steps, n_paths, m)[prev, np.arange(n_paths)], x0
+        ).reshape(-1, m)
+        shift = np.sqrt(((chain - start) ** 2).sum(-1))
+        moved = shift > CHAIN_START_TOL * (1.0 + np.sqrt((start * start).sum(-1)))
+        todo = rows[moved[rows]]
+        start[todo] = chain[todo]
+    return dist.reshape(live.shape), live & ~converged.reshape(live.shape), iterations
+
+
 @dataclass
 class PathRecord:
     path_index: int
@@ -257,12 +313,17 @@ def coupled_compare(
 ) -> TrajectoryRecord:
     """Drive full and reduced dynamics with shared noise and compare.
 
-    All ``cfg.paths`` paths are stepped together.  ``coupled_err`` is the
-    mid-norm gap between the full state and the chart image of the
-    reduced coordinates; ``dist`` is the distance from the full state to
-    the chart itself, from a Gauss-Newton solve warm-started per path.
-    Steps whose solve did not converge are flagged and counted.  The
-    ensemble summary keeps the maxima and the per-path termination flags.
+    All ``cfg.paths`` paths are stepped together.  Then every recorded
+    (step, path) row is known, and both measures are taken in row blocks:
+    ``coupled_err`` is the mid-norm gap between the full state and the
+    chart image of the reduced coordinates; ``dist`` is the distance from
+    the full state to the chart itself, from Gauss-Newton solves whose
+    starts follow the serial chain (a row starts at the last earlier row of
+    its path that converged inside the chart, or at ``x0``).  Rows whose
+    solve did not converge are flagged and counted.  The ensemble summary
+    keeps the maxima, the mean and standard error over paths of each
+    path's largest gap, the Gauss-Newton path-iterations of every block
+    solve, and the per-path termination flags.
     """
     model = as_batched(model)
     geo = model.geometry
@@ -273,54 +334,57 @@ def coupled_compare(
     reduced = simulate_reduced(model, param, x0, cfg, paths, incr)
     full = simulate_full(model, param.eval(x0), cfg, paths, incr)
     n_rec = np.minimum(_recorded(reduced.exit_step, n_steps), _recorded(full.exit_step, n_steps))
-    dist = np.full((paths.size, n_rec.max()), np.nan)
-    err = np.zeros(dist.shape)
-    unconverged = np.zeros(dist.shape, dtype=bool)
-    x_guess = np.array(np.broadcast_to(x0, (paths.size, param.m)))
-    for step in range(dist.shape[1]):
-        live = np.flatnonzero(n_rec > step)
-        y = full.states[step]
-        if live.size < paths.size:
-            y = take_rows(y, live)
-        err[live, step] = geo.norm_diff(y, param.eval(reduced.xs[step, live]))
-        if cfg.record_distance:
-            # warm-started; the distance error is quadratic in the step
-            # tolerance, so 1e-5 keeps the recorded value good to ~1e-10
-            res = distance_to_manifold(param, y, x_guess[live], geo, step_tol=1e-5)
-            dist[live, step] = res.distance
-            unconverged[live, step] = ~res.path_converged
-            keep = res.path_converged & param.contains(res.x, margin=1e-9)
-            x_guess[live[keep]] = res.x[keep]
+    # every recorded (step, path) row is known now: work on them in blocks
+    live = np.arange(n_rec.max())[:, None] < n_rec
+    order = geo.embed_order([full.states[0]])
+
+    def full_rows(idx):  # the full states of flat rows step * P + path
+        step, path = np.divmod(idx, paths.size)
+        steps, at = np.unique(step, return_inverse=True)
+        held = np.stack([geo.flat(full.states[k], order) for k in steps])
+        return geo.state_from_flat(held[at, path], order)
+
+    xs = reduced.xs[: live.shape[0]]
+    flat_x = xs.reshape(live.size, -1)
+    err = np.zeros(live.size)
+    for idx in row_blocks(np.flatnonzero(live), geo):
+        err[idx] = geo.norm_diff(full_rows(idx), param.eval(flat_x[idx]))
+    err = err.reshape(live.shape)
+    dist = np.full(live.shape, np.nan)
+    unconverged = np.zeros(live.shape, dtype=bool)
+    iterations = 0
+    if cfg.record_distance:
+        dist, unconverged, iterations = _chained_distances(param, geo, full_rows, xs, live, x0)
     records = [
         PathRecord(
             int(p),
             reduced.times[:n],
             reduced.xs[:n, p],
-            dist[p, :n],
-            err[p, :n],
+            dist[:n, p],
+            err[:n, p],
             bool(reduced.exited[p]),
             bool(full.exploded[p]),
             reduced.exit_step[p] if reduced.exited[p] else full.exit_step[p],
-            unconverged[p, :n],
+            unconverged[:n, p],
         )
         for p, n in zip(paths, n_rec)
     ]
 
-    if cfg.record_distance:
-        max_dist = max(
-            (float(np.nanmax(r.dist)) if r.dist.size else 0.0) for r in records
-        )
-    else:
-        max_dist = None
-    max_err = max((float(r.coupled_err.max()) if r.coupled_err.size else 0.0) for r in records)
+    # rows past a path's end hold a zero gap and a NaN distance
+    path_err = err.max(axis=0)
     summary = {
         "paths": cfg.paths,
         "steps": n_steps,
         "dt": cfg.dt,
-        "max_distance": max_dist,
-        "max_coupled_err": max_err,
+        "max_distance": float(np.nanmax(dist)) if cfg.record_distance else None,
+        "max_coupled_err": float(path_err.max()),
+        "coupled_err_mean": float(path_err.mean()),
+        "coupled_err_sem": (
+            float(path_err.std(ddof=1) / np.sqrt(path_err.size)) if path_err.size > 1 else None
+        ),
         "max_spill": float(full.max_spill.max()),
         "n_unconverged_distance": int(unconverged.sum()),
+        "distance_iterations": iterations,
         "n_exited": sum(r.exited for r in records),
         "n_exploded": sum(r.exploded for r in records),
         "verdict": verdict,

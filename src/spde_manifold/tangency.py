@@ -50,11 +50,17 @@ __all__ = [
 VERDICT_TANGENT = "tangent"
 VERDICT_NOT_TANGENT = "not_tangent"
 
-# The sweep checks its points in blocks whose batched chart state holds
-# about this many float64 entries (252 points at Hermite N=64, 64 points
-# on a 256-point grid): every layer runs once per block, while peak memory
-# stays that of a small batch.
+# The sweep checks its points, and the coupled comparison solves its chart
+# distances, in blocks whose batched state holds about this many float64
+# entries (252 rows at Hermite N=64, 64 rows on a 256-point grid): every
+# layer runs once per block, while peak memory stays that of a small batch.
 SWEEP_BLOCK_ENTRIES = 2 ** 14
+
+
+def row_blocks(rows: np.ndarray, geometry):
+    """``rows`` in consecutive blocks whose states hold about ``SWEEP_BLOCK_ENTRIES`` entries."""
+    size = max(1, SWEEP_BLOCK_ENTRIES // geometry.flat(geometry.zero_state()).size)
+    return (rows[k : k + size] for k in range(0, rows.size, size))
 
 
 class InvalidSamplingError(ValueError):
@@ -108,6 +114,8 @@ def sample_points(spec: SamplingSpec, domain: np.ndarray) -> np.ndarray:
     m = domain.shape[0]
     if spec.points_per_axis < 1:
         raise InvalidSamplingError("points_per_axis must be at least 1")
+    if not 0.0 <= spec.margin_frac < 0.5:
+        raise InvalidSamplingError(f"margin_frac must be in [0, 0.5), got {spec.margin_frac!r}")
     lo = domain[:, 0] + spec.margin_frac * (domain[:, 1] - domain[:, 0])
     hi = domain[:, 1] - spec.margin_frac * (domain[:, 1] - domain[:, 0])
     method = spec.method
@@ -424,9 +432,7 @@ def sweep(
     degenerate = np.zeros(s_count, dtype=bool)
     notes = [[] for _ in range(s_count)]  # warnings per point, in check order
 
-    block = max(1, SWEEP_BLOCK_ENTRIES // geo.flat(geo.zero_state()).size)
-    for start in range(0, s_count, block):
-        idx = np.arange(start, min(start + block, s_count))
+    for idx in row_blocks(np.arange(s_count), geo):
         kept, frame, dropped = block_frame(param, pts[idx], geo, mode=jac_mode, h_fd=h_fd)
         for k, note in dropped.items():
             degenerate[idx[k]] = True

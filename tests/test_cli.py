@@ -155,7 +155,9 @@ def test_simulate_writes_trajectory(out_root, capsys):
     assert summary["verdict"] == "tangent"
     assert summary["n_exited"] == 0 and summary["n_exploded"] == 0
     assert summary["max_coupled_err"] == 0.0
+    assert summary["coupled_err_mean"] == 0.0 and summary["coupled_err_sem"] == 0.0
     assert summary["n_unconverged_distance"] == 0
+    assert isinstance(summary["distance_iterations"], int) and summary["distance_iterations"] > 0
     assert summary["max_spill"] >= 0.0
 
 

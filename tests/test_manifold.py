@@ -13,7 +13,7 @@ from spde_manifold import (
 )
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
-from spde_manifold.manifold import bracket, distance_to_manifold, jacobian
+from spde_manifold.manifold import SHIFT_MEMO_ENTRIES, bracket, distance_to_manifold, jacobian
 
 
 def basis(index, n=None):
@@ -60,6 +60,24 @@ def test_translation_jacobian_is_minus_shifted_derivative():
     want = -derivative(translate(profile, 0.3))
     got = frame.columns[0]
     np.testing.assert_allclose(got.coeffs, want.coeffs[: got.N + 1], atol=1e-14)
+
+
+def test_translation_memo_is_bounded_by_coefficient_entries():
+    profile = basis([0], 64)
+    chart = translation_chart(profile, BOX1)
+    memo = chart.eval
+    grid = np.linspace(-1.5, 1.5, 252)[:, None]
+    for k in range(8):  # eight 252-point batches are twice the cap
+        x = grid + 1e-3 * k
+        np.testing.assert_array_equal(chart.eval(x).coeffs, translate(profile, x).coeffs)
+        chart.jac(x)
+        assert memo.table  # the last batch is kept for the jacobian
+        assert memo.entries == sum(v.coeffs.size for v in memo.table.values())
+        assert memo.entries <= SHIFT_MEMO_ENTRIES
+    # a batch larger than the cap on its own is computed but not kept
+    wide = np.linspace(-1.5, 1.5, SHIFT_MEMO_ENTRIES // 65 + 1)[:, None]
+    np.testing.assert_array_equal(chart.eval(wide).coeffs, translate(profile, wide).coeffs)
+    assert memo.entries <= SHIFT_MEMO_ENTRIES
 
 
 def test_fd_jacobian_close_to_analytic():

@@ -81,6 +81,12 @@ def test_config_rejects_subsize_horizon():
         SimConfig(horizon=1e-4, dt=1e-3).n_steps
 
 
+@pytest.mark.parametrize("ceiling", [0.0, -1.0, float("nan")])
+def test_config_rejects_non_positive_explosion_ceiling(ceiling):
+    with pytest.raises(ValueError, match="explosion_ceiling"):
+        SimConfig(explosion_ceiling=ceiling)
+
+
 # -- full-space paths ----------------------------------------------------------------
 
 
@@ -277,7 +283,9 @@ def _per_path(model, chart, x0, cfg, p):
     return reduced.xs[:n_rec], err, dist, unconverged, flags
 
 
-def _assert_matches_per_path(model, chart, x0, cfg):
+def _assert_matches_per_path(model, chart, x0, cfg, dist_atol=1e-12):
+    """The batched run against the per-path serial chain; distances are
+    compared on the rows whose solve converged."""
     rec = coupled_compare(model, chart, x0, cfg)
     assert len(rec.records) == cfg.paths
     for p, r in enumerate(rec.records):
@@ -286,8 +294,8 @@ def _assert_matches_per_path(model, chart, x0, cfg):
         assert r.xs.shape == xs.shape
         np.testing.assert_allclose(r.xs, xs, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(r.coupled_err, err, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(r.dist, dist, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(r.unconverged, unconverged)
+        np.testing.assert_allclose(r.dist[~unconverged], dist[~unconverged], rtol=0.0, atol=dist_atol)
     return rec
 
 
@@ -297,6 +305,17 @@ def test_batched_transport_matches_per_path():
     cfg = SimConfig(horizon=0.05, dt=1e-3, paths=4, seed=2024)
     rec = _assert_matches_per_path(model, chart, [0.2], cfg)
     assert rec.summary["n_exited"] == 0 and rec.summary["n_exploded"] == 0
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_batched_off_chart_distances_follow_the_serial_chain(seed):
+    # off the chart the distance has several local minima, so the block
+    # solve must reproduce the chain's starts, not only its tolerance
+    cfg_dict = load_config("ito_translation_d1_negative")
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.25, dt=1e-3, paths=4, seed=seed)
+    rec = _assert_matches_per_path(model, chart, [0.2], cfg, dist_atol=1e-10)
+    assert rec.summary["n_unconverged_distance"] > 0
 
 
 def test_batched_grid_span_with_exits_and_explosions_matches_per_path():
@@ -389,6 +408,25 @@ def test_unconverged_distance_solves_are_flagged_and_counted(monkeypatch):
     assert flagged > 0
     assert rec.summary["n_unconverged_distance"] == flagged
     assert all(not r.unconverged[0] for r in rec.records)  # starts on the chart
+
+
+def test_summary_reports_the_coupled_gap_spread_and_solver_work():
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=12)
+    rec = coupled_compare(model, chart, [0.2], cfg)
+    gaps = np.array([r.coupled_err.max() for r in rec.records])
+    assert rec.summary["max_coupled_err"] == gaps.max()
+    assert rec.summary["coupled_err_mean"] == pytest.approx(gaps.mean(), rel=1e-12)
+    sem = gaps.std(ddof=1) / np.sqrt(gaps.size)
+    assert rec.summary["coupled_err_sem"] == pytest.approx(sem, rel=1e-12)
+    iterations = rec.summary["distance_iterations"]
+    assert isinstance(iterations, int) and iterations >= sum(r.dist.size for r in rec.records)
+    assert coupled_compare(model, chart, [0.2], cfg).summary == rec.summary
+
+    one = coupled_compare(model, chart, [0.2], SimConfig(horizon=0.01, dt=1e-3, seed=12))
+    assert one.summary["coupled_err_sem"] is None  # no spread from a single path
+    skipped = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=12, record_distance=False)
+    assert coupled_compare(model, chart, [0.2], skipped).summary["distance_iterations"] == 0
 
 
 def test_summary_reports_the_ensemble_spill():

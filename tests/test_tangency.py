@@ -97,6 +97,14 @@ def test_sampling_validation():
         sample_points(SamplingSpec(method="halton"), np.array([[0.0, 1.0]] * 13))
 
 
+@pytest.mark.parametrize("margin", [-0.5, 0.5, 0.6, float("nan")])
+def test_margin_outside_half_box_is_rejected(margin):
+    # a negative margin would sample outside the chart box, one of 0.5 or
+    # more would shrink it to a point or turn it inside out
+    with pytest.raises(InvalidSamplingError, match="margin_frac"):
+        sample_points(SamplingSpec(points_per_axis=3, margin_frac=margin), np.array([[-2.0, 2.0]]))
+
+
 # -- single-point checks -------------------------------------------------------------
 
 
