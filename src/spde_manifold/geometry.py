@@ -6,6 +6,11 @@ states) and to a declared working order.  Differential operators push
 spectral states above the working order; that out-of-band mass cannot
 be matched by any tangent frame held at the working order, so it is
 tracked explicitly as "spill" rather than silently dropped.
+
+States come from the shared array-state core (``hermite.ArrayState``):
+a geometry reads their arrays, flat, with the path axis in front when
+they are a batch, and batches are stacked, sliced and split by the
+states' own ``stack``, ``rows`` and ``split``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .hermite import (
     order_grid,
 )
 
-__all__ = ["HermiteGeometry", "GridGeometry", "stack_states", "unstack_states", "take_rows"]
+__all__ = ["HermiteGeometry", "GridGeometry"]
 
 
 def _sqrt(total):
@@ -33,37 +38,12 @@ def _sqrt(total):
     return float(root) if np.ndim(root) == 0 else root
 
 
-def stack_states(states):
-    """One batched state from single states (spectral ones padded to a common order)."""
-    first = states[0]
-    if isinstance(first, GridState):
-        return GridState.of(np.stack([s.values for s in states]))
-    n = max(s.N for s in states)
-    return SpectralState(first.d, n, np.stack([s.padded(n).coeffs for s in states]))
-
-
-def unstack_states(state) -> list:
-    """The single states of a batched state, one per path."""
-    if isinstance(state, GridState):
-        return [GridState(v) for v in state.values]
-    return [SpectralState(state.d, state.N, c) for c in state.coeffs]
-
-
 @lru_cache(maxsize=None)
 def _outband_mask(d: int, order: int, work_order: int) -> np.ndarray:
     """Flat mask of the indices above the working order."""
     out = (order_grid(d, order) > work_order).ravel()
     out.setflags(write=False)
     return out
-
-
-def take_rows(state, rows):
-    """The given paths of a batched state; a single state is returned as is."""
-    if not state.batch:
-        return state
-    if isinstance(state, GridState):
-        return GridState.of(state.values[rows])
-    return SpectralState(state.d, state.N, state.coeffs[rows])
 
 
 class HermiteGeometry:
@@ -140,10 +120,8 @@ class GridGeometry:
         self.work_order = None
 
     def embed_order(self, states) -> None:
-        for s in states:
-            if s.M != self.M:
-                raise ValueError("grid size mismatch")
-        return None
+        if any(s.M != self.M for s in states):
+            raise ValueError("grid size mismatch")
 
     def flat(self, state: GridState, order=None) -> np.ndarray:
         return state.values
@@ -165,7 +143,7 @@ class GridGeometry:
         return state
 
     def state_from_flat(self, vec: np.ndarray, order=None) -> GridState:
-        return GridState.of(vec)
+        return GridState(vec)
 
     def zero_state(self, order=None) -> GridState:
         return GridState.zero(self.M)

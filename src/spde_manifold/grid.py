@@ -5,6 +5,11 @@ interior points of (0, 1) with zero boundary conditions, and norms are
 the discrete L2 norm with cell weight h = 1/(M+1).  The sampled sine
 modes are exact eigenvectors of the standard second-difference operator,
 with eigenvalue -(2/h^2) (1 - cos(k pi h)).
+
+``GridState`` is a thin type over the shared array-state core of
+``hermite``: its arithmetic, ``combine``, ``stack``, ``rows`` and
+``split`` are those of every state, and grids of different sizes never
+meet (``ValueError("grid size mismatch")``).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import GRID_TAG
+from .hermite import ArrayState
 
 __all__ = [
     "GridState",
@@ -24,33 +29,40 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class GridState:
+class GridState(ArrayState):
     """Interior values of a function on (0, 1) with implicit zero boundary.
 
-    With ``batched`` the values have shape (P, M): P states on one grid.
+    1-D values are one state; (P, M) values are P states on one grid.
     """
 
     values: np.ndarray
-    basis_tag: str = GRID_TAG
-    batched: bool = False
+
+    _core_ndim = 1
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 + self.batched or v.shape[-1] < 1:
-            shape = "(P, M)" if self.batched else "non-empty 1-D"
-            raise ValueError(f"grid values must be a {shape} array")
+        if v.ndim not in (1, 2) or v.shape[-1] < 1:
+            raise ValueError("grid values must be a non-empty (M,) or (P, M) array")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
-    def M(self) -> int:
-        return self.values.shape[-1]
+    def _array(self) -> np.ndarray:
+        return self.values
+
+    def _like(self, v: np.ndarray) -> "GridState":
+        return type(self)(v)
+
+    @staticmethod
+    def _aligned(states) -> list:
+        if any(s.M != states[0].M for s in states):
+            raise ValueError("grid size mismatch")
+        return [s.values for s in states]
 
     @property
-    def batch(self) -> tuple:
-        """Leading path shape: () for one state, (P,) for P states."""
-        return self.values.shape[:-1]
+    def M(self) -> int:
+        return self.values.shape[-1]
 
     @property
     def h(self) -> float:
@@ -63,45 +75,6 @@ class GridState:
     @classmethod
     def zero(cls, m: int) -> "GridState":
         return cls(np.zeros(m))
-
-    @classmethod
-    def of(cls, values) -> "GridState":
-        """One state for 1-D values, a batch for (P, M) values."""
-        return cls(values, batched=np.ndim(values) == 2)
-
-    @classmethod
-    def combine(cls, terms) -> "GridState":
-        """Sum of weight * state over (state, weight) pairs, in order;
-        a weight is a scalar or a per-path (P,) vector."""
-        acc = None
-        for state, weight in terms:
-            w = float(weight) if np.ndim(weight) == 0 else np.asarray(weight, dtype=float)[..., None]
-            v = state.values * w
-            acc = v if acc is None else acc + v
-        return cls.of(acc)
-
-    def _binary(self, other, sign):
-        if not isinstance(other, GridState):
-            return NotImplemented
-        if other.M != self.M:
-            raise ValueError("grid size mismatch")
-        return GridState.of(self.values + sign * other.values)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, scalar):
-        if np.ndim(scalar) == 0:
-            return GridState(self.values * float(scalar), batched=self.batched)
-        return GridState.of(self.values * np.asarray(scalar, dtype=float)[..., None])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
 
 def sine_mode(m: int, k: int, normalize: bool = True) -> GridState:

@@ -8,6 +8,13 @@ coefficient-level operators the rest of the package builds on: dual
 pairings, ladder derivatives, shifts realised as the matrix exponential
 of the truncated derivative generator, embedding checks along a
 three-norm scale, and pointwise evaluation.
+
+It also holds the array-state core, ``ArrayState``: every state and dual
+of the package (``SpectralState``, ``DualField`` and the grid's
+``GridState``) is one frozen array with at most one leading path axis,
+and they share one arithmetic (sums, scaling, ``combine``, ``stack``,
+``rows``, ``split``).  Spectral types meet at a common order by zero
+padding.
 """
 
 from __future__ import annotations
@@ -18,12 +25,8 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-HERMITE_TAG = "hermite"
-GRID_TAG = "sine_grid"
-
 __all__ = [
-    "HERMITE_TAG",
-    "GRID_TAG",
+    "ArrayState",
     "MultiIndex",
     "SpectralState",
     "DualField",
@@ -103,15 +106,77 @@ def _per_row(scalar, trailing: int):
     return s.reshape(s.shape + (1,) * trailing)
 
 
-class _CoeffTensor:
-    """Shared storage behaviour for states and duals (frozen numpy tensor).
+class ArrayState:
+    """A state as one frozen float array, and the arithmetic every state shares.
 
-    States may carry one leading path axis: ``coeffs`` of shape
-    ``(P,) + (N + 1,) * d`` holds P states of the same order, and every
-    operation acts on each path.  Per-path scalars are (P,) vectors.
+    The trailing ``_core_ndim`` axes of ``_array`` hold one state; one
+    leading axis, when present, holds P states of the same order, and
+    every operation acts on each path (per-path scalars are (P,) vectors).
+    A subclass says only how an array becomes a state of its kind
+    (``_like``) and how several of its arrays are brought to one common
+    order (``_aligned``); each operation builds one result state.
     """
 
-    def _init_tensor(self):
+    @property
+    def batch(self) -> tuple:
+        """Leading path shape: () for one state, (P,) for P states."""
+        return self._array.shape[: self._array.ndim - self._core_ndim]
+
+    @classmethod
+    def combine(cls, terms):
+        """Sum of weight * state over (state, weight) pairs, in order.
+
+        A weight is a scalar or a per-path (P,) vector.  One state is
+        built instead of one per operation.
+        """
+        first = terms[0][0]
+        acc = None
+        for c, (_, weight) in zip(first._aligned([s for s, _ in terms]), terms):
+            c = c * _per_row(weight, first._core_ndim)
+            acc = c if acc is None else acc + c
+        return first._like(acc)
+
+    @classmethod
+    def stack(cls, states):
+        """One batch of P single states of any one kind, at their common order."""
+        return states[0]._like(np.stack(states[0]._aligned(states)))
+
+    def rows(self, rows):
+        """The given paths of a batch; a single state is returned as is."""
+        return self._like(self._array[rows]) if self.batch else self
+
+    def split(self) -> list:
+        """The single states of a batch, one per path."""
+        return [self._like(c) for c in self._array]
+
+    def _binary(self, other, sign):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._aligned([self, other])
+        return self._like(a + sign * b)
+
+    def __add__(self, other):
+        return self._binary(other, 1.0)
+
+    def __sub__(self, other):
+        return self._binary(other, -1.0)
+
+    def __mul__(self, scalar):
+        return self._like(self._array * _per_row(scalar, self._core_ndim))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+
+class _CoeffTensor(ArrayState):
+    """Hermite coefficient tensors: arrays of shape ``(P,)? + (N + 1,) * d``,
+    brought to a common order by zero padding."""
+
+    def __post_init__(self):
+        if self.d < 1 or self.N < 0:
+            raise ValueError("need d >= 1 and N >= 0")
         c = np.asarray(self.coeffs, dtype=float)
         tensor = (self.N + 1,) * self.d
         lead = c.ndim - self.d
@@ -122,9 +187,27 @@ class _CoeffTensor:
         object.__setattr__(self, "coeffs", c)
 
     @property
-    def batch(self) -> tuple:
-        """Leading path shape: () for one state, (P,) for P states."""
-        return self.coeffs.shape[: self.coeffs.ndim - self.d]
+    def _array(self) -> np.ndarray:
+        return self.coeffs
+
+    @property
+    def _core_ndim(self) -> int:
+        return self.d
+
+    def _like(self, c: np.ndarray):
+        return type(self)(self.d, c.shape[-1] - 1, c)
+
+    @classmethod
+    def zero(cls, d: int, n: int = 0):
+        return cls(d, n, np.zeros((n + 1,) * d))
+
+    @staticmethod
+    def _aligned(states) -> list:
+        d = states[0].d
+        if any(s.d != d for s in states):
+            raise ValueError("dimension mismatch")
+        n = max(s.N for s in states)
+        return [_pad_tensor(s.coeffs, d, s.N, n) for s in states]
 
     def coefficient(self, index) -> float:
         index = MultiIndex(index)
@@ -137,54 +220,14 @@ class _CoeffTensor:
     def padded(self, n: int):
         if n == self.N:
             return self
-        c = _pad_tensor(self.coeffs, self.d, self.N, n)
-        return type(self)(self.d, n, c)
+        return self._like(_pad_tensor(self.coeffs, self.d, self.N, n))
 
     def truncated(self, n: int):
         """Project onto |index| <= n (array resized to order min(N, n))."""
         if n >= self.N:
             return self
         sl = (Ellipsis,) + tuple(slice(0, n + 1) for _ in range(self.d))
-        return type(self)(self.d, n, self.coeffs[sl])
-
-    @classmethod
-    def combine(cls, terms):
-        """Sum of weight * state over (state, weight) pairs, in order.
-
-        A weight is a scalar or a per-path (P,) vector; orders are padded
-        to the largest.  One state is built instead of one per operation.
-        """
-        d = terms[0][0].d
-        n = max(state.N for state, _ in terms)
-        acc = None
-        for state, weight in terms:
-            c = _pad_tensor(state.coeffs, d, state.N, n) * _per_row(weight, d)
-            acc = c if acc is None else acc + c
-        return cls(d, n, acc)
-
-    def _binary(self, other, sign):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        if other.d != self.d:
-            raise ValueError("dimension mismatch")
-        n = max(self.N, other.N)
-        a = _pad_tensor(self.coeffs, self.d, self.N, n)
-        b = _pad_tensor(other.coeffs, other.d, other.N, n)
-        return type(self)(self.d, n, a + sign * b)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, scalar):
-        return type(self)(self.d, self.N, self.coeffs * _per_row(scalar, self.d))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
+        return self._like(self.coeffs[sl])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +237,9 @@ class SpectralState(_CoeffTensor):
     d: int
     N: int
     coeffs: np.ndarray
-    basis_tag: str = HERMITE_TAG
 
-    def __post_init__(self):
-        if self.d < 1 or self.N < 0:
-            raise ValueError("need d >= 1 and N >= 0")
-        self._init_tensor()
-
-    @classmethod
-    def zero(cls, d: int, n: int) -> "SpectralState":
-        return cls(d, n, np.zeros((n + 1,) * d))
+    # its own entry, where bench/tracer.py counts the states built
+    __post_init__ = _CoeffTensor.__post_init__
 
     @cached_property
     def _shift_tables(self):
@@ -237,15 +273,6 @@ class DualField(_CoeffTensor):
     d: int
     N: int
     coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.d < 1 or self.N < 0:
-            raise ValueError("need d >= 1 and N >= 0")
-        self._init_tensor()
-
-    @classmethod
-    def zero(cls, d: int, n: int = 0) -> "DualField":
-        return cls(d, n, np.zeros((n + 1,) * d))
 
     @classmethod
     def dirac(cls, z, n: int) -> "DualField":
@@ -281,9 +308,8 @@ def _basis_integrals(n: int) -> np.ndarray:
 
 
 def _require_hermite(state, opname: str):
-    tag = getattr(state, "basis_tag", None)
-    if tag != HERMITE_TAG:
-        raise TypeError(f"{opname} is defined for hermite states, got basis_tag={tag!r}")
+    if not isinstance(state, SpectralState):
+        raise TypeError(f"{opname} is defined for hermite states, got {type(state).__name__}")
 
 
 # -- norms and pairings -----------------------------------------------------

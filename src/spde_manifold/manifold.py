@@ -20,8 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import stack_states, take_rows
-from .hermite import SpectralState, derivative, second_derivative, translate
+from .hermite import ArrayState, SpectralState, derivative, second_derivative, translate
 
 __all__ = [
     "DegenerateChartError",
@@ -39,6 +38,7 @@ __all__ = [
 
 FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
+RANK_FLOOR = 1e-10  # relative singular value at or below which a frame is degenerate
 COND_WARN = 1e12  # Gram condition number above which a frame warns
 SHIFT_MEMO_ENTRIES = 2 ** 16  # coefficient entries a translation chart keeps memoized
 JAC_MODES = ("auto", "analytic", "fd")
@@ -65,7 +65,7 @@ def _points(param, x) -> np.ndarray:
 
 def _stack_nested(rows: list, depth: int):
     if depth == 0:
-        return stack_states(rows)
+        return ArrayState.stack(rows)
     return [_stack_nested(list(items), depth - 1) for items in zip(*rows)]
 
 
@@ -99,8 +99,6 @@ class Parametrization:
     eval: Callable[[np.ndarray], object]
     jac: Optional[Callable[[np.ndarray], list]] = None
     hess: Optional[Callable[[np.ndarray], list]] = None
-    kind_tag: str = "custom"
-    name: str = ""
     batched: bool = False
 
     def __post_init__(self):
@@ -258,8 +256,6 @@ def jacobian(
     *,
     mode: str = "auto",
     h_fd: float = FD_STEP_JACOBIAN,
-    rank_floor: float = 1e-10,
-    cond_warn: float = COND_WARN,
 ) -> TangentFrame:
     """Tangent frame at a chart point, or one frame per row of a (P, m) batch.
 
@@ -285,7 +281,7 @@ def jacobian(
     q, r = _factor(b)
     sv = np.abs(r[..., 0]) if r.shape[-1] == 1 else np.linalg.svd(r, compute_uv=False)
     lo, hi = sv[..., -1], sv[..., 0]
-    bad = lo <= rank_floor * np.maximum(1.0, hi)
+    bad = lo <= RANK_FLOOR * np.maximum(1.0, hi)
     if bad.any():
         batch = x.shape[:-1]
         bad = np.broadcast_to(bad, batch)
@@ -299,11 +295,11 @@ def jacobian(
         raise DegenerateChartError(messages[0], rows=bad if batch else None, messages=messages)
     cond = (hi / lo) ** 2
     warnings = []
-    if cond.max() > cond_warn:
+    if cond.max() > COND_WARN:
         warnings = [
             f"ill-conditioned tangent Gram matrix at x={x[k].tolist()}: cond={c:.3e}"
             for k, c in np.ndenumerate(np.broadcast_to(cond, x.shape[:-1]))
-            if c > cond_warn
+            if c > COND_WARN
         ]
     cache = {order: (sw, b, q, r)}
     cond = float(cond) if cond.ndim == 0 else cond
@@ -365,8 +361,6 @@ def bracket(
     x,
     coords_a: np.ndarray,
     coords_b: np.ndarray,
-    *,
-    h_fd: float = FD_STEP_HESSIAN,
 ) -> object:
     """Second chart derivative contracted with two tangent coordinate vectors.
 
@@ -377,7 +371,7 @@ def bracket(
     x = _points(param, x)
     ca = _points(param, coords_a)
     cb = _points(param, coords_b)
-    hmat = _hessian_states(param, x, h_fd)
+    hmat = _hessian_states(param, x, FD_STEP_HESSIAN)
     out = None
     for k in range(param.m):
         term = hmat[k][k] * (ca[..., k] * cb[..., k])
@@ -412,7 +406,6 @@ def distance_to_manifold(
     *,
     max_iter: int = 50,
     step_tol: float = 1e-10,
-    h_fd: float = FD_STEP_JACOBIAN,
 ) -> DistanceResult:
     """Mid-norm distance from a state to the chart image via Gauss-Newton.
 
@@ -439,12 +432,12 @@ def distance_to_manifold(
     act = np.arange(paths)
     for it in range(max_iter):
         iterations[act] = it + 1
-        kept, frame, _ = block_frame(param, x[act], geometry, h_fd=h_fd)
+        kept, frame, _ = block_frame(param, x[act], geometry)
         act = act[kept]
         if frame is None:
             break
         x_act = x[act]
-        y_act = y if act.size == paths else take_rows(y, act)
+        y_act = y if act.size == paths else y.rows(act)
         state_x = param.eval(x_act)
         order = geometry.embed_order(frame.columns + [state_x, y_act])
         sw, b, q, r = frame._factors(order)
@@ -468,7 +461,7 @@ def distance_to_manifold(
             alpha *= 0.5
             rows = np.flatnonzero(pending)
             trial = x_act[rows] + alpha * step[rows]
-            c_trial, d_trial = cost_at(trial, take_rows(y_act, rows))
+            c_trial, d_trial = cost_at(trial, y_act.rows(rows))
             ok = c_trial < cost[act[rows]]
             won = act[rows[ok]]
             x[won], cost[won], dist[won] = trial[ok], c_trial[ok], d_trial[ok]
@@ -546,10 +539,7 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
                 out[l][k] = s
         return out
 
-    return Parametrization(
-        m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess,
-        kind_tag="translation", name="translation", batched=True,
-    )
+    return Parametrization(m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess, batched=True)
 
 
 def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
@@ -573,7 +563,4 @@ def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
         zero = vectors[0] * 0.0
         return [[zero for _ in range(m)] for _ in range(m)]
 
-    return Parametrization(
-        m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess,
-        kind_tag="linear_span", name="linear_span", batched=True,
-    )
+    return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess, batched=True)

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GridGeometry, HermiteGeometry, stack_states, unstack_states
+from .geometry import GridGeometry, HermiteGeometry
 from .grid import GridState
 from .hermite import (
     DEFAULT_SCALE,
+    ArrayState,
     NormScale,
     SpectralState,
     derivative,
@@ -220,7 +221,7 @@ def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
     wall = np.zeros(v.shape[:-1] + (1,))
     g = np.diff(np.concatenate((wall, v, wall), -1), axis=-1) / h  # M + 1 face slopes
     flux = np.abs(g) ** (model.p_exponent - 2.0) * g
-    return GridState.of(np.diff(flux, axis=-1) / h)
+    return GridState(np.diff(flux, axis=-1) / h)
 
 
 # -- Stratonovich-style drift correction --------------------------------------
@@ -247,7 +248,6 @@ def stratonovich_correction(
     *,
     da_mode: str = "auto",
     h_fd: float = 1e-4,
-    sensitivity_tol: float = FD_SENSITIVITY_TOL,
 ) -> StratCorrection:
     """sum_j DA^j(y) A^j(y) for the model's diffusion components.
 
@@ -291,7 +291,7 @@ def stratonovich_correction(
             f"directional difference is step-sensitive: halving the step moved "
             f"the correction by a relative {d:.3e}"
             for d in np.atleast_1d(disagreement)
-            if d > sensitivity_tol
+            if d > FD_SENSITIVITY_TOL
         ]
     return StratCorrection(total, da_mode, disagreement, warnings)
 
@@ -315,20 +315,20 @@ class _RowwiseModel:
     def drift(self, y):
         if not y.batch:
             return self.model.drift(y)
-        return stack_states([self.model.drift(row) for row in unstack_states(y)])
+        return ArrayState.stack([self.model.drift(row) for row in y.split()])
 
     def diffusion(self, y) -> list:
         if not y.batch:
             return self.model.diffusion(y)
-        per_row = [self.model.diffusion(row) for row in unstack_states(y)]
-        return [stack_states(list(fields)) for fields in zip(*per_row)]
+        per_row = [self.model.diffusion(row) for row in y.split()]
+        return [ArrayState.stack(list(fields)) for fields in zip(*per_row)]
 
     def _diffusion_derivative(self, y, u, j: int):
         if not y.batch:
             return self.model.diffusion_derivative(y, u, j)
-        ys = unstack_states(y)
-        us = unstack_states(u) if u.batch else [u] * len(ys)
-        return stack_states(
+        ys = y.split()
+        us = u.split() if u.batch else [u] * len(ys)
+        return ArrayState.stack(
             [self.model.diffusion_derivative(yr, ur, j) for yr, ur in zip(ys, us)]
         )
 

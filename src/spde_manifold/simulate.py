@@ -82,11 +82,6 @@ def wiener_increments(seed: int, path_index, n_steps: int, n_noise: int, dt: flo
     return out if np.ndim(path_index) else out[0]
 
 
-def _is_zero_field(field) -> bool:
-    data = field.coeffs if hasattr(field, "coeffs") else field.values
-    return not data.any()
-
-
 def _ensemble(path_index, cfg: SimConfig, n_noise: int, increments):
     """Path indices as an array, and the (P, n_steps, n_noise) increments."""
     paths = np.atleast_1d(path_index)
@@ -147,7 +142,7 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
         dw = increments[live, step]
         terms = [(y, 1.0), (model.drift(y), cfg.dt)]
         for j, a_field in enumerate(model.diffusion(y)):
-            if dw[:, j].any() and not _is_zero_field(a_field):
+            if dw[:, j].any() and geo.flat(a_field).any():
                 terms.append((a_field, dw[:, j]))
         y_next = type(y).combine(terms)
         max_spill[live] = np.maximum(max_spill[live], geo.spill_ratio(y_next))
@@ -320,10 +315,10 @@ def coupled_compare(
     the full state to the chart itself, from Gauss-Newton solves whose
     starts follow the serial chain (a row starts at the last earlier row of
     its path that converged inside the chart, or at ``x0``).  Rows whose
-    solve did not converge are flagged and counted.  The ensemble summary
-    keeps the maxima, the mean and standard error over paths of each
-    path's largest gap, the Gauss-Newton path-iterations of every block
-    solve, and the per-path termination flags.
+    solve did not converge are flagged and counted, and kept out of the
+    maximum distance.  The ensemble summary keeps the maxima, the mean and
+    standard error over paths of each path's largest gap, the Gauss-Newton
+    path-iterations of every block solve, and the per-path termination flags.
     """
     model = as_batched(model)
     geo = model.geometry
@@ -372,11 +367,14 @@ def coupled_compare(
 
     # rows past a path's end hold a zero gap and a NaN distance
     path_err = err.max(axis=0)
+    solved = live & ~unconverged
     summary = {
         "paths": cfg.paths,
         "steps": n_steps,
         "dt": cfg.dt,
-        "max_distance": float(np.nanmax(dist)) if cfg.record_distance else None,
+        "max_distance": (
+            float(dist[solved].max()) if cfg.record_distance and solved.any() else None
+        ),
         "max_coupled_err": float(path_err.max()),
         "coupled_err_mean": float(path_err.mean()),
         "coupled_err_sem": (

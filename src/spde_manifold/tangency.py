@@ -13,16 +13,14 @@ non-tangency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .hermite import HERMITE_TAG, top_band_ratio
+from .hermite import SpectralState, top_band_ratio
 from .manifold import (
     COND_WARN,
-    FD_STEP_HESSIAN,
     FD_STEP_JACOBIAN,
     DegenerateChartError,
     Parametrization,
@@ -49,6 +47,8 @@ __all__ = [
 
 VERDICT_TANGENT = "tangent"
 VERDICT_NOT_TANGENT = "not_tangent"
+FD_STEP_CHART = 1e-4  # step of the chart derivative of the noise coordinates
+TAIL_WARN = 1e-3  # top band ratio above which a chart state warns
 
 # The sweep checks its points, and the coupled comparison solves its chart
 # distances, in blocks whose batched state holds about this many float64
@@ -145,7 +145,6 @@ class DiffusionCheck:
     a: np.ndarray  # (n_noise, m) tangent coordinates per noise component
     rho: np.ndarray  # (n_noise,) relative normal residuals
     spill: float
-    frame: TangentFrame
 
 
 @dataclass
@@ -189,16 +188,16 @@ def check_diffusion_tangency(
         a[..., j, :] = proj.coords
         rho[..., j] = proj.rel_residual
         spill = _max(spill, proj.spill)
-    return DiffusionCheck(a, rho, spill, frame)
+    return DiffusionCheck(a, rho, spill)
 
 
-def _bracket_drift(param, frame, drift, a, h_hess):
+def _bracket_drift(param, frame, drift, a):
     """Drift minus half the chart-Hessian contraction of each noise coordinate."""
     terms = [(drift, 1.0)]
     for j in range(a.shape[-2]):
         aj = a[..., j, :]
         if aj.any():
-            terms.append((bracket(param, frame.x, aj, aj, h_fd=h_hess), -0.5))
+            terms.append((bracket(param, frame.x, aj, aj), -0.5))
     return type(drift).combine(terms) if len(terms) > 1 else drift
 
 
@@ -213,8 +212,6 @@ def check_drift_tangency(
     jac_mode: str = "auto",
     da_mode: str = "auto",
     h_fd: float = FD_STEP_JACOBIAN,
-    h_hess: float = FD_STEP_HESSIAN,
-    h_chart: float = 1e-4,
 ) -> DriftCheck:
     """Residual of the corrected drift against the tangent frame.
 
@@ -232,7 +229,7 @@ def check_drift_tangency(
     state = param.eval(frame.x)
     drift = model.drift(state)
     if form == "bracket":
-        proj = frame.project(_bracket_drift(param, frame, drift, diffusion.a, h_hess))
+        proj = frame.project(_bracket_drift(param, frame, drift, diffusion.a))
         return DriftCheck(proj.coords, proj.rel_residual, _max(diffusion.spill, proj.spill), form)
     if form == "stratonovich":
         corr = stratonovich_correction(model, state, da_mode=da_mode, h_fd=h_fd)
@@ -245,14 +242,14 @@ def check_drift_tangency(
             da_dot_a = 0.0
             for k in range(param.m):
                 step = np.zeros(param.m)
-                step[k] = h_chart
+                step[k] = FD_STEP_CHART
                 plus = check_diffusion_tangency(
                     model, param, frame.x + step, jac_mode=jac_mode, h_fd=h_fd
                 ).a
                 minus = check_diffusion_tangency(
                     model, param, frame.x - step, jac_mode=jac_mode, h_fd=h_fd
                 ).a
-                col = (plus - minus) * (0.5 / h_chart)
+                col = (plus - minus) * (0.5 / FD_STEP_CHART)
                 da_dot_a = da_dot_a + np.einsum("...jl,...j->...l", col, diffusion.a[..., k])
             beta = beta + 0.5 * da_dot_a
         return DriftCheck(
@@ -272,9 +269,6 @@ def reduced_coefficients(
     x,
     *,
     frame: TangentFrame | None = None,
-    jac_mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
-    h_hess: float = FD_STEP_HESSIAN,
 ):
     """Chart-coordinate noise and drift coefficients (a, beta) at x.
 
@@ -284,13 +278,13 @@ def reduced_coefficients(
     """
     model = as_batched(model)
     if frame is None:
-        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
+        frame = jacobian(param, x, model.geometry)
     state = param.eval(frame.x)
     fields = model.diffusion(state)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
     for j, f in enumerate(fields):
         a[..., j, :] = frame.coordinates(f)
-    beta = frame.coordinates(_bracket_drift(param, frame, model.drift(state), a, h_hess))
+    beta = frame.coordinates(_bracket_drift(param, frame, model.drift(state), a))
     return a, beta
 
 
@@ -319,20 +313,15 @@ class TangencyReport:
     max_step_disagreement: float = 0.0  # largest fd step disagreement; 0 when analytic
 
     def to_json_dict(self) -> dict:
-        def clean(arr):
+        def clean(arr):  # nested lists with NaN as None
             if arr is None:
                 return None
-            return [
-                [None if (isinstance(v, float) and math.isnan(v)) else v for v in row]
-                if isinstance(row, list)
-                else (None if (isinstance(row, float) and math.isnan(row)) else row)
-                for row in arr.tolist()
-            ]
+            return np.where(np.isnan(arr), None, arr.astype(object)).tolist()
 
         return {
             "points": self.points.tolist(),
             "rho_diffusion": clean(self.rho_diffusion),
-            "a_coords": [clean(a) for a in self.a_coords] if self.a_coords.size else [],
+            "a_coords": clean(self.a_coords) if self.a_coords.size else [],
             "beta": clean(self.beta),
             "rho_drift": clean(self.rho_drift),
             "rho_drift_strat": clean(self.rho_drift_strat),
@@ -398,9 +387,7 @@ def sweep(
     jac_mode: str = "auto",
     da_mode: str = "auto",
     h_fd: float = FD_STEP_JACOBIAN,
-    h_hess: float = FD_STEP_HESSIAN,
     form_error_tol: float = 1e-2,
-    tail_warn: float = 1e-3,
     metadata: dict | None = None,
 ) -> TangencyReport:
     """Run the tangency checks over sampled chart points and aggregate.
@@ -443,9 +430,9 @@ def sweep(
         for s, note in zip(_flagged(frame.cond, rows, COND_WARN), frame.warnings):
             notes[s].append(note)
         state = param.eval(frame.x)
-        if getattr(state, "basis_tag", None) == HERMITE_TAG:
+        if isinstance(state, SpectralState):
             tail = np.broadcast_to(top_band_ratio(state), rows.shape)
-            for k in np.flatnonzero(tail > tail_warn):
+            for k in np.flatnonzero(tail > TAIL_WARN):
                 notes[rows[k]].append(
                     f"chart state poorly resolved at x={pts[rows[k]].tolist()}: "
                     f"top band ratio {tail[k]:.3e}"
@@ -456,7 +443,7 @@ def sweep(
         block_spill = diff.spill
         if form in ("bracket", "both"):
             db = check_drift_tangency(
-                model, param, frame.x, "bracket", frame=frame, diffusion=diff, h_hess=h_hess
+                model, param, frame.x, "bracket", frame=frame, diffusion=diff
             )
             rho_drift[rows], beta[rows] = db.rho, db.beta
             block_spill = _max(block_spill, db.spill)

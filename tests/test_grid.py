@@ -20,7 +20,36 @@ def test_grid_state_rejects_bad_shapes():
     with pytest.raises(ValueError):
         GridState([])
     with pytest.raises(ValueError):
-        GridState(np.ones((2, 2)))
+        GridState(np.ones((2, 2, 2)))
+    # 2-D values are a batch of P states on one grid
+    batch = GridState(np.ones((2, 3)))
+    assert batch.batch == (2,) and batch.M == 3
+    assert GridState(np.ones(3)).batch == ()
+
+
+def test_grid_batch_matches_its_rows_and_rejects_other_sizes():
+    rng = np.random.default_rng(5)
+    a = GridState(rng.standard_normal((3, 4)))
+    b = GridState(rng.standard_normal((3, 4)))
+    c = GridState(rng.standard_normal(4))
+    w = np.array([0.5, -1.0, 2.0])
+    got = GridState.combine([(a, 1.0), (b, w), (c, w)])
+    for k, (ak, bk) in enumerate(zip(a.split(), b.split())):
+        want = GridState.combine([(ak, 1.0), (bk, w[k]), (c, w[k])])
+        np.testing.assert_array_equal(got.values[k], want.values)
+        np.testing.assert_array_equal(a.rows([k]).values, [ak.values])
+    np.testing.assert_array_equal(GridState.stack(a.split()).values, a.values)
+    np.testing.assert_array_equal(a.rows([2, 0]).values, a.values[[2, 0]])
+    assert c.rows([0]) is c  # a single state has no rows to take
+    one, three = GridState([1.0]), GridState([1.0, 2.0, 3.0])
+    for bad in (
+        lambda: GridState.combine([(one, 1.0), (three, 1.0)]),
+        lambda: GridState.stack([one, three]),
+        lambda: one + three,
+        lambda: a + GridState(np.ones((3, 5))),
+    ):
+        with pytest.raises(ValueError, match="grid size mismatch"):
+            bad()
 
 
 def test_grid_arithmetic_and_size_check():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spde_manifold.geometry import HermiteGeometry, stack_states
+from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import DualField, SpectralState, derivative, pair, second_derivative
 from spde_manifold.models import (
@@ -312,7 +312,7 @@ def test_correction_skips_zero_components():
 def test_correction_of_a_batch_matches_its_rows():
     model = transport_model(n=16)
     rows = [basis([0], 16), basis([0], 16) + basis([2], 16) * 0.3, SpectralState.zero(1, 16)]
-    y = stack_states(rows)
+    y = SpectralState.stack(rows)
     for mode in ("analytic", "fd"):
         got = stratonovich_correction(model, y, da_mode=mode)
         assert got.step_disagreement.shape == (3,)
@@ -327,7 +327,7 @@ def test_correction_of_a_batch_matches_its_rows():
 
 def test_correction_warns_per_step_sensitive_row():
     rows = [basis([0], 4), basis([0], 4) * 1e-3, basis([1], 4)]
-    got = stratonovich_correction(as_batched(_CubicNoise(4)), stack_states(rows), h_fd=0.5)
+    got = stratonovich_correction(as_batched(_CubicNoise(4)), SpectralState.stack(rows), h_fd=0.5)
     want = [w for row in rows for w in stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).warnings]
     assert got.warnings == want
     assert len(want) == 2  # the small row is not step-sensitive
@@ -352,7 +352,7 @@ def test_single_state_model_keeps_its_analytic_derivative_on_a_batch():
             assert not y.batch and not u.batch
             return model.diffusion_derivative(y, u, j)
 
-    y = stack_states([basis([0], 8), basis([0], 8) + basis([2], 8) * 0.3])
+    y = SpectralState.stack([basis([0], 8), basis([0], 8) + basis([2], 8) * 0.3])
     got = stratonovich_correction(as_batched(OneState()), y)
     assert got.mode == "analytic"
     want = stratonovich_correction(model, y)

@@ -1,6 +1,8 @@
 """The public surface of the package and the names the benchmark tracer wraps."""
 
+import importlib
 import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
@@ -22,6 +24,14 @@ def test_every_exported_name_resolves():
     for name in spde_manifold.__all__:
         assert getattr(spde_manifold, name, None) is not None, name
     assert len(set(spde_manifold.__all__)) == len(spde_manifold.__all__)
+
+
+def test_every_module_export_resolves():
+    for info in pkgutil.iter_modules(spde_manifold.__path__):
+        module = importlib.import_module(f"spde_manifold.{info.name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"spde_manifold.{info.name}.{name}"
+        assert len(set(module.__all__)) == len(module.__all__), info.name
 
 
 def test_readme_library_use_lists_exactly_the_exports():

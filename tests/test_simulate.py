@@ -410,6 +410,39 @@ def test_unconverged_distance_solves_are_flagged_and_counted(monkeypatch):
     assert all(not r.unconverged[0] for r in rec.records)  # starts on the chart
 
 
+def test_max_distance_leaves_out_unconverged_rows(monkeypatch):
+    from spde_manifold import simulate
+
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=0.01, dt=1e-3, paths=2, seed=12)
+    x0 = np.array([0.2])
+    incr = wiener_increments(cfg.seed, np.arange(2), cfg.n_steps, model.n_noise, cfg.dt)
+    # the full state of path 1 at step 5: its solve is made to fail far off the chart
+    bad = simulate_full(model, chart.eval(x0), cfg, np.arange(2), incr).states[5].coeffs[1]
+
+    def solve(param, y, start, geometry, **kwargs):
+        res = distance_to_manifold(param, y, start, geometry, **kwargs)
+        hit = (y.coeffs == bad).all(-1)
+        res.distance = np.where(hit, 1e3, res.distance)
+        res.path_converged = res.path_converged & ~hit
+        return res
+
+    monkeypatch.setattr(simulate, "distance_to_manifold", solve)
+    rec = coupled_compare(model, chart, x0, cfg)
+    assert rec.summary["n_unconverged_distance"] == 1
+    assert rec.records[1].unconverged[5] and rec.records[1].dist[5] == 1e3
+    converged = np.concatenate([r.dist[~r.unconverged] for r in rec.records])
+    assert rec.summary["max_distance"] == converged.max() < 1e3
+
+    def fail(param, y, start, geometry, **kwargs):
+        res = distance_to_manifold(param, y, start, geometry, **kwargs)
+        res.path_converged = np.zeros_like(res.path_converged)
+        return res
+
+    monkeypatch.setattr(simulate, "distance_to_manifold", fail)
+    assert coupled_compare(model, chart, x0, cfg).summary["max_distance"] is None
+
+
 def test_summary_reports_the_coupled_gap_spread_and_solver_work():
     model, chart = transport_setup(16)
     cfg = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=12)
