@@ -21,7 +21,7 @@ from .hermite import DualField, MultiIndex, NormScale, SpectralState
 from .manifold import JAC_MODES, Parametrization, linear_span_chart, translation_chart
 from .models import DA_MODES, ItoTypeModel, PLaplaceModel
 from .simulate import SimConfig
-from .tangency import SamplingSpec
+from .tangency import FORMS, SamplingSpec
 
 __all__ = [
     "ConfigError",
@@ -58,7 +58,7 @@ _CHECK_DEFAULTS = {
 }
 
 _CHECK_ENUMS = {
-    "form": ("bracket", "stratonovich", "both"),
+    "form": FORMS,
     "method": ("auto", "lattice", "halton"),
     "jac_mode": JAC_MODES,
     "da_mode": DA_MODES,
@@ -351,18 +351,10 @@ def _canon_model(model: dict) -> dict:
             _canon_dual(s, d, n, f"model.b[{i}]")
             for i, s in enumerate(model.get("b", []))
         ]
-        if len(b) != d:
-            raise ConfigError(f"model.b needs exactly d={d} duals, got {len(b)}")
-        sigma_rows = model.get("sigma", [])
-        if len(sigma_rows) != big_j:
-            raise ConfigError(f"model.sigma needs J={big_j} rows, got {len(sigma_rows)}")
-        sigma = []
-        for jj, row in enumerate(sigma_rows):
-            if len(row) != d:
-                raise ConfigError(f"model.sigma[{jj}] needs one dual per direction")
-            sigma.append(
-                [_canon_dual(s, d, n, f"model.sigma[{jj}][{i}]") for i, s in enumerate(row)]
-            )
+        sigma = [
+            [_canon_dual(s, d, n, f"model.sigma[{jj}][{i}]") for i, s in enumerate(row)]
+            for jj, row in enumerate(model.get("sigma", []))
+        ]
         extras = [
             _canon_state(s, "hermite", d, n, f"model.extra_fields[{i}]")
             for i, s in enumerate(model.get("extra_fields", []))
@@ -384,11 +376,6 @@ def _canon_model(model: dict) -> dict:
             _canon_state(s, "grid", m_pts, m_pts, f"model.fields[{i}]")
             for i, s in enumerate(model.get("fields", []))
         ]
-        for i, f in enumerate(fields):
-            if f["kind"] == "sine" and f["m"] != m_pts:
-                raise ConfigError(f"model.fields[{i}]: grid size {f['m']} != M={m_pts}")
-            if f["kind"] == "grid_values" and len(f["values"]) != m_pts:
-                raise ConfigError(f"model.fields[{i}]: needs M={m_pts} values")
         return {
             "type": "plaplace",
             "p": _as_float(model.get("p", 2.0), "model.p"),
@@ -431,8 +418,6 @@ def _canon_domain(domain, m: int):
     arr = np.asarray(domain, dtype=float)
     if arr.shape != (m, 2):
         raise ConfigError(f"manifold.domain must have shape ({m}, 2), got {arr.shape}")
-    if np.any(arr[:, 0] >= arr[:, 1]):
-        raise ConfigError("manifold.domain rows must satisfy lo < hi")
     return [[float(lo), float(hi)] for lo, hi in arr]
 
 
@@ -484,7 +469,10 @@ def _canon_sim(sim: dict, m: int) -> dict:
 
 
 def load_config(source) -> dict:
-    """Resolve a preset name, dict, or JSON file path into a canonical config."""
+    """Resolve a preset name, dict, or JSON file path into a canonical config.
+
+    The model and chart are built once: what they reject is a ConfigError here.
+    """
     if isinstance(source, (str, Path)):
         text = str(source)
         if text in _presets():
@@ -519,7 +507,13 @@ def load_config(source) -> dict:
     m = len(manifold["domain"])
     check = _canon_check(raw.get("check", {}))
     sim = _canon_sim(raw.get("sim", {}), m)
-    return {"model": model, "manifold": manifold, "check": check, "sim": sim}
+    cfg = {"model": model, "manifold": manifold, "check": check, "sim": sim}
+    for section, build in (("model", build_model), ("manifold", build_manifold)):
+        try:
+            build(cfg)
+        except ValueError as err:
+            raise ConfigError(f"{section}: {err}") from err
+    return cfg
 
 
 # -- hashing -------------------------------------------------------------------

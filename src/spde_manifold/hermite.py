@@ -106,12 +106,19 @@ def _per_row(scalar, trailing: int):
     return s.reshape(s.shape + (1,) * trailing)
 
 
+def _same_paths(batches) -> None:
+    """Raise unless the batch shapes that meet agree; () meets anything."""
+    if len(set(batches) - {()}) > 1:
+        raise ValueError(f"path count mismatch: {sorted(set(batches) - {()})}")
+
+
 class ArrayState:
     """A state as one frozen float array, and the arithmetic every state shares.
 
     The trailing ``_core_ndim`` axes of ``_array`` hold one state; one
     leading axis, when present, holds P states of the same order, and
-    every operation acts on each path (per-path scalars are (P,) vectors).
+    every operation acts on each path (per-path scalars are (P,) vectors);
+    batches that meet agree on P, and a single state or scalar meets any.
     A subclass says only how an array becomes a state of its kind
     (``_like``) and how several of its arrays are brought to one common
     order (``_aligned``); each operation builds one result state.
@@ -130,6 +137,7 @@ class ArrayState:
         built instead of one per operation.
         """
         first = terms[0][0]
+        _same_paths([s.batch for s, _ in terms] + [getattr(w, "shape", ()) for _, w in terms])
         acc = None
         for c, (_, weight) in zip(first._aligned([s for s, _ in terms]), terms):
             c = c * _per_row(weight, first._core_ndim)
@@ -152,6 +160,7 @@ class ArrayState:
     def _binary(self, other, sign):
         if not isinstance(other, type(self)):
             return NotImplemented
+        _same_paths([self.batch, other.batch])
         a, b = self._aligned([self, other])
         return self._like(a + sign * b)
 
@@ -162,6 +171,7 @@ class ArrayState:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):
+        _same_paths([self.batch, getattr(scalar, "shape", ())])
         return self._like(self._array * _per_row(scalar, self._core_ndim))
 
     __rmul__ = __mul__

@@ -2,9 +2,11 @@
 
 A parametrization maps an m-dimensional chart box into the state space.
 Tangent frames are the (possibly finite-difference) chart derivatives,
-held at the geometry's working order; projections onto the frame use the
-mid inner product, and whatever a frame cannot match, including spectral
-mass above the working order, lands in the reported normal residual.
+held at the geometry's working order with the one thin QR of their
+weighted columns at that order: coordinates, projections (mid inner
+product) and the distance step all solve a field's in-band part against
+it, and whatever a frame cannot match, including spectral mass above the
+working order, lands in the reported normal residual.
 
 Points may come as a (P, m) batch: charts then return batched states,
 frames hold one factorization per path, and the distance solve advances
@@ -39,7 +41,6 @@ __all__ = [
 FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
 RANK_FLOOR = 1e-10  # relative singular value at or below which a frame is degenerate
-COND_WARN = 1e12  # Gram condition number above which a frame warns
 SHIFT_MEMO_ENTRIES = 2 ** 16  # coefficient entries a translation chart keeps memoized
 JAC_MODES = ("auto", "analytic", "fd")
 
@@ -164,7 +165,8 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TangentFrame:
-    """Chart derivative columns at one point, ready for mid-norm projections.
+    """Chart derivative columns at one point and their thin QR (``q``, ``r``)
+    at ``base_order``, computed once by ``jacobian``.
 
     At a (P, m) batch of points the columns are batched states and every
     factor carries a leading path axis.
@@ -176,33 +178,31 @@ class TangentFrame:
     base_order: object
     singular_values: np.ndarray
     cond: float
-    warnings: list = field(default_factory=list)
-    _cache: dict = field(default_factory=dict, repr=False)
+    q: np.ndarray
+    r: np.ndarray
+    _cache: dict = field(default_factory=dict, repr=False)  # order -> (sqrt(w), weighted columns)
 
     @property
     def m(self) -> int:
         return len(self.columns)
 
-    def _factors(self, order, qr: bool = True):
-        """sqrt(w), the weighted columns and (with ``qr``) their thin QR at one order."""
+    def _weighted(self, order):
+        """sqrt(w) and the weighted columns at one order."""
         got = self._cache.get(order)
         if got is None:
             sw = np.sqrt(self.geometry.weight_vector(order))
-            got = (sw, _weighted_columns(sw, self.geometry, self.columns, order), None, None)
-        if qr and got[2] is None:
-            got = got[:2] + _factor(got[1])
-        self._cache[order] = got
+            got = self._cache[order] = (sw, _weighted_columns(sw, self.geometry, self.columns, order))
         return got
 
-    def _solve(self, fw: np.ndarray) -> np.ndarray:
-        """Coordinates of a weighted flat field held at the frame's order."""
-        _, _, q, r = self._factors(self.base_order)
-        return _solve_r(r, _vecmat(fw, q))
-
-    def _weighted_in_band(self, field_state) -> np.ndarray:
+    def _in_band(self, field_state) -> np.ndarray:
+        """Flat coefficients at the frame's order, mass above the working order cut."""
         geo = self.geometry
-        sw = self._factors(self.base_order, qr=False)[0]
-        return sw * geo.flat(geo.truncate_to_work(field_state), self.base_order)
+        return geo.flat(geo.truncate_to_work(field_state), self.base_order)
+
+    def _solve(self, flat: np.ndarray) -> np.ndarray:
+        """Least-squares coordinates of a flat field held at the frame's order."""
+        fw = self._weighted(self.base_order)[0] * flat
+        return _solve_r(self.r, _vecmat(fw, self.q))
 
     def coordinates(self, field_state) -> np.ndarray:
         """Mid-norm least-squares coordinates of a field on the frame.
@@ -211,14 +211,15 @@ class TangentFrame:
         move the coordinates: the field is truncated there and solved
         against the one factorization the frame keeps.
         """
-        return self._solve(self._weighted_in_band(field_state))
+        return self._solve(self._in_band(field_state))
 
     def project(self, field_state) -> ProjectionResult:
         geo = self.geometry
         order = geo.embed_order([field_state] + self.columns)
-        sw, b, _, _ = self._factors(order, qr=False)
-        fw = sw * geo.flat(field_state, order)
-        coords = self._solve(fw if order == self.base_order else self._weighted_in_band(field_state))
+        sw, b = self._weighted(order)
+        flat = geo.flat(field_state, order)
+        fw = sw * flat
+        coords = self._solve(flat if order == self.base_order else self._in_band(field_state))
         field_norm = _row_norm(fw)
         spill = geo.spill_ratio(field_state)
         residual = _row_norm(fw - _vecmat(coords, np.swapaxes(b, -1, -2)))
@@ -260,10 +261,10 @@ def jacobian(
     """Tangent frame at a chart point, or one frame per row of a (P, m) batch.
 
     ``mode`` is "auto" (analytic when the chart supplies it), "analytic",
-    or "fd".  Columns are truncated to the geometry's working order; the
-    frame raises for rank collapse (with the mask of degenerate paths for
-    a batch) and attaches a warning when the Gram matrix is badly
-    conditioned.
+    or "fd".  Columns are truncated to the geometry's working order and
+    factorized once there; the frame raises for rank collapse (with the
+    mask of degenerate paths for a batch) and reports the Gram condition
+    number per point in ``cond``.
     """
     if mode not in JAC_MODES:
         raise ValueError(f"jacobian mode must be one of {'/'.join(JAC_MODES)}, got {mode!r}")
@@ -294,16 +295,8 @@ def jacobian(
         ]
         raise DegenerateChartError(messages[0], rows=bad if batch else None, messages=messages)
     cond = (hi / lo) ** 2
-    warnings = []
-    if cond.max() > COND_WARN:
-        warnings = [
-            f"ill-conditioned tangent Gram matrix at x={x[k].tolist()}: cond={c:.3e}"
-            for k, c in np.ndenumerate(np.broadcast_to(cond, x.shape[:-1]))
-            if c > COND_WARN
-        ]
-    cache = {order: (sw, b, q, r)}
     cond = float(cond) if cond.ndim == 0 else cond
-    return TangentFrame(x, cols, geometry, order, sv, cond, warnings, cache)
+    return TangentFrame(x, cols, geometry, order, sv, cond, q, r, {order: (sw, b)})
 
 
 def block_frame(
@@ -434,15 +427,12 @@ def distance_to_manifold(
         iterations[act] = it + 1
         kept, frame, _ = block_frame(param, x[act], geometry)
         act = act[kept]
-        if frame is None:
+        if not act.size:
             break
         x_act = x[act]
         y_act = y if act.size == paths else y.rows(act)
-        state_x = param.eval(x_act)
-        order = geometry.embed_order(frame.columns + [state_x, y_act])
-        sw, b, q, r = frame._factors(order)
-        fw = sw * (geometry.flat(state_x, order) - geometry.flat(y_act, order))
-        step = -_solve_r(r, _vecmat(fw, q))
+        # the columns live at the working order: mass above it cannot move the step
+        step = -frame._solve(frame._in_band(param.eval(x_act)) - frame._in_band(y_act))
         step_norm = _row_norm(step)
         # the full step first; a sub-tolerance step is taken too when it
         # helps, otherwise the reported distance carries an O(step_tol) offset

@@ -18,7 +18,7 @@ directional central differences otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class ItoTypeModel:
         if len(self.b) != self.d:
             raise ValueError(f"need {self.d} drift duals, got {len(self.b)}")
         if len(self.sigma) != self.J:
-            raise ValueError(f"need {self.J} diffusion rows, got {len(self.sigma)}")
+            raise ValueError(f"need {self.J} sigma rows, got {len(self.sigma)}")
         for row in self.sigma:
             if len(row) != self.d:
                 raise ValueError("each diffusion row needs one dual per direction")
@@ -193,7 +193,7 @@ class PLaplaceModel:
             raise ValueError("need at least two interior grid points")
         for f in self.fields:
             if f.M != self.M:
-                raise ValueError("diffusion field grid size mismatch")
+                raise ValueError(f"diffusion field grid size mismatch: M={f.M}, needs M={self.M}")
 
     @property
     def geometry(self) -> GridGeometry:
@@ -229,17 +229,11 @@ def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
 
 @dataclass
 class StratCorrection:
-    """For a batch of states ``value`` is batched and ``step_disagreement``
-    is (P,); ``warnings`` then holds one message per step-sensitive path,
-    in path order."""
+    """For a batch of states ``value`` is batched and ``step_disagreement`` is (P,)."""
 
     value: object
     mode: str
     step_disagreement: float
-    warnings: list = field(default_factory=list)
-
-
-FD_SENSITIVITY_TOL = 1e-5  # step disagreement above which the fd correction warns
 
 
 def stratonovich_correction(
@@ -285,15 +279,7 @@ def stratonovich_correction(
         total = term if total is None else total + term
     if total is None:
         total = geo.zero_state()
-    warnings = []
-    if da_mode == "fd":
-        warnings = [
-            f"directional difference is step-sensitive: halving the step moved "
-            f"the correction by a relative {d:.3e}"
-            for d in np.atleast_1d(disagreement)
-            if d > FD_SENSITIVITY_TOL
-        ]
-    return StratCorrection(total, da_mode, disagreement, warnings)
+    return StratCorrection(total, da_mode, disagreement)
 
 
 # -- per-row adapter ------------------------------------------------------------

@@ -197,9 +197,9 @@ def simulate_reduced(
         for k in live[list(dropped)]:
             exited[k], exit_step[k] = True, step
         live = live[kept]
-        if frame is None:
+        if not live.size:
             break
-        a, beta = reduced_coefficients(model, param, frame.x, frame=frame)
+        a, beta = reduced_coefficients(model, param, frame)
         dw = increments[live, step]
         xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
         rows.append(xs.copy())

@@ -9,6 +9,9 @@ Hessian contraction ("bracket") and the diffusion-derivative form
 of the report.  Residual thresholds scale with the reported spectral
 spill so truncation artifacts are not mistaken for genuine
 non-tangency.
+The checks take the caller's frame and return numbers per point (only
+the stratonovich form builds frames, at the shifted points x +- h e_k);
+the sweep alone writes the report's notes from those numbers.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ import numpy as np
 
 from .hermite import SpectralState, top_band_ratio
 from .manifold import (
-    COND_WARN,
     FD_STEP_JACOBIAN,
     DegenerateChartError,
     Parametrization,
     TangentFrame,
     block_frame,
     bracket,
-    jacobian,
 )
-from .models import FD_SENSITIVITY_TOL, as_batched, stratonovich_correction
+from .models import as_batched, stratonovich_correction
 
 __all__ = [
     "InvalidSamplingError",
@@ -47,8 +48,11 @@ __all__ = [
 
 VERDICT_TANGENT = "tangent"
 VERDICT_NOT_TANGENT = "not_tangent"
+FORMS = ("bracket", "stratonovich", "both")
 FD_STEP_CHART = 1e-4  # step of the chart derivative of the noise coordinates
 TAIL_WARN = 1e-3  # top band ratio above which a chart state warns
+COND_WARN = 1e12  # Gram condition number above which a frame warns
+FD_SENSITIVITY_TOL = 1e-5  # step disagreement above which the fd correction warns
 
 # The sweep checks its points, and the coupled comparison solves its chart
 # distances, in blocks whose batched state holds about this many float64
@@ -154,7 +158,7 @@ class DriftCheck:
     spill: float
     form: str
     step_disagreement: float = 0.0
-    warnings: list = field(default_factory=list)
+    degenerate: dict = field(default_factory=dict)  # row -> rank message of a shifted frame
 
 
 def _max(a, b):
@@ -164,18 +168,8 @@ def _max(a, b):
     return np.maximum(a, b)
 
 
-def check_diffusion_tangency(
-    model,
-    param: Parametrization,
-    x,
-    *,
-    frame: TangentFrame | None = None,
-    jac_mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
-) -> DiffusionCheck:
-    """Project every diffusion component at phi(x) onto the tangent frame."""
-    if frame is None:
-        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
+def check_diffusion_tangency(model, param: Parametrization, frame: TangentFrame) -> DiffusionCheck:
+    """Project every diffusion component at phi(frame.x) onto the frame."""
     state = param.eval(frame.x)
     fields = as_batched(model).diffusion(state)
     n = len(fields)
@@ -201,13 +195,22 @@ def _bracket_drift(param, frame, drift, a):
     return type(drift).combine(terms) if len(terms) > 1 else drift
 
 
+def _shifted_coords(model, param, x, jac_mode, h_fd):
+    """Noise coordinates at the rows of x (B, m) on frames of their own:
+    NaN at a row whose frame degenerates, whose rank message is kept."""
+    kept, frame, dropped = block_frame(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
+    a = np.full((x.shape[0], model.n_noise, param.m), np.nan)
+    if kept.size:
+        a[kept] = check_diffusion_tangency(model, param, frame).a
+    return a, dropped
+
+
 def check_drift_tangency(
     model,
     param: Parametrization,
-    x,
+    frame: TangentFrame,
     form: str = "bracket",
     *,
-    frame: TangentFrame | None = None,
     diffusion: DiffusionCheck | None = None,
     jac_mode: str = "auto",
     da_mode: str = "auto",
@@ -218,14 +221,13 @@ def check_drift_tangency(
     ``form`` "bracket" subtracts half the chart-Hessian contraction of
     the diffusion coordinates; "stratonovich" subtracts half the
     diffusion-derivative correction and recovers the same reduced drift
-    through the chart-derivative decomposition.  Both forms also take a
-    (P, m) batch of points and then answer per point.
+    through the chart-derivative decomposition, from frames built (with
+    ``jac_mode`` and ``h_fd``) at the shifted points x +- h e_k.  A frame
+    at a (P, m) batch of points gives answers per point.
     """
     model = as_batched(model)
-    if frame is None:
-        frame = jacobian(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     if diffusion is None:
-        diffusion = check_diffusion_tangency(model, param, x, frame=frame)
+        diffusion = check_diffusion_tangency(model, param, frame)
     state = param.eval(frame.x)
     drift = model.drift(state)
     if form == "bracket":
@@ -237,19 +239,18 @@ def check_drift_tangency(
         proj = frame.project(w)
         # recover the reduced drift: add back half of (Da^j a^j) per component
         beta = proj.coords
+        degenerate = {}
         if diffusion.a.shape[-2]:
             # d a / d x_k from the shifted points x +- h e_k, one direction at a time
+            x = frame.x.reshape(-1, param.m)
             da_dot_a = 0.0
             for k in range(param.m):
                 step = np.zeros(param.m)
                 step[k] = FD_STEP_CHART
-                plus = check_diffusion_tangency(
-                    model, param, frame.x + step, jac_mode=jac_mode, h_fd=h_fd
-                ).a
-                minus = check_diffusion_tangency(
-                    model, param, frame.x - step, jac_mode=jac_mode, h_fd=h_fd
-                ).a
-                col = (plus - minus) * (0.5 / FD_STEP_CHART)
+                plus, lost_plus = _shifted_coords(model, param, x + step, jac_mode, h_fd)
+                minus, lost_minus = _shifted_coords(model, param, x - step, jac_mode, h_fd)
+                degenerate = {**lost_minus, **lost_plus, **degenerate}  # first message wins
+                col = (plus - minus).reshape(diffusion.a.shape) * (0.5 / FD_STEP_CHART)
                 da_dot_a = da_dot_a + np.einsum("...jl,...j->...l", col, diffusion.a[..., k])
             beta = beta + 0.5 * da_dot_a
         return DriftCheck(
@@ -258,27 +259,18 @@ def check_drift_tangency(
             _max(diffusion.spill, proj.spill),
             form,
             corr.step_disagreement,
-            list(corr.warnings),
+            degenerate,
         )
     raise ValueError(f"unknown drift form {form!r}")
 
 
-def reduced_coefficients(
-    model,
-    param: Parametrization,
-    x,
-    *,
-    frame: TangentFrame | None = None,
-):
-    """Chart-coordinate noise and drift coefficients (a, beta) at x.
+def reduced_coefficients(model, param: Parametrization, frame: TangentFrame):
+    """Chart-coordinate noise and drift coefficients (a, beta) at frame.x.
 
     At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m);
-    models without batch support are evaluated row by row.  A given
-    ``frame`` is used as is, and x is then read from it.
+    models without batch support are evaluated row by row.
     """
     model = as_batched(model)
-    if frame is None:
-        frame = jacobian(param, x, model.geometry)
     state = param.eval(frame.x)
     fields = model.diffusion(state)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
@@ -371,11 +363,6 @@ class TangencyReport:
         return header, rows
 
 
-def _flagged(values, rows, limit):
-    """The rows whose per-row value exceeds ``limit``, in row order."""
-    return rows[np.broadcast_to(values, rows.shape) > limit]
-
-
 def sweep(
     model,
     param: Parametrization,
@@ -396,10 +383,13 @@ def sweep(
     entries, each block as one batch; every result is per point, so the
     block size changes no number.  The verdict is "tangent" iff every
     residual at every non-degenerate point is within
-    max(base_threshold, spill_factor * spill at that point).  Degenerate
-    points are recorded, not fatal; a sweep where every point
-    degenerates raises.
+    max(base_threshold, spill_factor * spill at that point).  A point
+    whose frame, or a shifted stratonovich frame, degenerates is recorded
+    with NaN fields and its rank message, not fatal; a sweep where every
+    point degenerates raises.  Each point's notes follow in check order.
     """
+    if form not in FORMS:
+        raise ValueError(f"form must be one of {'/'.join(FORMS)}, got {form!r}")
     sampling = sampling or SamplingSpec()
     pts = sample_points(sampling, param.domain)
     s_count, m = pts.shape
@@ -424,11 +414,16 @@ def sweep(
         for k, note in dropped.items():
             degenerate[idx[k]] = True
             notes[idx[k]].append(note)
-        if frame is None:
+        if not kept.size:
             continue
         rows = idx[kept]
-        for s, note in zip(_flagged(frame.cond, rows, COND_WARN), frame.warnings):
-            notes[s].append(note)
+        # a chart with constant columns has one frame, and one cond, for every row
+        cond = np.broadcast_to(frame.cond, rows.shape)
+        for k in np.flatnonzero(cond > COND_WARN):
+            notes[rows[k]].append(
+                f"ill-conditioned tangent Gram matrix at x={pts[rows[k]].tolist()}: "
+                f"cond={cond[k]:.3e}"
+            )
         state = param.eval(frame.x)
         if isinstance(state, SpectralState):
             tail = np.broadcast_to(top_band_ratio(state), rows.shape)
@@ -437,30 +432,39 @@ def sweep(
                     f"chart state poorly resolved at x={pts[rows[k]].tolist()}: "
                     f"top band ratio {tail[k]:.3e}"
                 )
-        diff = check_diffusion_tangency(model, param, frame.x, frame=frame)
+        diff = check_diffusion_tangency(model, param, frame)
         rho_diff[rows] = diff.rho
         a_coords[rows] = diff.a
         block_spill = diff.spill
-        if form in ("bracket", "both"):
-            db = check_drift_tangency(
-                model, param, frame.x, "bracket", frame=frame, diffusion=diff
-            )
+        if form != "stratonovich":
+            db = check_drift_tangency(model, param, frame, "bracket", diffusion=diff)
             rho_drift[rows], beta[rows] = db.rho, db.beta
             block_spill = _max(block_spill, db.spill)
         if strat:
             ds = check_drift_tangency(
-                model, param, frame.x, "stratonovich", frame=frame, diffusion=diff,
+                model, param, frame, "stratonovich", diffusion=diff,
                 jac_mode=jac_mode, da_mode=da_mode, h_fd=h_fd,
             )
             rho_strat[rows], beta_strat[rows] = ds.rho, ds.beta
             if form == "stratonovich":
                 rho_drift[rows], beta[rows] = ds.rho, ds.beta
-            step_disagreement[rows] = ds.step_disagreement
-            for s, note in zip(_flagged(ds.step_disagreement, rows, FD_SENSITIVITY_TOL), ds.warnings):
-                notes[s].append(note)
+            step_disagreement[rows] = sd = np.broadcast_to(ds.step_disagreement, rows.shape)
+            for k in np.flatnonzero(sd > FD_SENSITIVITY_TOL):
+                notes[rows[k]].append(
+                    "directional difference is step-sensitive: halving the step moved "
+                    f"the correction by a relative {sd[k]:.3e}"
+                )
+            for k, note in ds.degenerate.items():
+                degenerate[rows[k]] = True
+                notes[rows[k]].append(note)
             block_spill = _max(block_spill, ds.spill)
         spill[rows] = block_spill
     warnings = [note for point in notes for note in point]
+    # a point degenerate in a shifted frame keeps no numbers, like any other
+    for values in (rho_diff, a_coords, beta, rho_drift, rho_strat, beta_strat):
+        if values is not None:
+            values[degenerate] = np.nan
+    spill[degenerate] = step_disagreement[degenerate] = 0.0
 
     valid = ~degenerate
     if not np.any(valid):

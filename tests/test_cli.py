@@ -118,6 +118,16 @@ def test_unknown_check_enum_exit_one(out_root, tmp_path, capsys):
     assert not any(out_root.iterdir())
 
 
+def test_config_its_model_rejects_exit_one(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "p_below_two.json"
+    cfg_path.write_text(json.dumps({"preset": "plaplace_p2_eigen", "model": {"p": 1.5}}))
+    rc = main(["check", "--config", str(cfg_path), "--out", str(out_root)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: model: exponent must satisfy p >= 2\n"
+    assert not any(out_root.iterdir())
+
+
 def test_threads_option_is_gone(out_root, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", "ito_zero", "--threads", "2", "--out", str(out_root)])

@@ -27,6 +27,7 @@ from spde_manifold.config import (
 from spde_manifold.grid import laplace_eigenvalue
 from spde_manifold.hermite import NormScale
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
+from spde_manifold.tangency import FORMS
 
 ALL_PRESETS = (
     "heat_equation",
@@ -231,6 +232,7 @@ def test_check_enums_accept_every_known_value():
         ("jac_mode", ("auto", "analytic", "fd")),
         ("da_mode", ("auto", "analytic", "fd")),
         ("method", ("auto", "lattice", "halton")),
+        ("form", FORMS),
     ):
         for value in values:
             assert load_config({"preset": "ito_zero", "check": {key: value}})["check"][key] == value
@@ -252,6 +254,30 @@ def test_check_enums_accept_every_known_value():
 def test_out_of_range_settings_fail_at_load(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         load_config({"preset": "heat_equation", section: {key: value}})
+
+
+@pytest.mark.parametrize(
+    "source, match",
+    [
+        ({"preset": "plaplace_p2_eigen", "model": {"p": 1.5}}, "model: exponent"),
+        ({"preset": "heat_equation", "model": {"M": 1}}, "model: need at least two"),
+        (
+            {"preset": "heat_equation", "model": {"M": 4},
+             "manifold": {"vectors": [{"kind": "sine", "k": 5}]}},
+            "manifold: mode number",
+        ),
+        ({"preset": "ito_translation_d1", "model": {"b": [{"kind": "constant", "d": 2}]}},
+         "model: dual dimension"),
+        (
+            {"preset": "ito_translation_d1",
+             "model": {"extra_fields": [{"kind": "basis", "d": 2, "index": [0, 0]}]}},
+            "model: extra field dimension",
+        ),
+    ],
+)
+def test_settings_the_built_objects_reject_fail_at_load(source, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(source)
 
 
 def test_range_edges_load():

@@ -322,3 +322,24 @@ def test_states_are_immutable():
     s = basis([0], 3)
     with pytest.raises(ValueError):
         s.coeffs[0] = 2.0
+
+
+@pytest.mark.parametrize("kind", ["spectral", "grid"])
+def test_batches_meet_only_at_one_path_count(kind):
+    make = (lambda v: SpectralState(1, 2, v)) if kind == "spectral" else GridState
+    single, one, three = make(np.ones(3)), make(np.ones((1, 3))), make(np.ones((3, 3)))
+    mismatched = (
+        lambda: one + three,
+        lambda: three - one,
+        lambda: one * np.ones(3),
+        lambda: type(one).combine([(one, 1.0), (three, 1.0)]),
+        lambda: type(one).combine([(one, np.ones(3))]),
+    )
+    for op in mismatched:
+        with pytest.raises(ValueError, match="path count"):
+            op()
+    # a single state or scalar meets any batch
+    assert (single + three).batch == (3,)
+    assert (single * np.ones(3)).batch == (3,)
+    assert type(one).combine([(single, np.ones(3)), (three, 2.0)]).batch == (3,)
+    assert (one * 2.0 - one).batch == (1,)

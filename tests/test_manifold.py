@@ -14,6 +14,7 @@ from spde_manifold import (
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
 from spde_manifold.manifold import SHIFT_MEMO_ENTRIES, bracket, distance_to_manifold, jacobian
+from spde_manifold.tangency import COND_WARN
 
 
 def basis(index, n=None):
@@ -127,8 +128,8 @@ def test_near_parallel_columns_warn_but_survive():
     v0 = basis([0], 6)
     v1 = v0 + basis([1], 6) * 1e-8
     frame = jacobian(linear_span_chart([v0, v1], BOX2), [0.1, 0.1], geo)
-    assert frame.cond > 1e12
-    assert any("ill-conditioned" in w for w in frame.warnings)
+    # the frame reports the number; the sweep writes the note
+    assert frame.cond > COND_WARN
 
 
 def svd_of_weighted_columns(frame):

@@ -19,6 +19,7 @@ from spde_manifold.models import (
     sigma_pairings,
     stratonovich_correction,
 )
+from spde_manifold.tangency import FD_SENSITIVITY_TOL
 
 H0_AT_ZERO = math.pi ** (-0.25)
 
@@ -246,7 +247,7 @@ def test_correction_analytic_matches_fd():
     assert got_a.mode == "analytic" and got_f.mode == "fd"
     gap = model.geometry.norm_diff(got_a.value, got_f.value)
     assert gap < 1e-5
-    assert not got_f.warnings
+    assert got_f.step_disagreement <= FD_SENSITIVITY_TOL
 
 
 class _GradientNoise:
@@ -289,8 +290,7 @@ class _CubicNoise:
 def test_correction_warns_on_step_sensitive_difference():
     out = stratonovich_correction(_CubicNoise(4), basis([0], 4), h_fd=0.5)
     assert out.mode == "fd"
-    assert out.step_disagreement > 1e-5
-    assert any("step-sensitive" in w for w in out.warnings)
+    assert out.step_disagreement > FD_SENSITIVITY_TOL
 
 
 def test_correction_rejects_unknown_mode():
@@ -328,9 +328,10 @@ def test_correction_of_a_batch_matches_its_rows():
 def test_correction_warns_per_step_sensitive_row():
     rows = [basis([0], 4), basis([0], 4) * 1e-3, basis([1], 4)]
     got = stratonovich_correction(as_batched(_CubicNoise(4)), SpectralState.stack(rows), h_fd=0.5)
-    want = [w for row in rows for w in stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).warnings]
-    assert got.warnings == want
-    assert len(want) == 2  # the small row is not step-sensitive
+    want = [stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).step_disagreement for row in rows]
+    np.testing.assert_allclose(got.step_disagreement, want, rtol=1e-12, atol=1e-15)
+    # the small row is not step-sensitive
+    np.testing.assert_array_equal(got.step_disagreement > FD_SENSITIVITY_TOL, [True, False, True])
 
 
 def test_single_state_model_keeps_its_analytic_derivative_on_a_batch():

@@ -44,12 +44,12 @@ def test_bench_tracer_finds_every_target():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    original = spde_manifold.manifold.jacobian
+    original = spde_manifold.manifold.distance_to_manifold
     tracer = tracer_module.Tracer()
     try:
         tracer.install()  # raises TraceTargetError when a traced name is gone
-        assert spde_manifold.manifold.jacobian is not original
+        assert spde_manifold.manifold.distance_to_manifold is not original
     finally:
         tracer.uninstall()
-    assert spde_manifold.manifold.jacobian is original
-    assert spde_manifold.tangency.jacobian is original
+    assert spde_manifold.manifold.distance_to_manifold is original
+    assert spde_manifold.simulate.distance_to_manifold is original

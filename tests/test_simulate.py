@@ -18,7 +18,7 @@ from spde_manifold import (
 from spde_manifold.geometry import GridGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import DualField, SpectralState, derivative, second_derivative, translate
-from spde_manifold.manifold import distance_to_manifold
+from spde_manifold.manifold import distance_to_manifold, jacobian
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
 from spde_manifold.simulate import simulate_full, simulate_reduced, wiener_increments
 from spde_manifold.tangency import reduced_coefficients
@@ -154,7 +154,7 @@ def test_reduced_path_single_step_hand_check():
     model, chart = transport_setup(24)
     x0 = np.array([0.2])
     cfg = SimConfig(horizon=1e-3, dt=1e-3, seed=9)
-    a, beta = reduced_coefficients(model, chart, x0)
+    a, beta = reduced_coefficients(model, chart, jacobian(chart, x0, model.geometry))
     dw = wiener_increments(9, 0, 1, 1, 1e-3)[0]
     path = simulate_reduced(model, chart, x0, cfg)
     want = x0 + beta * 1e-3 + a.T @ dw

@@ -113,7 +113,7 @@ def test_zero_noise_components_have_zero_residual():
     model = ItoTypeModel(d=1, J=1, N=n, b=(DualField.zero(1),),
                          sigma=((DualField.zero(1),),))
     chart = translation_chart(basis([0], n), [[-2.0, 2.0]])
-    diff = check_diffusion_tangency(model, chart, [0.2])
+    diff = check_diffusion_tangency(model, chart, jacobian(chart, [0.2], model.geometry))
     assert diff.rho.shape == (1,)
     assert diff.rho[0] == 0.0
     assert not diff.a.any()
@@ -126,7 +126,7 @@ def test_orthogonal_constant_field_is_fully_normal():
         extra_fields=(basis([32], n) * 2.0,),
     )
     chart = linear_span_chart([basis([0], n), basis([1], n)], [[-1.0, 1.0]] * 2)
-    diff = check_diffusion_tangency(model, chart, [0.5, 0.5])
+    diff = check_diffusion_tangency(model, chart, jacobian(chart, [0.5, 0.5], model.geometry))
     assert diff.rho[0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -136,7 +136,7 @@ def test_grid_span_reduced_drift_is_diagonal():
     chart = linear_span_chart([sine_mode(m, 1), sine_mode(m, 2)], [[-2.0, 2.0]] * 2)
     lam = [laplace_eigenvalue(m, k) for k in (1, 2)]
     for x in ([0.5, -0.3], [1.2, 0.7]):
-        check = check_drift_tangency(model, chart, x)
+        check = check_drift_tangency(model, chart, jacobian(chart, x, model.geometry))
         assert check.rho <= 1e-12
         np.testing.assert_allclose(check.beta, [lam[0] * x[0], lam[1] * x[1]],
                                    rtol=1e-10)
@@ -145,7 +145,7 @@ def test_grid_span_reduced_drift_is_diagonal():
 def test_transport_reduced_coefficients_closed_form():
     model, chart = transport_setup(32)
     x = 0.3
-    a, beta = reduced_coefficients(model, chart, [x])
+    a, beta = reduced_coefficients(model, chart, jacobian(chart, [x], model.geometry))
     want = math.pi ** (-0.25) * math.exp(-0.5 * x * x)
     assert a[0, 0] == pytest.approx(want, abs=1e-8)
     assert beta[0] == pytest.approx(want, abs=1e-8)
@@ -154,7 +154,14 @@ def test_transport_reduced_coefficients_closed_form():
 def test_unknown_drift_form_rejected():
     model, chart = transport_setup(16)
     with pytest.raises(ValueError):
-        check_drift_tangency(model, chart, [0.1], form="milstein")
+        check_drift_tangency(model, chart, jacobian(chart, [0.1], model.geometry), form="milstein")
+
+
+def test_sweep_rejects_an_unknown_form():
+    # a misspelt form must not skip the drift check and still give a verdict
+    model, chart = transport_setup(16)
+    with pytest.raises(ValueError, match="brackett"):
+        sweep(model, chart, SamplingSpec(points_per_axis=3), form="brackett")
 
 
 # -- sweeps ----------------------------------------------------------------------------
@@ -469,6 +476,49 @@ def test_batched_sweep_keeps_per_point_warnings_in_order():
     # each point's warnings stay together, in check order
     assert [w.split(" ")[0] for w in rep.warnings] == ["chart", "directional"] * 4
     assert rep.max_step_disagreement > 1e-5
+
+
+def test_sweep_writes_the_frame_and_step_notes():
+    # frames and corrections return numbers; the sweep writes these texts
+    n = 6
+    v0 = basis([0], n)
+    chart = linear_span_chart([v0, v0 + basis([1], n) * 1e-8], [[-1.0, 1.0]] * 2)
+    model = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=())
+    rep = sweep(model, chart, SamplingSpec(points=[[0.1, 0.1], [-0.5, 0.25]]))
+    assert rep.warnings == [
+        "ill-conditioned tangent Gram matrix at x=[0.1, 0.1]: cond=1.333e+16",
+        "ill-conditioned tangent Gram matrix at x=[-0.5, 0.25]: cond=1.333e+16",
+    ]
+    chart = translation_chart(basis([0], 8), [[-2.0, 2.0]])
+    rep = sweep(
+        CubicNoise(8), chart, SamplingSpec(points=[[0.5], [-1.0]]), form="stratonovich", h_fd=0.5
+    )
+    assert rep.warnings == [
+        "directional difference is step-sensitive: halving the step moved "
+        "the correction by a relative 1.368e-02",
+        "directional difference is step-sensitive: halving the step moved "
+        "the correction by a relative 1.057e-02",
+    ]
+
+
+def test_degenerate_shifted_frame_is_recorded_not_fatal():
+    # x -> v x^2 loses rank at 0, which the stratonovich form reaches from
+    # x = 1e-4 through its shifted point x - h
+    m = 8
+    v = sine_mode(m, 1)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * float(x[0]) ** 2)
+    model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1),))
+    rep = sweep(model, chart, SamplingSpec(points=[[0.5], [1e-4]]), form="both")
+    np.testing.assert_array_equal(rep.degenerate, [False, True])
+    assert rep.warnings == ["chart derivative is rank deficient at x=[0.0]: singular values [0.0]"]
+    for name in ("rho_diffusion", "a_coords", "beta", "rho_drift", "rho_drift_strat", "beta_strat"):
+        assert np.isnan(getattr(rep, name)[1]).all(), name
+    assert rep.spill[1] == 0.0
+    # the rest of the block keeps its values
+    alone = sweep(model, chart, SamplingSpec(points=[[0.5]]), form="both")
+    for name in POINT_FIELDS:
+        np.testing.assert_allclose(getattr(rep, name)[0], getattr(alone, name)[0], rtol=1e-12, atol=1e-12)
+    assert rep.verdict == alone.verdict
 
 
 # -- report shape ------------------------------------------------------------------------
