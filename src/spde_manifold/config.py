@@ -9,6 +9,7 @@ canonicalizes (and hashes) identically.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -436,7 +437,7 @@ def _canon_check(check: dict) -> dict:
     # a margin of half the box or more leaves no box to sample
     if not 0.0 <= out["margin_frac"] < 0.5:
         raise ConfigError(f"check.margin_frac must be in [0, 0.5), got {out['margin_frac']!r}")
-    for key in ("base_threshold", "spill_factor"):
+    for key in ("base_threshold", "spill_factor", "form_error_tol"):
         if not out[key] >= 0.0:
             raise ConfigError(f"check.{key} must not be negative, got {out[key]!r}")
     return out
@@ -455,10 +456,6 @@ def _canon_sim(sim: dict, m: int) -> dict:
         raise ConfigError(
             f"sim.record_distance must be true or false, got {out['record_distance']!r}"
         )
-    if out["horizon"] <= 0 or out["dt"] <= 0:
-        raise ConfigError("sim.horizon and sim.dt must be positive")
-    if not out["explosion_ceiling"] > 0:
-        raise ConfigError("sim.explosion_ceiling must be positive")
     if out["paths"] < 1:
         raise ConfigError("sim.paths must be at least 1")
     x0 = [_as_float(v, "sim.x0") for v in out["x0"]]
@@ -471,7 +468,9 @@ def _canon_sim(sim: dict, m: int) -> dict:
 def load_config(source) -> dict:
     """Resolve a preset name, dict, or JSON file path into a canonical config.
 
-    The model and chart are built once: what they reject is a ConfigError here.
+    The model, chart and sim config are built once, and the chart is
+    evaluated at its domain centre: what they reject, or an image outside
+    the model's states, is a ConfigError here.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -508,12 +507,24 @@ def load_config(source) -> dict:
     check = _canon_check(raw.get("check", {}))
     sim = _canon_sim(raw.get("sim", {}), m)
     cfg = {"model": model, "manifold": manifold, "check": check, "sim": sim}
-    for section, build in (("model", build_model), ("manifold", build_manifold)):
-        try:
-            build(cfg)
-        except ValueError as err:
-            raise ConfigError(f"{section}: {err}") from err
+    with _rejected("model: "):
+        built = build_model(cfg)
+    with _rejected("manifold: "):
+        chart = build_manifold(cfg)
+        # the image must meet the model's states: same grid size or dimension
+        built.geometry.zero_state() + chart.eval(chart.domain.mean(axis=1))
+    with _rejected("sim."):  # SimConfig names the rejected field first
+        build_sim_config(cfg)
     return cfg
+
+
+@contextlib.contextmanager
+def _rejected(prefix: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming its section."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{prefix}{err}") from err
 
 
 # -- hashing -------------------------------------------------------------------

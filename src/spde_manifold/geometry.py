@@ -9,8 +9,7 @@ tracked explicitly as "spill" rather than silently dropped.
 
 States come from the shared array-state core (``hermite.ArrayState``):
 a geometry reads their arrays, flat, with the path axis in front when
-they are a batch, and batches are stacked, sliced and split by the
-states' own ``stack``, ``rows`` and ``split``.
+they are a batch, and batches are sliced by the states' own ``rows``.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ class HermiteGeometry:
     Every method also takes a batch of states and then returns one value
     per path.
     """
-
-    kind = "hermite"
 
     def __init__(self, d: int, work_order: int, scale: NormScale = DEFAULT_SCALE):
         self.d = int(d)
@@ -111,8 +108,6 @@ class HermiteGeometry:
 
 class GridGeometry:
     """Grid states of M interior points under the discrete L2 inner product."""
-
-    kind = "grid"
 
     def __init__(self, m: int):
         self.M = int(m)

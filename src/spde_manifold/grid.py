@@ -7,9 +7,9 @@ modes are exact eigenvectors of the standard second-difference operator,
 with eigenvalue -(2/h^2) (1 - cos(k pi h)).
 
 ``GridState`` is a thin type over the shared array-state core of
-``hermite``: its arithmetic, ``combine``, ``stack``, ``rows`` and
-``split`` are those of every state, and grids of different sizes never
-meet (``ValueError("grid size mismatch")``).
+``hermite``: its arithmetic, ``combine`` and ``rows`` are those of
+every state, and grids of different sizes never meet
+(``ValueError("grid size mismatch")``).
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@ three-norm scale, and pointwise evaluation.
 It also holds the array-state core, ``ArrayState``: every state and dual
 of the package (``SpectralState``, ``DualField`` and the grid's
 ``GridState``) is one frozen array with at most one leading path axis,
-and they share one arithmetic (sums, scaling, ``combine``, ``stack``,
-``rows``, ``split``).  Spectral types meet at a common order by zero
-padding.
+and they share one arithmetic (sums, scaling, ``combine``, ``rows``).
+Spectral types meet at a common order by zero padding.
 """
 
 from __future__ import annotations
@@ -144,18 +143,9 @@ class ArrayState:
             acc = c if acc is None else acc + c
         return first._like(acc)
 
-    @classmethod
-    def stack(cls, states):
-        """One batch of P single states of any one kind, at their common order."""
-        return states[0]._like(np.stack(states[0]._aligned(states)))
-
     def rows(self, rows):
         """The given paths of a batch; a single state is returned as is."""
         return self._like(self._array[rows]) if self.batch else self
-
-    def split(self) -> list:
-        """The single states of a batch, one per path."""
-        return [self._like(c) for c in self._array]
 
     def _binary(self, other, sign):
         if not isinstance(other, type(self)):

@@ -15,14 +15,13 @@ every path at once with per-path convergence and backtracking.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .hermite import ArrayState, SpectralState, derivative, second_derivative, translate
+from .hermite import SpectralState, derivative, second_derivative, translate
 
 __all__ = [
     "DegenerateChartError",
@@ -64,35 +63,16 @@ def _points(param, x) -> np.ndarray:
     return x if x.ndim == 2 else x.reshape(param.m)
 
 
-def _stack_nested(rows: list, depth: int):
-    if depth == 0:
-        return ArrayState.stack(rows)
-    return [_stack_nested(list(items), depth - 1) for items in zip(*rows)]
-
-
-def _rowwise(fn, depth: int):
-    """Adapter for a single-point chart callable: a (P, m) batch is evaluated
-    row by row and the results (nested ``depth`` lists deep) are stacked."""
-
-    @functools.wraps(fn)
-    def call(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim < 2:
-            return fn(x)
-        return _stack_nested([fn(row) for row in x], depth)
-
-    return call
-
-
 @dataclass
 class Parametrization:
     """Smooth map from an m-dimensional box of chart coordinates to states.
 
     ``eval`` is required; ``jac`` and ``hess`` are optional analytic
     derivatives (list of m column states, and m x m nested list of
-    states).  When absent, central finite differences are used.  With
-    ``batched`` the callables also map a (P, m) batch of points to
-    batched states; otherwise they are wrapped to run row by row.
+    states).  When absent, central finite differences are used.  Each
+    callable takes one point (m,) or a (P, m) batch of points, reading
+    coordinate k as ``x[..., k]``, and returns states with the same
+    leading path axis, or single states that hold at every point.
     """
 
     m: int
@@ -100,20 +80,12 @@ class Parametrization:
     eval: Callable[[np.ndarray], object]
     jac: Optional[Callable[[np.ndarray], list]] = None
     hess: Optional[Callable[[np.ndarray], list]] = None
-    batched: bool = False
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float).reshape(self.m, 2)
-        if np.any(dom[:, 0] >= dom[:, 1]):
-            raise ValueError("chart domain rows must satisfy lo < hi")
+        if not np.all(np.isfinite(dom)) or np.any(dom[:, 0] >= dom[:, 1]):
+            raise ValueError("chart domain rows must be finite and satisfy lo < hi")
         self.domain = dom
-        if not self.batched:
-            self.eval = _rowwise(self.eval, 0)
-            if self.jac is not None:
-                self.jac = _rowwise(self.jac, 1)
-            if self.hess is not None:
-                self.hess = _rowwise(self.hess, 2)
-            self.batched = True
 
     def contains(self, x, margin: float = 0.0):
         """Whether x lies in the box shrunk by margin; one flag per path for a batch."""
@@ -529,7 +501,7 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
                 out[l][k] = s
         return out
 
-    return Parametrization(m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess, batched=True)
+    return Parametrization(m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess)
 
 
 def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
@@ -553,4 +525,4 @@ def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
         zero = vectors[0] * 0.0
         return [[zero for _ in range(m)] for _ in range(m)]
 
-    return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess, batched=True)
+    return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess)

@@ -1,10 +1,10 @@
 """Concrete drift/diffusion models.
 
 Two families share one small protocol (``geometry``, ``n_noise``,
-``drift``, ``diffusion``, optional ``diffusion_derivative``).  Models
-whose ``batched`` attribute is true also accept a batch of states (one
-row per path) in ``drift`` and ``diffusion``; ``as_batched`` wraps any
-other model so it is called row by row.  The families:
+``drift``, ``diffusion``, optional ``diffusion_derivative``).  Each
+callable takes one state or a batch of states (one row per path) and
+returns states with the same leading path axis, or single states that
+hold on every path (constant noise fields).  The families:
 
 * transport models whose coefficients are dual pairings against the
   state, with quadratic transport drift and linear transport noise;
@@ -26,7 +26,6 @@ from .geometry import GridGeometry, HermiteGeometry
 from .grid import GridState
 from .hermite import (
     DEFAULT_SCALE,
-    ArrayState,
     NormScale,
     SpectralState,
     derivative,
@@ -44,7 +43,6 @@ __all__ = [
     "plaplace_drift",
     "StratCorrection",
     "stratonovich_correction",
-    "as_batched",
 ]
 
 DA_MODES = ("auto", "analytic", "fd")
@@ -70,8 +68,6 @@ class ItoTypeModel:
     sigma: tuple
     extra_fields: tuple = ()
     scale: NormScale = DEFAULT_SCALE
-
-    batched = True
 
     def __post_init__(self):
         if len(self.b) != self.d:
@@ -184,8 +180,6 @@ class PLaplaceModel:
     M: int
     fields: tuple = ()
 
-    batched = True
-
     def __post_init__(self):
         if self.p_exponent < 2.0:
             raise ValueError("exponent must satisfy p >= 2")
@@ -280,45 +274,3 @@ def stratonovich_correction(
     if total is None:
         total = geo.zero_state()
     return StratCorrection(total, da_mode, disagreement)
-
-
-# -- per-row adapter ------------------------------------------------------------
-
-
-class _RowwiseModel:
-    """Calls a single-state model once per path of a batched state."""
-
-    batched = True
-
-    def __init__(self, model):
-        self.model = model
-        self.geometry = model.geometry
-        self.n_noise = model.n_noise
-        if hasattr(model, "diffusion_derivative"):
-            # only forwarded when present: "auto" keeps picking the analytic form
-            self.diffusion_derivative = self._diffusion_derivative
-
-    def drift(self, y):
-        if not y.batch:
-            return self.model.drift(y)
-        return ArrayState.stack([self.model.drift(row) for row in y.split()])
-
-    def diffusion(self, y) -> list:
-        if not y.batch:
-            return self.model.diffusion(y)
-        per_row = [self.model.diffusion(row) for row in y.split()]
-        return [ArrayState.stack(list(fields)) for fields in zip(*per_row)]
-
-    def _diffusion_derivative(self, y, u, j: int):
-        if not y.batch:
-            return self.model.diffusion_derivative(y, u, j)
-        ys = y.split()
-        us = u.split() if u.batch else [u] * len(ys)
-        return ArrayState.stack(
-            [self.model.diffusion_derivative(yr, ur, j) for yr, ur in zip(ys, us)]
-        )
-
-
-def as_batched(model):
-    """The model itself when it takes batched states, else a per-row adapter."""
-    return model if getattr(model, "batched", False) else _RowwiseModel(model)

@@ -12,13 +12,13 @@ recorded step, and summarizes the ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .manifold import Parametrization, block_frame, distance_to_manifold
-from .models import as_batched
 from .tangency import reduced_coefficients, row_blocks
 
 __all__ = [
@@ -44,15 +44,21 @@ class SimConfig:
     explosion_ceiling: float = 1e6
 
     def __post_init__(self):
+        # each message starts with the field it rejects
+        for name in ("horizon", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon {self.horizon!r} over dt {self.dt!r} overflows the step count")
+        if self.n_steps < 1:
+            raise ValueError(f"horizon shorter than one step: {self.horizon!r} < dt {self.dt!r}")
         if not self.explosion_ceiling > 0:
             raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.horizon / self.dt))
-        if steps < 1:
-            raise ValueError("horizon shorter than one step")
-        return steps
+        return int(round(self.horizon / self.dt))
 
 
 def wiener_increments(seed: int, path_index, n_steps: int, n_noise: int, dt: float) -> np.ndarray:
@@ -117,7 +123,6 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     ``max_spill``.  A state whose norm passes the ceiling marks its path
     exploded and freezes it there.
     """
-    model = as_batched(model)
     geo = model.geometry
     n_steps = cfg.n_steps
     paths, increments = _ensemble(path_index, cfg, model.n_noise, increments)
@@ -320,7 +325,6 @@ def coupled_compare(
     standard error over paths of each path's largest gap, the Gauss-Newton
     path-iterations of every block solve, and the per-path termination flags.
     """
-    model = as_batched(model)
     geo = model.geometry
     n_steps = cfg.n_steps
     paths = np.arange(cfg.paths)

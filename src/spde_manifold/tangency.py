@@ -30,7 +30,7 @@ from .manifold import (
     block_frame,
     bracket,
 )
-from .models import as_batched, stratonovich_correction
+from .models import stratonovich_correction
 
 __all__ = [
     "InvalidSamplingError",
@@ -171,7 +171,7 @@ def _max(a, b):
 def check_diffusion_tangency(model, param: Parametrization, frame: TangentFrame) -> DiffusionCheck:
     """Project every diffusion component at phi(frame.x) onto the frame."""
     state = param.eval(frame.x)
-    fields = as_batched(model).diffusion(state)
+    fields = model.diffusion(state)
     n = len(fields)
     batch = frame.x.shape[:-1]
     a = np.zeros(batch + (n, param.m))
@@ -225,7 +225,6 @@ def check_drift_tangency(
     ``jac_mode`` and ``h_fd``) at the shifted points x +- h e_k.  A frame
     at a (P, m) batch of points gives answers per point.
     """
-    model = as_batched(model)
     if diffusion is None:
         diffusion = check_diffusion_tangency(model, param, frame)
     state = param.eval(frame.x)
@@ -267,10 +266,8 @@ def check_drift_tangency(
 def reduced_coefficients(model, param: Parametrization, frame: TangentFrame):
     """Chart-coordinate noise and drift coefficients (a, beta) at frame.x.
 
-    At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m);
-    models without batch support are evaluated row by row.
+    At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m).
     """
-    model = as_batched(model)
     state = param.eval(frame.x)
     fields = model.diffusion(state)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
@@ -393,7 +390,6 @@ def sweep(
     sampling = sampling or SamplingSpec()
     pts = sample_points(sampling, param.domain)
     s_count, m = pts.shape
-    model = as_batched(model)
     geo = model.geometry
     strat = form in ("stratonovich", "both")
 

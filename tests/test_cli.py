@@ -128,6 +128,17 @@ def test_config_its_model_rejects_exit_one(out_root, tmp_path, capsys):
     assert not any(out_root.iterdir())
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_config_its_sim_config_rejects_exit_one(command, out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "nan_dt.json"
+    cfg_path.write_text(json.dumps({"preset": "ito_zero", "sim": {"dt": float("nan")}}))
+    rc = main([command, "--config", str(cfg_path), "--out", str(out_root)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: sim.dt must be finite and positive, got nan\n"
+    assert not any(out_root.iterdir())
+
+
 def test_threads_option_is_gone(out_root, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", "ito_zero", "--threads", "2", "--out", str(out_root)])

@@ -198,11 +198,9 @@ def test_manifold_section_validation():
             "preset": "heat_equation",
             "manifold": {"domain": [[-1.0, 1.0], [-1.0, 1.0]]},
         })
-    with pytest.raises(ConfigError, match="lo < hi"):
-        load_config({
-            "preset": "heat_equation",
-            "manifold": {"domain": [[2.0, -2.0]]},
-        })
+    for domain in ([[2.0, -2.0]], [[0.0, float("nan")]], [[float("-inf"), 0.0]]):
+        with pytest.raises(ConfigError, match="lo < hi"):
+            load_config({"preset": "heat_equation", "manifold": {"domain": domain}})
 
 
 def test_check_and_sim_validation():
@@ -247,6 +245,7 @@ def test_check_enums_accept_every_known_value():
         ("check", "points_per_axis", 0),
         ("check", "base_threshold", -1e-6),
         ("check", "spill_factor", -1.0),
+        ("check", "form_error_tol", -1.0),  # would fail every "both" sweep
         ("sim", "explosion_ceiling", 0.0),
         ("sim", "explosion_ceiling", -1.0),
     ],
@@ -273,6 +272,30 @@ def test_out_of_range_settings_fail_at_load(section, key, value):
              "model": {"extra_fields": [{"kind": "basis", "d": 2, "index": [0, 0]}]}},
             "model: extra field dimension",
         ),
+        # chart images outside the model's states
+        (
+            {"preset": "heat_equation",
+             "manifold": {"vectors": [{"kind": "grid_values", "values": [1.0, 2.0]}]}},
+            "manifold: grid size mismatch",
+        ),
+        (
+            {"preset": "heat_equation",
+             "manifold": {"vectors": [{"kind": "sine", "m": 8, "k": 1}]}},
+            "manifold: grid size mismatch",
+        ),
+        (
+            {"preset": "negative_control",
+             "manifold": {"vectors": [{"kind": "basis", "d": 2, "index": [0, 0]},
+                                      {"kind": "basis", "d": 2, "index": [1, 0]}]}},
+            "manifold: dimension mismatch",
+        ),
+        # step settings SimConfig rejects
+        ({"preset": "ito_zero", "sim": {"horizon": 0.001, "dt": 0.01}},
+         "sim.horizon shorter than one step"),
+        ({"preset": "ito_zero", "sim": {"dt": float("nan")}}, "sim.dt must be finite and positive"),
+        ({"preset": "ito_zero", "sim": {"horizon": float("inf")}},
+         "sim.horizon must be finite and positive"),
+        ({"preset": "ito_zero", "sim": {"horizon": -0.1}}, "sim.horizon must be finite and positive"),
     ],
 )
 def test_settings_the_built_objects_reject_fail_at_load(source, match):

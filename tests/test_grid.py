@@ -34,17 +34,16 @@ def test_grid_batch_matches_its_rows_and_rejects_other_sizes():
     c = GridState(rng.standard_normal(4))
     w = np.array([0.5, -1.0, 2.0])
     got = GridState.combine([(a, 1.0), (b, w), (c, w)])
-    for k, (ak, bk) in enumerate(zip(a.split(), b.split())):
+    for k, (ak, bk) in enumerate(zip(a.values, b.values)):
+        ak, bk = GridState(ak), GridState(bk)
         want = GridState.combine([(ak, 1.0), (bk, w[k]), (c, w[k])])
         np.testing.assert_array_equal(got.values[k], want.values)
         np.testing.assert_array_equal(a.rows([k]).values, [ak.values])
-    np.testing.assert_array_equal(GridState.stack(a.split()).values, a.values)
     np.testing.assert_array_equal(a.rows([2, 0]).values, a.values[[2, 0]])
     assert c.rows([0]) is c  # a single state has no rows to take
     one, three = GridState([1.0]), GridState([1.0, 2.0, 3.0])
     for bad in (
         lambda: GridState.combine([(one, 1.0), (three, 1.0)]),
-        lambda: GridState.stack([one, three]),
         lambda: one + three,
         lambda: a + GridState(np.ones((3, 5))),
     ):

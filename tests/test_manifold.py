@@ -104,7 +104,7 @@ def test_fd_jacobian_is_second_order():
 
 
 def test_analytic_mode_requires_analytic_chart():
-    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: basis([0], 4) * float(x[0]))
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: basis([0], 4) * x[..., 0])
     with pytest.raises(ValueError):
         jacobian(chart, [0.5], HermiteGeometry(1, 4), mode="analytic")
 
@@ -118,7 +118,7 @@ def test_unknown_jacobian_mode_rejected():
 def test_degenerate_chart_raises():
     # eval x -> x^2 v has vanishing derivative at the origin
     v = basis([1], 4)
-    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2)
     with pytest.raises(DegenerateChartError):
         jacobian(chart, [0.0], HermiteGeometry(1, 4))
 
@@ -162,7 +162,7 @@ def test_frame_spectrum_comes_from_its_one_factorization():
 
 def test_batched_degenerate_rows_carry_their_own_messages():
     v = basis([1], 4)
-    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2)
     geo = HermiteGeometry(1, 4)
     with pytest.raises(DegenerateChartError) as err:
         jacobian(chart, [[0.5], [0.0], [0.3], [0.0]], geo)
@@ -247,7 +247,7 @@ def test_bracket_fd_hessian():
     # quadratic chart without an analytic Hessian: exact value is 2 v
     v = basis([2], 6)
     chart = Parametrization(
-        m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2
+        m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2
     )
     out = bracket(chart, [0.6], [1.0], [1.0])
     np.testing.assert_allclose(out.coeffs, 2.0 * v.coeffs, atol=1e-5)
@@ -269,7 +269,7 @@ def test_bracket_mixed_terms_d2():
     v = basis([0, 0], 4)
 
     def _eval(x):
-        return v * (float(x[0]) * float(x[1]))
+        return v * (x[..., 0] * x[..., 1])
 
     chart = Parametrization(m=2, domain=BOX2, eval=_eval)
     out = bracket(chart, [0.3, 0.5], [1.0, 0.0], [0.0, 1.0])
@@ -318,7 +318,7 @@ def test_distance_matches_grid_search():
 def test_distance_stops_only_the_path_whose_frame_degenerates():
     geo = HermiteGeometry(1, 4)
     v = basis([1], 4)
-    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * float(x[0]) ** 2)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2)
     y = chart.eval(np.array([[0.6], [0.5]]))
     res = distance_to_manifold(chart, y, [[0.5], [0.0]], geo)
     alone = distance_to_manifold(chart, chart.eval(np.array([0.6])), [0.5], geo)

@@ -11,7 +11,6 @@ from spde_manifold.hermite import DualField, SpectralState, derivative, pair, se
 from spde_manifold.models import (
     ItoTypeModel,
     PLaplaceModel,
-    as_batched,
     ito_diffusion,
     ito_diffusion_from_pairings,
     ito_drift,
@@ -284,7 +283,7 @@ class _CubicNoise:
         return y * 0.0
 
     def diffusion(self, y):
-        return [y * float(np.sum(y.coeffs**2))]
+        return [y * (y.coeffs**2).sum(-1)]
 
 
 def test_correction_warns_on_step_sensitive_difference():
@@ -312,7 +311,7 @@ def test_correction_skips_zero_components():
 def test_correction_of_a_batch_matches_its_rows():
     model = transport_model(n=16)
     rows = [basis([0], 16), basis([0], 16) + basis([2], 16) * 0.3, SpectralState.zero(1, 16)]
-    y = SpectralState.stack(rows)
+    y = SpectralState(1, 16, np.stack([r.coeffs for r in rows]))
     for mode in ("analytic", "fd"):
         got = stratonovich_correction(model, y, da_mode=mode)
         assert got.step_disagreement.shape == (3,)
@@ -327,37 +326,10 @@ def test_correction_of_a_batch_matches_its_rows():
 
 def test_correction_warns_per_step_sensitive_row():
     rows = [basis([0], 4), basis([0], 4) * 1e-3, basis([1], 4)]
-    got = stratonovich_correction(as_batched(_CubicNoise(4)), SpectralState.stack(rows), h_fd=0.5)
+    got = stratonovich_correction(
+        _CubicNoise(4), SpectralState(1, 4, np.stack([r.coeffs for r in rows])), h_fd=0.5
+    )
     want = [stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).step_disagreement for row in rows]
     np.testing.assert_allclose(got.step_disagreement, want, rtol=1e-12, atol=1e-15)
     # the small row is not step-sensitive
     np.testing.assert_array_equal(got.step_disagreement > FD_SENSITIVITY_TOL, [True, False, True])
-
-
-def test_single_state_model_keeps_its_analytic_derivative_on_a_batch():
-    model = transport_model(n=8)
-
-    class OneState:
-        geometry = model.geometry
-        n_noise = model.n_noise
-
-        def drift(self, y):
-            assert not y.batch
-            return model.drift(y)
-
-        def diffusion(self, y):
-            assert not y.batch
-            return model.diffusion(y)
-
-        def diffusion_derivative(self, y, u, j):
-            assert not y.batch and not u.batch
-            return model.diffusion_derivative(y, u, j)
-
-    y = SpectralState.stack([basis([0], 8), basis([0], 8) + basis([2], 8) * 0.3])
-    got = stratonovich_correction(as_batched(OneState()), y)
-    assert got.mode == "analytic"
-    want = stratonovich_correction(model, y)
-    np.testing.assert_allclose(got.value.coeffs, want.value.coeffs, atol=1e-14)
-    # without a derivative the adapter has none either, and "auto" differentiates
-    del OneState.diffusion_derivative
-    assert stratonovich_correction(as_batched(OneState()), y).mode == "fd"

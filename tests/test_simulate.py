@@ -17,7 +17,7 @@ from spde_manifold import (
 )
 from spde_manifold.geometry import GridGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.hermite import DualField, SpectralState, derivative, second_derivative, translate
+from spde_manifold.hermite import DualField, SpectralState
 from spde_manifold.manifold import distance_to_manifold, jacobian
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
 from spde_manifold.simulate import simulate_full, simulate_reduced, wiener_increments
@@ -79,6 +79,16 @@ def test_increment_variance_scales_with_dt():
 def test_config_rejects_subsize_horizon():
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(horizon=1e-4, dt=1e-3).n_steps
+    with pytest.raises(ValueError, match="overflows the step count"):
+        SimConfig(horizon=1e300, dt=1e-300)
+
+
+@pytest.mark.parametrize(
+    "horizon, dt", [(float("inf"), 1e-3), (0.1, float("nan")), (0.1, 0.0), (-0.1, 1e-3)]
+)
+def test_config_rejects_non_finite_or_non_positive_steps(horizon, dt):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        SimConfig(horizon=horizon, dt=dt)
 
 
 @pytest.mark.parametrize("ceiling", [0.0, -1.0, float("nan")])
@@ -187,7 +197,7 @@ def test_reduced_path_stops_where_its_frame_degenerates():
     # step 0, and the other path runs on exactly as it does alone
     m = 8
     v = sine_mode(m, 1)
-    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * float(x[0]) ** 2)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
     model = PLaplaceModel(2.0, m)
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0)
     both = simulate_reduced(model, chart, [[0.5], [0.0]], cfg, [0, 1])
@@ -331,47 +341,6 @@ def test_batched_grid_span_with_exits_and_explosions_matches_per_path():
     assert any(exploded) and any(exited)
     assert not all(a or b for a, b in zip(exploded, exited))
     assert len({r.exit_step for r in rec.records}) > 2
-
-
-class _SingleStateModel:
-    """A transport model seen only through the single-state protocol."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.geometry = inner.geometry
-        self.n_noise = inner.n_noise
-
-    def drift(self, y):
-        assert not y.batch
-        return self.inner.drift(y)
-
-    def diffusion(self, y):
-        assert not y.batch
-        return self.inner.diffusion(y)
-
-
-def test_single_state_model_and_chart_run_row_by_row():
-    model, chart = transport_setup(16)
-    profile = SpectralState.basis([0], 16)
-
-    def shifted(x):
-        assert np.shape(x) == (1,)
-        return translate(profile, float(x[0]))
-
-    plain_chart = Parametrization(
-        m=1,
-        domain=[[-2.0, 2.0]],
-        eval=shifted,
-        jac=lambda x: [-derivative(shifted(x))],
-        hess=lambda x: [[second_derivative(shifted(x))]],
-    )
-    cfg = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=12)
-    want = coupled_compare(model, chart, [0.2], cfg)
-    got = coupled_compare(_SingleStateModel(model), plain_chart, [0.2], cfg)
-    for a, b in zip(want.records, got.records):
-        np.testing.assert_allclose(b.xs, a.xs, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(b.coupled_err, a.coupled_err, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(b.dist, a.dist, rtol=0.0, atol=1e-12)
 
 
 def test_ensemble_increments_are_the_per_path_tables():

@@ -212,7 +212,7 @@ def test_degenerate_point_recorded_not_fatal():
     n = 6
     v = basis([1], n)
     chart = Parametrization(m=1, domain=[[-1.0, 1.0]],
-                            eval=lambda x: v * float(x[0]) ** 2)
+                            eval=lambda x: v * x[..., 0] ** 2)
     model = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=())
     rep = sweep(model, chart, SamplingSpec(points_per_axis=3))
     np.testing.assert_array_equal(rep.degenerate, [False, True, False])
@@ -267,31 +267,6 @@ def test_drift_forms_recover_one_reduced_drift_on_a_plane():
     assert rep.verdict == "tangent"
     np.testing.assert_allclose(rep.beta_strat, rep.beta, atol=1e-7)
     assert np.abs(rep.beta).max() > 0.1
-
-
-def test_sweep_runs_single_state_models_row_by_row():
-    model, chart = transport_setup(16)
-
-    class OneState:
-        geometry = model.geometry
-        n_noise = model.n_noise
-
-        def drift(self, y):
-            assert not y.batch
-            return model.drift(y)
-
-        def diffusion(self, y):
-            assert not y.batch
-            return model.diffusion(y)
-
-        def diffusion_derivative(self, y, u, j):
-            return model.diffusion_derivative(y, u, j)
-
-    want = sweep(model, chart, SamplingSpec(points_per_axis=4))
-    got = sweep(OneState(), chart, SamplingSpec(points_per_axis=4))
-    np.testing.assert_allclose(got.beta_strat, want.beta_strat, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(got.rho_drift, want.rho_drift, rtol=0.0, atol=1e-12)
-    assert got.verdict == want.verdict
 
 
 def test_bracket_only_sweep_skips_strat_columns():
@@ -442,7 +417,7 @@ def test_batched_sweep_matches_pointwise_with_degenerate_points():
     n = 8
     v = basis([1], n)
     chart = Parametrization(m=1, domain=[[-1.0, 1.0]],
-                            eval=lambda x: v * float(x[0]) ** 2)
+                            eval=lambda x: v * x[..., 0] ** 2)
     model = ItoTypeModel(
         d=1, J=1, N=n, b=(dirac0(n),), sigma=((dirac0(n),),),
         extra_fields=(basis([2], n),),
@@ -462,7 +437,7 @@ class CubicNoise:
         return y * 0.0
 
     def diffusion(self, y):
-        return [y * float(np.sum(y.coeffs**2))]
+        return [y * (y.coeffs**2).sum(-1)]
 
 
 def test_batched_sweep_keeps_per_point_warnings_in_order():
@@ -506,7 +481,7 @@ def test_degenerate_shifted_frame_is_recorded_not_fatal():
     # x = 1e-4 through its shifted point x - h
     m = 8
     v = sine_mode(m, 1)
-    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * float(x[0]) ** 2)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
     model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1),))
     rep = sweep(model, chart, SamplingSpec(points=[[0.5], [1e-4]]), form="both")
     np.testing.assert_array_equal(rep.degenerate, [False, True])
@@ -528,7 +503,7 @@ def test_report_json_round_trip_with_nan_rows():
     n = 6
     v = basis([1], n)
     chart = Parametrization(m=1, domain=[[-1.0, 1.0]],
-                            eval=lambda x: v * float(x[0]) ** 2)
+                            eval=lambda x: v * x[..., 0] ** 2)
     model = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=())
     rep = sweep(model, chart, SamplingSpec(points_per_axis=3),
                 metadata={"label": "probe"})
