@@ -17,6 +17,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ConfigError,
     build_manifold,
@@ -30,7 +32,7 @@ from .config import (
     sweep_config,
 )
 from .manifold import DegenerateChartError
-from .simulate import coupled_compare
+from .simulate import ReducedTableError, coupled_compare
 from .tangency import (
     VERDICT_TANGENT,
     FormDisagreementError,
@@ -137,23 +139,26 @@ def _cmd_simulate(args) -> int:
     report = sweep(model, param, **sweep_config(cfg))
     sim_cfg = build_sim_config(cfg, seed=seed)
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
+    # the table against the sweep's coefficients off its nodes (beta from the bracket form)
+    a, beta, _ = record.table(report.points)
+    gaps = [a - report.a_coords]
+    if cfg["check"]["form"] != "stratonovich":
+        gaps.append(beta - report.beta)
+    summary = record.summary
+    summary["reduced_table_error"] = max(float(np.nanmax(abs(g), initial=0.0)) for g in gaps)
     rundir = _run_dir(_out_root(args.out), "simulate", cfg, seed)
     header, rows = record.to_csv_rows()
     _write_csv(rundir / "trajectory.csv", header, rows)
-    manifest = _manifest(
-        "simulate", cfg, seed, ["trajectory.csv", "manifest.json"], record.summary
-    )
+    manifest = _manifest("simulate", cfg, seed, ["trajectory.csv", "manifest.json"], summary)
     _write_json(rundir / "manifest.json", manifest)
     print(f"verdict: {report.verdict}")
-    print(f"paths: {record.summary['paths']}  steps: {record.summary['steps']}")
-    max_dist = record.summary["max_distance"]
+    print(f"paths: {summary['paths']}  steps: {summary['steps']}")
+    max_dist = summary["max_distance"]
+    print("max distance to chart: " + ("not recorded" if max_dist is None else f"{max_dist:.6e}"))
+    print(f"max coupled gap: {summary['max_coupled_err']:.6e}")
     print(
-        "max distance to chart: "
-        + ("not recorded" if max_dist is None else f"{max_dist:.6e}")
-    )
-    print(f"max coupled gap: {record.summary['max_coupled_err']:.6e}")
-    print(
-        f"exited: {record.summary['n_exited']}  exploded: {record.summary['n_exploded']}"
+        f"exited: {summary['n_exited']} ({summary['n_degenerate_frame']} at a degenerate frame)"
+        f"  exploded: {summary['n_exploded']}"
     )
     print(f"RUNDIR {rundir}")
     return 0
@@ -232,6 +237,9 @@ def main(argv=None) -> int:
         return _cmd_report(args)
     except (ConfigError, InvalidSamplingError, FormDisagreementError, DegenerateChartError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except ReducedTableError as err:
+        print(f"error: manifold: {err}", file=sys.stderr)
         return 1
 
 

@@ -469,8 +469,9 @@ def load_config(source) -> dict:
     """Resolve a preset name, dict, or JSON file path into a canonical config.
 
     The model, chart and sim config are built once, and the chart is
-    evaluated at its domain centre: what they reject, or an image outside
-    the model's states, is a ConfigError here.
+    evaluated at its domain centre: what they reject, an image outside
+    the model's states, or a start ``sim.x0`` outside the chart box, is a
+    ConfigError here.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -513,6 +514,9 @@ def load_config(source) -> dict:
         chart = build_manifold(cfg)
         # the image must meet the model's states: same grid size or dimension
         built.geometry.zero_state() + chart.eval(chart.domain.mean(axis=1))
+    if not chart.contains(sim["x0"]):
+        box = chart.domain.tolist()
+        raise ConfigError(f"sim.x0 must lie in the chart box {box}, got {sim['x0']}")
     with _rejected("sim."):  # SimConfig names the rejected field first
         build_sim_config(cfg)
     return cfg

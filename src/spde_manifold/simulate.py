@@ -5,9 +5,11 @@ keyed by seed and indexed by path/step/component), so a full-space path
 and its reduced counterpart can be driven by identical increments.  Given
 a sequence of path indices, each integrator steps that whole ensemble at
 once: the live paths form one batch, so every drift, diffusion, frame and
-distance evaluation covers all of them.  The coupled comparison advances
-both, measures the distance from the full state to the chart at every
-recorded step, and summarizes the ensemble.
+distance evaluation covers all of them.  The reduced run tabulates its
+coefficients, which depend on the chart coordinate alone, once per run on
+the chart box.  The coupled comparison advances both, measures the
+distance from the full state to the chart at every recorded step, and
+summarizes the ensemble.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .manifold import Parametrization, block_frame, distance_to_manifold
+from .manifold import RANK_FLOOR, Parametrization, block_frame, distance_to_manifold
 from .tangency import reduced_coefficients, row_blocks
 
 __all__ = [
@@ -26,6 +28,8 @@ __all__ = [
     "wiener_increments",
     "FullPath",
     "simulate_full",
+    "ReducedTableError",
+    "reduced_table",
     "ReducedPath",
     "simulate_reduced",
     "PathRecord",
@@ -165,46 +169,125 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     return FullPath(times, states, bool(exploded[0]), exit_step[0], float(max_spill[0]))
 
 
+# The reduced run reads (a, beta) and the frame columns from a Chebyshev tensor interpolant on
+# the chart box: K first-kind nodes per axis, doubled until each group's last two coefficient
+# layers fall to TABLE_TAIL_TOL of its largest value (Trefethen, ATAP, 2013, ch. 8)
+TABLE_FIRST_NODES = 8
+TABLE_TAIL_TOL = 1e-13
+TABLE_NODE_BUDGET = 4096  # tensor nodes of the largest table tried
+
+
+class ReducedTableError(RuntimeError):
+    """The chart's reduced coefficients admit no Chebyshev table on its box."""
+
+
+@dataclass
+class ReducedTable:
+    """Chebyshev coefficients (K,) * m + (F,) of a, beta and the weighted frame columns."""
+
+    domain: np.ndarray
+    coeffs: np.ndarray
+    n_noise: int
+    nodes: int
+
+    def __call__(self, x):
+        """(a, beta, columns) at a (P, m) batch of points in the box."""
+        (p, m), i = x.shape, self.n_noise * x.shape[1]
+        lo, hi = self.domain.T
+        u = np.minimum(np.maximum((2.0 * x - lo - hi) / (hi - lo), -1.0), 1.0)
+        t = np.cos(np.arccos(u)[..., None] * np.arange(self.coeffs.shape[0]))
+        axes = "ABCDEFGHIJKL"[:m]
+        spec = ",".join("p" + c for c in axes) + f",{axes}f->pf"
+        # einsum without optimize: a row's rounding does not depend on the row count
+        v = np.einsum(spec, *t.swapaxes(0, 1), self.coeffs)
+        a, beta, cols = v[:, :i], v[:, i : i + m], v[:, i + m :]
+        return a.reshape(p, self.n_noise, m), beta, cols.reshape(p, cols.shape[1] // m, m)
+
+
+def reduced_table(model, param: Parametrization) -> ReducedTable:
+    """Tabulate (a, beta) and the frame columns over the chart box, from one
+    ``reduced_coefficients`` call per row block of nodes.  A node whose frame
+    degenerates, or a tail that does not decay within the node budget,
+    raises ReducedTableError."""
+    geo, m, (lo, hi) = model.geometry, param.m, param.domain.T
+    n_a, k = model.n_noise * m, TABLE_FIRST_NODES
+    while k**m <= TABLE_NODE_BUDGET:
+        theta = (2 * np.arange(k) + 1) * np.pi / (2 * k)
+        grid = np.stack(np.meshgrid(*[np.cos(theta)] * m, indexing="ij"), axis=-1)
+        x, values = lo + 0.5 * (hi - lo) * (grid.reshape(-1, m) + 1.0), []
+        for idx in row_blocks(np.arange(x.shape[0]), geo):
+            _, frame, dropped = block_frame(param, x[idx], geo)
+            if dropped:
+                note = next(iter(dropped.values()))
+                raise ReducedTableError(f"frame degenerates at a table node: {note}")
+            a, beta = reduced_coefficients(model, param, frame)
+            cols = frame._weighted(frame.base_order)[1]  # one (n, m) frame on a constant chart
+            beta = np.broadcast_to(beta, (idx.size, m))
+            cols = np.broadcast_to(cols, (idx.size,) + cols.shape[-2:])
+            values.append(np.hstack([v.reshape(idx.size, -1) for v in (a, beta, cols)]))
+        values = np.concatenate(values)
+        # c_k = (2/K) sum_j f_j T_k(u_j), c_0 halved, axis by axis: a DCT-II,
+        # from the FFT of the values and their mirror image
+        phase = np.exp(-0.5j * np.pi * np.arange(k) / k) / k
+        phase[0] *= 0.5
+        coeffs = values.reshape((k,) * m + (-1,))
+        for axis in range(m):
+            spectrum = np.fft.fft(np.concatenate([coeffs, np.flip(coeffs, axis)], axis), axis=axis)
+            coeffs = (spectrum.take(range(k), axis) * phase.reshape((k,) + (1,) * (m - axis))).real
+        tail = np.abs(coeffs[np.indices((k,) * m).max(axis=0) >= k - 2]).max(axis=0)
+        scale = np.abs(values).max(axis=0)
+        groups = (slice(0, n_a), slice(n_a, n_a + m), slice(n_a + m, None))
+        tails = [(tail[g].max(initial=0.0), scale[g].max(initial=0.0)) for g in groups]
+        if all(t <= TABLE_TAIL_TOL * s for t, s in tails):
+            return ReducedTable(param.domain, coeffs, model.n_noise, k**m)
+        k *= 2
+    raise ReducedTableError(
+        f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes resolves the reduced "
+        f"coefficients on the chart box {param.domain.tolist()}: they are not smooth enough"
+    )
+
+
 @dataclass
 class ReducedPath:
-    """One path, or an ensemble: then ``xs`` has shape (steps + 1, P, m)
-    and the flags and exit steps are per path."""
+    """One path, or an ensemble: then ``xs`` has shape (steps + 1, P, m) and the
+    flags (``degenerate``: stopped at a degenerate frame) and exit steps are per path."""
 
     times: np.ndarray
     xs: np.ndarray
     exited: bool
     exit_step: Optional[int]
+    degenerate: bool
+    table: ReducedTable
 
 
 def simulate_reduced(
-    model,
-    param: Parametrization,
-    x0,
-    cfg: SimConfig,
-    path_index=0,
-    increments=None,
+    model, param: Parametrization, x0, cfg: SimConfig, path_index=0, increments=None
 ) -> ReducedPath:
     """Euler path of the chart-coordinate equation dX = beta dt + a dW.
 
-    Coefficients come from projecting the model onto the moving tangent
-    frame, for every live path of the ensemble at once.  Leaving the chart
-    domain (or hitting a degenerate frame) stops that path and flags it.
+    Every live path reads its coefficients and frame columns from the table
+    ``reduced_table`` builds once for the run.  A path stops, flagged as
+    exited, where it leaves the chart domain or where the relative smallest
+    singular value of its columns is at most ``RANK_FLOOR``, as in ``jacobian``.
     """
     n_steps = cfg.n_steps
     paths, increments = _ensemble(path_index, cfg, model.n_noise, increments)
+    table = reduced_table(model, param)
     xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, param.m)))
     rows = [xs.copy()]
     exited = np.zeros(paths.size, dtype=bool)
+    degenerate = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
     live = np.arange(paths.size)
     for step in range(n_steps):
-        kept, frame, dropped = block_frame(param, xs[live], model.geometry)
-        for k in live[list(dropped)]:
-            exited[k], exit_step[k] = True, step
-        live = live[kept]
+        a, beta, cols = table(xs[live])
+        sv = np.linalg.norm(cols, axis=1) if param.m == 1 else np.linalg.svd(cols, compute_uv=False)
+        bad = sv[:, -1] <= RANK_FLOOR * np.maximum(1.0, sv[:, 0])
+        for k in live[bad]:
+            exited[k], degenerate[k], exit_step[k] = True, True, step
+        a, beta, live = a[~bad], beta[~bad], live[~bad]
         if not live.size:
             break
-        a, beta = reduced_coefficients(model, param, frame)
         dw = increments[live, step]
         xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
         rows.append(xs.copy())
@@ -214,8 +297,9 @@ def simulate_reduced(
         live = live[~out]
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: len(rows)]
     if np.ndim(path_index):
-        return ReducedPath(times, np.asarray(rows), exited, exit_step)
-    return ReducedPath(times, np.asarray(rows)[:, 0], bool(exited[0]), exit_step[0])
+        return ReducedPath(times, np.asarray(rows), exited, exit_step, degenerate, table)
+    xs = np.asarray(rows)[:, 0]
+    return ReducedPath(times, xs, bool(exited[0]), exit_step[0], bool(degenerate[0]), table)
 
 
 # Gauss-Newton step tolerance of the recorded distances: the distance error
@@ -289,19 +373,18 @@ class TrajectoryRecord:
     records: list
     verdict: Optional[str]
     summary: dict = field(default_factory=dict)
+    table: Optional[ReducedTable] = None  # the reduced run's coefficient table
 
     def to_csv_rows(self):
-        m = self.records[0].xs.shape[1] if self.records else 0
+        """Header and rows; each float column is formatted once with repr,
+        which round-trips every value exactly."""
+        recs = self.records
+        m = recs[0].xs.shape[1]
         header = ["path", "step", "time", *(f"x_{k}" for k in range(m)), "dist", "coupled_err"]
-        rows = []
-        for rec in self.records:
-            for step, t in enumerate(rec.times):
-                rows.append(
-                    [str(rec.path_index), str(step), f"{t:.17g}"]
-                    + [f"{v:.17g}" for v in rec.xs[step]]
-                    + [f"{rec.dist[step]:.17g}", f"{rec.coupled_err[step]:.17g}"]
-                )
-        return header, rows
+        stacked = [np.column_stack([r.times, r.xs, r.dist, r.coupled_err]) for r in recs]
+        text = [list(map(repr, column)) for column in np.concatenate(stacked).T.tolist()]
+        labels = [(str(r.path_index), str(k)) for r in recs for k in range(len(r.times))]
+        return header, [[*label, *cells] for label, *cells in zip(labels, *text)]
 
 
 def coupled_compare(
@@ -323,7 +406,7 @@ def coupled_compare(
     solve did not converge are flagged and counted, and kept out of the
     maximum distance.  The ensemble summary keeps the maxima, the mean and
     standard error over paths of each path's largest gap, the Gauss-Newton
-    path-iterations of every block solve, and the per-path termination flags.
+    path-iterations of every block solve, the termination flags and the table's size.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
@@ -388,7 +471,9 @@ def coupled_compare(
         "n_unconverged_distance": int(unconverged.sum()),
         "distance_iterations": iterations,
         "n_exited": sum(r.exited for r in records),
+        "n_degenerate_frame": int(np.sum(reduced.degenerate)),
         "n_exploded": sum(r.exploded for r in records),
+        "reduced_table_nodes": reduced.table.nodes,
         "verdict": verdict,
     }
-    return TrajectoryRecord(records, verdict, summary)
+    return TrajectoryRecord(records, verdict, summary, reduced.table)

@@ -182,6 +182,43 @@ def test_simulate_writes_trajectory(out_root, capsys):
     assert summary["max_spill"] >= 0.0
 
 
+def test_simulate_summary_reports_the_reduced_table(out_root, capsys):
+    assert main(["simulate", "--config", "ito_translation_d1", "--out", str(out_root)]) == 0
+    assert "(0 at a degenerate frame)" in capsys.readouterr().out
+    rundir = run_dir_for(out_root, "simulate", "ito_translation_d1", 2024)
+    summary = json.loads((rundir / "manifest.json").read_text())["summary"]
+    assert summary["n_degenerate_frame"] == 0
+    # K = 32 first-kind nodes resolve the transport coefficients on [-2, 2]
+    assert summary["reduced_table_nodes"] == 32
+    assert 0.0 < summary["reduced_table_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("x0", [3.0, float("nan")])
+def test_simulate_x0_outside_the_chart_box_exit_one(x0, out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "x0.json"
+    source = {"preset": "ito_translation_d1", "sim": {"x0": [x0], "paths": 2, "horizon": 0.01}}
+    cfg_path.write_text(json.dumps(source))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_root)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: sim.x0 must lie in the chart box")
+    assert not any(out_root.iterdir())
+
+
+def test_simulate_unresolved_reduced_table_exit_one(out_root, tmp_path, capsys):
+    # p = 3 on the span of one sine mode: beta is proportional to |x| x, whose
+    # Chebyshev coefficients decay only algebraically
+    cfg_path = tmp_path / "p3_span.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"type": "plaplace", "p": 3.0, "M": 16, "fields": []},
+        "manifold": {"type": "span", "vectors": [{"kind": "sine", "k": 1}], "domain": [[-1, 1]]},
+        "sim": {"x0": [0.5], "horizon": 0.01, "dt": 1e-3},
+    }))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_root)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: manifold: no Chebyshev table")
+    assert not any(out_root.iterdir())
+
+
 def test_simulate_seed_override(out_root, capsys):
     rc = main(["simulate", "--config", "ito_zero", "--seed", "99",
                "--out", str(out_root)])

@@ -216,6 +216,19 @@ def test_check_and_sim_validation():
         load_config({"preset": "ito_zero", "sim": {"seed": 1.5}})
 
 
+@pytest.mark.parametrize("x0", [[3.0], [-2.5], [float("nan")], [float("inf")]])
+def test_sim_x0_outside_the_chart_box_is_rejected(x0):
+    with pytest.raises(ConfigError, match=r"sim\.x0 must lie in the chart box \[\[-2.0, 2.0\]\]"):
+        load_config({"preset": "ito_translation_d1", "sim": {"x0": x0, "paths": 2, "horizon": 0.01}})
+
+
+def test_sim_x0_on_the_chart_box_edge_loads():
+    cfg = load_config({"preset": "negative_control", "sim": {"x0": [-1.0, 1.0]}})
+    assert cfg["sim"]["x0"] == [-1.0, 1.0]
+    with pytest.raises(ConfigError, match="sim.x0"):
+        load_config({"preset": "negative_control", "sim": {"x0": [0.0, 1.0 + 1e-12]}})
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("jac_mode", "analytc"), ("da_mode", "exact"), ("method", "sobol"), ("form", "all")],

@@ -20,7 +20,14 @@ from spde_manifold.grid import laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import DualField, SpectralState
 from spde_manifold.manifold import distance_to_manifold, jacobian
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
-from spde_manifold.simulate import simulate_full, simulate_reduced, wiener_increments
+from spde_manifold.simulate import (
+    TABLE_FIRST_NODES,
+    ReducedTableError,
+    reduced_table,
+    simulate_full,
+    simulate_reduced,
+    wiener_increments,
+)
 from spde_manifold.tangency import reduced_coefficients
 
 
@@ -208,6 +215,85 @@ def test_reduced_path_stops_where_its_frame_degenerates():
     assert not alone.exited
 
 
+# -- the reduced coefficient table -----------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["ito_translation_d1", "ito_translation_d1_negative"])
+def test_reduced_table_matches_the_exact_coefficients(preset):
+    cfg = load_config(preset)
+    model, chart = build_model(cfg), build_manifold(cfg)
+    table = reduced_table(model, chart)
+    x = np.linspace(*chart.domain[0], 1001)[:, None]
+    frame = jacobian(chart, x, model.geometry)
+    a, beta = reduced_coefficients(model, chart, frame)
+    got_a, got_beta, cols = table(x)
+    assert np.abs(got_a - a).max() <= 1e-12
+    assert np.abs(got_beta - beta).max() <= 1e-12
+    assert np.abs(cols - frame._weighted(frame.base_order)[1]).max() <= 1e-12
+    assert table.nodes == {"ito_translation_d1": 32, "ito_translation_d1_negative": 64}[preset]
+
+
+def test_reduced_table_rejects_coefficients_that_are_not_smooth():
+    # p = 3 on the span of one sine mode: beta is proportional to |x| x
+    model = PLaplaceModel(3.0, 16)
+    chart = linear_span_chart([sine_mode(16, 1)], [[-1.0, 1.0]])
+    with pytest.raises(ReducedTableError, match="not smooth enough"):
+        reduced_table(model, chart)
+
+
+def test_reduced_table_rejects_a_frame_degenerate_at_a_node():
+    m = 8
+    v = sine_mode(m, 1)
+    node = np.cos(np.pi / (2 * TABLE_FIRST_NODES))  # a node of the first table on [-1, 1]
+    chart = Parametrization(
+        m=1,
+        domain=[[-1.0, 1.0]],
+        eval=lambda x: v * x[..., 0],
+        jac=lambda x: [v * (np.abs(x[..., 0] - node) > 1e-9).astype(float)],
+    )
+    with pytest.raises(ReducedTableError, match="degenerates at a table node"):
+        reduced_table(PLaplaceModel(2.0, m), chart)
+
+
+def test_reduced_run_calls_reduced_coefficients_only_for_its_table(monkeypatch):
+    from spde_manifold import simulate
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].x.shape[0])
+        return reduced_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "reduced_coefficients", counted)
+    model, chart = transport_setup(24)
+    reduced_table(model, chart)
+    build = list(calls)
+    assert build  # one call per row block of nodes
+    for horizon in (2e-3, 5e-2):
+        calls.clear()
+        cfg = SimConfig(horizon=horizon, dt=1e-3, paths=3, seed=4)
+        path = simulate_reduced(model, chart, [0.2], cfg, [0, 1, 2])
+        assert not path.exited.any() and len(path.xs) == cfg.n_steps + 1
+        assert calls == build
+
+
+def test_summary_counts_degenerate_frame_exits_apart():
+    m = 8
+    v = sine_mode(m, 1)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
+    cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0, record_distance=False)
+    rec = coupled_compare(PLaplaceModel(2.0, m), chart, [0.0], cfg)
+    assert rec.summary["n_degenerate_frame"] == rec.summary["n_exited"] == 2
+    assert all(r.exit_step == 0 for r in rec.records)
+
+    # a path that leaves the box exits without a degenerate frame
+    chart = linear_span_chart([sine_mode(16, 1)], [[0.9, 2.0]])
+    cfg = SimConfig(horizon=0.05, dt=1e-3, paths=1, seed=0, record_distance=False)
+    rec = coupled_compare(PLaplaceModel(2.0, 16), chart, [1.0], cfg)
+    assert rec.summary["n_exited"] == 1 and rec.summary["n_degenerate_frame"] == 0
+    assert rec.summary["reduced_table_nodes"] == TABLE_FIRST_NODES
+
+
 # -- coupled comparison -------------------------------------------------------------------
 
 
@@ -263,6 +349,24 @@ def test_trajectory_csv_layout():
     float(rows[0][2])  # times parse back
     assert rows[0][:2] == ["0", "0"]
     assert rows[-1][0] == "1"
+
+
+@pytest.mark.parametrize("record_distance", [True, False])
+def test_trajectory_csv_cells_parse_back_to_the_record(record_distance):
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=4e-3, dt=1e-3, paths=2, seed=12, record_distance=record_distance)
+    rec = coupled_compare(model, chart, [0.2], cfg)
+    header, rows = rec.to_csv_rows()
+    cells = np.array([[float(c) for c in row] for row in rows])
+    want = np.concatenate([
+        np.column_stack([
+            np.full(len(r.times), r.path_index), np.arange(len(r.times)),
+            r.times, r.xs, r.dist, r.coupled_err,
+        ])
+        for r in rec.records
+    ])
+    np.testing.assert_array_equal(cells, want)  # NaN distances read back as NaN
+    assert np.isnan(cells[:, -2]).all() != record_distance
 
 
 # -- batched ensemble against per-path runs -------------------------------------------
