@@ -193,7 +193,7 @@ class ReducedTable:
     def __call__(self, x):
         """(a, beta, columns) at a (P, m) batch of points in the box."""
         (p, m), i = x.shape, self.n_noise * x.shape[1]
-        lo, hi = self.domain.T
+        lo, hi = self.domain.T  # the clip absorbs rounding at the box edge only
         u = np.minimum(np.maximum((2.0 * x - lo - hi) / (hi - lo), -1.0), 1.0)
         t = np.cos(np.arccos(u)[..., None] * np.arange(self.coeffs.shape[0]))
         axes = "ABCDEFGHIJKL"[:m]
@@ -211,6 +211,10 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
     raises ReducedTableError."""
     geo, m, (lo, hi) = model.geometry, param.m, param.domain.T
     n_a, k = model.n_noise * m, TABLE_FIRST_NODES
+    while k > 4 and k**m > TABLE_NODE_BUDGET:  # 4 per axis still resolve a linear field
+        k //= 2
+    if k**m > TABLE_NODE_BUDGET:
+        raise ReducedTableError(f"{m} coordinates need {k**m} table nodes, over {TABLE_NODE_BUDGET}")
     while k**m <= TABLE_NODE_BUDGET:
         theta = (2 * np.arange(k) + 1) * np.pi / (2 * k)
         grid = np.stack(np.meshgrid(*[np.cos(theta)] * m, indexing="ij"), axis=-1)
@@ -242,8 +246,8 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
             return ReducedTable(param.domain, coeffs, model.n_noise, k**m)
         k *= 2
     raise ReducedTableError(
-        f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes resolves the reduced "
-        f"coefficients on the chart box {param.domain.tolist()}: they are not smooth enough"
+        f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes ({k // 2} per axis) resolves the "
+        f"reduced coefficients on the chart box {param.domain.tolist()}: they are not smooth enough"
     )
 
 
@@ -269,11 +273,14 @@ def simulate_reduced(
     ``reduced_table`` builds once for the run.  A path stops, flagged as
     exited, where it leaves the chart domain or where the relative smallest
     singular value of its columns is at most ``RANK_FLOOR``, as in ``jacobian``.
+    A start ``x0`` outside the chart box raises ValueError.
     """
     n_steps = cfg.n_steps
     paths, increments = _ensemble(path_index, cfg, model.n_noise, increments)
-    table = reduced_table(model, param)
     xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, param.m)))
+    if not param.contains(xs).all():
+        raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
+    table = reduced_table(model, param)
     rows = [xs.copy()]
     exited = np.zeros(paths.size, dtype=bool)
     degenerate = np.zeros(paths.size, dtype=bool)
@@ -281,7 +288,7 @@ def simulate_reduced(
     live = np.arange(paths.size)
     for step in range(n_steps):
         a, beta, cols = table(xs[live])
-        sv = np.linalg.norm(cols, axis=1) if param.m == 1 else np.linalg.svd(cols, compute_uv=False)
+        sv = np.linalg.svd(cols, compute_uv=False)
         bad = sv[:, -1] <= RANK_FLOOR * np.maximum(1.0, sv[:, 0])
         for k in live[bad]:
             exited[k], degenerate[k], exit_step[k] = True, True, step

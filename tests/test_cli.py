@@ -204,6 +204,38 @@ def test_simulate_x0_outside_the_chart_box_exit_one(x0, out_root, tmp_path, caps
     assert not any(out_root.iterdir())
 
 
+def test_simulate_chart_of_five_coordinates(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "span5.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"type": "plaplace", "p": 2.0, "M": 16, "fields": [{"kind": "sine", "k": 1}]},
+        "manifold": {
+            "type": "span",
+            "vectors": [{"kind": "sine", "k": k} for k in range(1, 6)],
+            "domain": [[-1, 1]] * 5,
+        },
+        "check": {"points_per_axis": 2},
+        "sim": {"x0": [0.1, 0.2, 0.0, -0.1, 0.3], "paths": 2, "horizon": 0.01, "dt": 1e-3},
+    }))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_root)]) == 0
+    assert "exited: 0 (0 at a degenerate frame)" in capsys.readouterr().out
+    rundir = next(out_root.iterdir())
+    summary = json.loads((rundir / "manifest.json").read_text())["summary"]
+    assert summary["reduced_table_nodes"] == 4**5
+    assert summary["reduced_table_error"] <= 1e-12
+
+
+def test_simulate_reduced_table_error_is_null_under_fd_frames(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "fd.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "ito_translation_d1",
+        "check": {"jac_mode": "fd"},
+        "sim": {"paths": 2, "horizon": 0.01},
+    }))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_root)]) == 0
+    rundir = next(out_root.iterdir())
+    assert json.loads((rundir / "manifest.json").read_text())["summary"]["reduced_table_error"] is None
+
+
 def test_simulate_unresolved_reduced_table_exit_one(out_root, tmp_path, capsys):
     # p = 3 on the span of one sine mode: beta is proportional to |x| x, whose
     # Chebyshev coefficients decay only algebraically

@@ -241,6 +241,34 @@ def test_reduced_table_rejects_coefficients_that_are_not_smooth():
         reduced_table(model, chart)
 
 
+def test_reduced_table_of_many_coordinates_starts_within_its_node_budget():
+    # p = 2 on the span of five sine modes: every coefficient is at most linear,
+    # so 4 nodes per axis (1024 in all) resolve it
+    model = PLaplaceModel(2.0, 16, (sine_mode(16, 1),))
+    chart = linear_span_chart([sine_mode(16, k) for k in range(1, 6)], [[-1.0, 1.0]] * 5)
+    table = reduced_table(model, chart)
+    assert table.nodes == 4**5
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 5))
+    a, beta = reduced_coefficients(model, chart, jacobian(chart, x, model.geometry))
+    got_a, got_beta, _ = table(x)
+    assert np.abs(got_a - a).max() <= 1e-12 and np.abs(got_beta - beta).max() <= 1e-12
+
+    # seven coordinates need 4**7 nodes even at 4 per axis
+    chart = linear_span_chart([sine_mode(16, k) for k in range(1, 8)], [[-1.0, 1.0]] * 7)
+    with pytest.raises(ReducedTableError, match="7 coordinates need 16384 table nodes"):
+        reduced_table(model, chart)
+
+
+@pytest.mark.parametrize("x0", [[3.0], [-2.5], [float("nan")]])
+def test_reduced_run_rejects_a_start_outside_the_chart_box(x0):
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=4e-3, dt=1e-3, paths=2, seed=0)
+    with pytest.raises(ValueError, match=r"x0 must lie in the chart box"):
+        simulate_reduced(model, chart, x0, cfg, [0, 1])
+    with pytest.raises(ValueError, match=r"x0 must lie in the chart box"):
+        coupled_compare(model, chart, x0, cfg)
+
+
 def test_reduced_table_rejects_a_frame_degenerate_at_a_node():
     m = 8
     v = sine_mode(m, 1)
