@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -21,9 +22,6 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    build_manifold,
-    build_model,
-    build_sim_config,
     config_hash,
     load_config,
     manifold_hash,
@@ -96,12 +94,8 @@ def _run_dir(root: Path, command: str, cfg: dict, seed: int) -> Path:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["sim"]["seed"] if args.seed is None else args.seed
-    report = sweep(
-        build_model(cfg),
-        build_manifold(cfg),
-        **sweep_config(cfg),
-        metadata={"config_hash": config_hash(cfg)},
-    )
+    model, param, _ = cfg.built
+    report = sweep(model, param, **sweep_config(cfg), metadata={"config_hash": config_hash(cfg)})
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
     _write_json(rundir / "report.json", report.to_json_dict())
     header, rows = report.to_csv_rows()
@@ -133,10 +127,9 @@ def _cmd_check(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = cfg["sim"]["seed"] if args.seed is None else args.seed
-    model = build_model(cfg)
-    param = build_manifold(cfg)
+    model, param, sim_cfg = cfg.built
     report = sweep(model, param, **sweep_config(cfg))
-    sim_cfg = build_sim_config(cfg, seed=seed)
+    sim_cfg = dataclasses.replace(sim_cfg, seed=seed)
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
     # the table against the sweep's coefficients off its nodes (beta from the bracket form);
     # null under jac_mode fd, whose frames the table's need not share

@@ -1,10 +1,11 @@
 """Named presets, config validation, and deterministic hashing.
 
-A config is a plain dict with four sections: ``model``, ``manifold``,
+A config is a dict with four sections: ``model``, ``manifold``,
 ``check``, ``sim``.  ``load_config`` resolves an optional preset,
 deep-merges overrides, fills defaults, and expands every state/dual
 spec to an explicit canonical form, so the same physical setup always
-canonicalizes (and hashes) identically.
+canonicalizes (and hashes) identically; it also hands back the objects
+it built to validate the config.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .tangency import FORMS, SamplingSpec
 
 __all__ = [
     "ConfigError",
+    "LoadedConfig",
     "preset_names",
     "load_config",
     "canonical_json",
@@ -44,6 +46,15 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A config key is unknown, malformed, or inconsistent."""
+
+
+class LoadedConfig(dict):
+    """A canonical config as ``load_config`` returns it: the dict of its four
+    sections (equal to, and serialized as, the plain dict), and ``built``,
+    the (model, chart, SimConfig at the config's seed) that loading built
+    and validated, for the commands to use instead of building them again."""
+
+    built: tuple
 
 
 _CHECK_DEFAULTS = {
@@ -465,13 +476,13 @@ def _canon_sim(sim: dict, m: int) -> dict:
     return out
 
 
-def load_config(source) -> dict:
+def load_config(source) -> LoadedConfig:
     """Resolve a preset name, dict, or JSON file path into a canonical config.
 
     The model, chart and sim config are built once, and the chart is
     evaluated at its domain centre: what they reject, an image outside
     the model's states, or a start ``sim.x0`` outside the chart box, is a
-    ConfigError here.
+    ConfigError here.  The built objects come back as ``built``.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -486,7 +497,7 @@ def load_config(source) -> dict:
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config file {text!r} is not valid JSON: {err}") from err
     elif isinstance(source, dict):
-        raw = copy.deepcopy(source)
+        raw = copy.deepcopy(dict(source))
     else:
         raise ConfigError(f"unsupported config source {type(source).__name__}")
 
@@ -507,7 +518,7 @@ def load_config(source) -> dict:
     m = len(manifold["domain"])
     check = _canon_check(raw.get("check", {}))
     sim = _canon_sim(raw.get("sim", {}), m)
-    cfg = {"model": model, "manifold": manifold, "check": check, "sim": sim}
+    cfg = LoadedConfig(model=model, manifold=manifold, check=check, sim=sim)
     with _rejected("model: "):
         built = build_model(cfg)
     with _rejected("manifold: "):
@@ -518,7 +529,7 @@ def load_config(source) -> dict:
         box = chart.domain.tolist()
         raise ConfigError(f"sim.x0 must lie in the chart box {box}, got {sim['x0']}")
     with _rejected("sim."):  # SimConfig names the rejected field first
-        build_sim_config(cfg)
+        cfg.built = (built, chart, build_sim_config(cfg))
     return cfg
 
 

@@ -14,7 +14,6 @@ they are a batch, and batches are sliced by the states' own ``rows``.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +23,8 @@ from .hermite import (
     DEFAULT_SCALE,
     NormScale,
     SpectralState,
+    _mask_simplex,
+    _pad_tensor,
     hermite_weights,
     order_grid,
 )
@@ -61,8 +62,8 @@ class HermiteGeometry:
         return max([self.work_order] + [s.N for s in states])
 
     def flat(self, state: SpectralState, order: int | None = None) -> np.ndarray:
-        c = state.padded(state.N if order is None else order).coeffs
-        return c.reshape(-1) if c.ndim == self.d else c.reshape(c.shape[0], -1)
+        c = state.coeffs if order is None else _pad_tensor(state.coeffs, self.d, state.N, order)
+        return c.reshape(c.shape[: c.ndim - self.d] + (-1,))
 
     def weight_vector(self, order: int, q: float | None = None) -> np.ndarray:
         q = self.scale.q_mid if q is None else q
@@ -84,19 +85,31 @@ class HermiteGeometry:
 
     def spill_ratio(self, state: SpectralState):
         """Relative mid-norm mass beyond the working order."""
-        if state.N <= self.work_order:
-            return np.zeros(state.batch) if state.batch else 0.0
-        f = self.flat(state)
-        wff = self.weight_vector(state.N) * f * f
-        total = wff.sum(-1)
-        out = wff[..., _outband_mask(self.d, state.N, self.work_order)].sum(-1)
-        if not state.batch:
-            return math.sqrt(out / total) if total else 0.0
-        # a zero state has no mass beyond the working order either
-        return np.sqrt(out / np.where(total == 0.0, 1.0, total))
+        ratio = self.truncate_rows(self.flat(state), state.N)[1]
+        return ratio if state.batch else float(ratio)
 
     def truncate_to_work(self, state: SpectralState) -> SpectralState:
         return state.truncated(self.work_order)
+
+    def truncate_rows(self, f: np.ndarray, order: int):
+        """Flat coefficients at ``order`` projected onto the working order, as
+        ``truncate_to_work``, with one value per row of the spill ratio (the
+        relative mid-norm mass cut off) and of the mid norm of what is kept."""
+        wff = self.weight_vector(order) * f * f
+        if order <= self.work_order:
+            return f, np.zeros(f.shape[:-1]), _sqrt(wff.sum(-1))
+        total = wff.sum(-1)
+        out = wff[..., _outband_mask(self.d, order, self.work_order)].sum(-1)
+        # a zero state has no mass beyond the working order either
+        spill = np.sqrt(out / np.where(total == 0.0, 1.0, total))
+        lead, keep = f.shape[:-1], (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
+
+        def cut(a):  # the working-order part, masked as a state at that order is
+            c = a.reshape(lead + (order + 1,) * self.d)[keep]
+            return _mask_simplex(c, self.d, self.work_order).reshape(lead + (-1,))
+
+        # a weight depends on the total order alone: the kept part of wff is w f f of the kept f
+        return cut(f), spill, _sqrt(cut(wff).sum(-1))
 
     def state_from_flat(self, vec: np.ndarray, order: int) -> SpectralState:
         vec = np.asarray(vec)
@@ -136,6 +149,10 @@ class GridGeometry:
 
     def truncate_to_work(self, state: GridState) -> GridState:
         return state
+
+    def truncate_rows(self, f: np.ndarray, order=None):
+        """The rows as they are, no spill, and their norm."""
+        return f, np.zeros(f.shape[:-1]), _sqrt(self.h * np.sum(f * f, axis=-1))
 
     def state_from_flat(self, vec: np.ndarray, order=None) -> GridState:
         return GridState(vec)

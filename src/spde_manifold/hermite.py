@@ -36,6 +36,9 @@ __all__ = [
     "pair",
     "derivative",
     "second_derivative",
+    "derivative_coeffs",
+    "second_derivative_coeffs",
+    "weighted_sum",
     "translate",
     "check_embedding",
     "hermite_values",
@@ -99,10 +102,22 @@ def _pad_tensor(c: np.ndarray, d: int, n_from: int, n_to: int) -> np.ndarray:
 
 def _per_row(scalar, trailing: int):
     """A scalar, or a per-path vector shaped to broadcast over ``trailing`` axes."""
+    if isinstance(scalar, np.ndarray) and scalar.ndim == 1 and scalar.dtype == float:
+        return scalar.reshape(scalar.shape + (1,) * trailing)
     if isinstance(scalar, float) or np.ndim(scalar) == 0:
         return float(scalar)
     s = np.asarray(scalar, dtype=float)
     return s.reshape(s.shape + (1,) * trailing)
+
+
+def weighted_sum(terms, core_ndim: int) -> np.ndarray:
+    """``ArrayState.combine`` on arrays at one order: the sum of array * weight
+    over (array, weight) pairs, in order, with ``core_ndim`` axes per state."""
+    acc = None
+    for c, weight in terms:
+        c = c * _per_row(weight, core_ndim)
+        acc = c if acc is None else acc + c
+    return acc
 
 
 def _same_paths(batches) -> None:
@@ -137,11 +152,8 @@ class ArrayState:
         """
         first = terms[0][0]
         _same_paths([s.batch for s, _ in terms] + [getattr(w, "shape", ()) for _, w in terms])
-        acc = None
-        for c, (_, weight) in zip(first._aligned([s for s, _ in terms]), terms):
-            c = c * _per_row(weight, first._core_ndim)
-            acc = c if acc is None else acc + c
-        return first._like(acc)
+        arrays = first._aligned([s for s, _ in terms])
+        return first._like(weighted_sum(zip(arrays, (w for _, w in terms)), first._core_ndim))
 
     def rows(self, rows):
         """The given paths of a batch; a single state is returned as is."""
@@ -394,25 +406,35 @@ def check_embedding(scale: NormScale, states, tol: float = 1e-12) -> EmbeddingRe
 # -- differential operators -------------------------------------------------
 
 
+def derivative_coeffs(c: np.ndarray, d: int, n: int, axis: int) -> np.ndarray:
+    """Coefficient tensor of the derivative along one axis of the order-n
+    tensor ``c`` (one state or a batch): order n + 1, by the ladder recurrence."""
+    if d == 1:
+        return c @ ladder_matrix(n, 1).T
+    up, down = _ladder_factors(n)
+    src = _pad_tensor(c, d, n, n + 1)
+    out = np.zeros_like(src)
+    a = np.moveaxis(src, axis - d, -1)
+    o = np.moveaxis(out, axis - d, -1)
+    o[..., :-1] += up * a[..., 1:]
+    o[..., 1:] -= down * a[..., :-1]
+    return _mask_simplex(out, d, n + 1)
+
+
+def _check_axis(state: SpectralState, axis: int) -> None:
+    if not 0 <= axis < state.d:
+        raise ValueError(f"axis {axis} out of range for d={state.d}")
+
+
 def derivative(state: SpectralState, axis: int = 0) -> SpectralState:
     """Partial derivative along one axis via the ladder recurrence.
 
     Output truncation is N + 1; the top band is kept, not dropped.
     """
     _require_hermite(state, "derivative")
+    _check_axis(state, axis)
     d, n = state.d, state.N
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for d={d}")
-    if d == 1:
-        return SpectralState(1, n + 1, state.coeffs @ ladder_matrix(n, 1).T)
-    up, down = _ladder_factors(n)
-    src = _pad_tensor(state.coeffs, d, n, n + 1)
-    out = np.zeros_like(src)
-    a = np.moveaxis(src, axis - d, -1)
-    o = np.moveaxis(out, axis - d, -1)
-    o[..., :-1] += up * a[..., 1:]
-    o[..., 1:] -= down * a[..., :-1]
-    return SpectralState(d, n + 1, out)
+    return SpectralState(d, n + 1, derivative_coeffs(state.coeffs, d, n, axis))
 
 
 @lru_cache(maxsize=None)
@@ -443,14 +465,23 @@ def ladder_matrix(n: int, order: int = 1) -> np.ndarray:
     return out
 
 
+def second_derivative_coeffs(c: np.ndarray, d: int, n: int, axes) -> np.ndarray:
+    """Coefficient tensor of the mixed second derivative of the order-n
+    tensor ``c``: order n + 2, axes applied in sorted order."""
+    if d == 1:
+        return c @ ladder_matrix(n, 2).T
+    i, j = sorted(int(a) for a in axes)
+    return derivative_coeffs(derivative_coeffs(c, d, n, i), d, n + 1, j)
+
+
 def second_derivative(state: SpectralState, axes=(0, 0)) -> SpectralState:
     """Mixed second derivative; axes are applied in sorted order so the
     (i, j) and (j, i) results are identical arrays."""
-    i, j = sorted(int(a) for a in axes)
-    if state.d == 1 and i == j == 0:
-        _require_hermite(state, "second_derivative")
-        return SpectralState(1, state.N + 2, state.coeffs @ ladder_matrix(state.N, 2).T)
-    return derivative(derivative(state, i), j)
+    _require_hermite(state, "second_derivative")
+    for axis in sorted(int(a) for a in axes):
+        _check_axis(state, axis)
+    d, n = state.d, state.N
+    return SpectralState(d, n + 2, second_derivative_coeffs(state.coeffs, d, n, axes))
 
 
 @lru_cache(maxsize=None)

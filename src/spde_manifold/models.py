@@ -19,6 +19,7 @@ directional central differences otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,10 @@ from .hermite import (
     DEFAULT_SCALE,
     NormScale,
     SpectralState,
-    derivative,
-    pair,
-    second_derivative,
+    _pad_tensor,
+    derivative_coeffs,
+    second_derivative_coeffs,
+    weighted_sum,
 )
 
 __all__ = [
@@ -92,6 +94,12 @@ class ItoTypeModel:
     def n_noise(self) -> int:
         return self.J + len(self.extra_fields)
 
+    @cached_property
+    def _dual_stacks(self) -> dict:
+        """State order -> (n, the coefficients of b then sigma (j-major) at order n,
+        one (K, 1) matrix per dual), n the larger of the state's and the duals' orders."""
+        return {}
+
     def drift(self, y: SpectralState) -> SpectralState:
         return ito_drift(self, y)
 
@@ -99,15 +107,32 @@ class ItoTypeModel:
         return ito_diffusion(self, y)
 
     def diffusion_derivative(self, y: SpectralState, u: SpectralState, j: int) -> SpectralState:
-        """Derivative of component j at y applied to u (exact product rule)."""
+        """Derivative of component j at y applied to u (exact product rule):
+        the field's linear map frozen at u's pairings applied to y, plus the
+        map frozen at y's applied to u."""
         if j >= self.J:
             return SpectralState.zero(self.d, 0)  # constant extras
-        out = None
-        for i in range(self.d):
-            term = derivative(y, axis=i) * (-pair(self.sigma[j][i], u))
-            term = term + derivative(u, axis=i) * (-pair(self.sigma[j][i], y))
-            out = term if out is None else out + term
-        return out
+        at_u = ito_diffusion_from_pairings(self, sigma_pairings(self, u), y)[j]
+        return at_u + ito_diffusion_from_pairings(self, sigma_pairings(self, y), u)[j]
+
+
+def _pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
+    """Pairings of y with b then sigma (j-major), shape (..., d + J d).
+
+    One product against the stacked duals, at the order of the state or
+    of the longest dual; it makes one matrix-vector product per dual, so
+    each pairing rounds as ``pair`` does."""
+    if y.d != model.d:
+        raise ValueError(f"dimension mismatch: dual d={model.d}, state d={y.d}")
+    got = model._dual_stacks.get(y.N)
+    if got is None:
+        duals = model.b + tuple(s for row in model.sigma for s in row)
+        n = max([y.N] + [g.N for g in duals])
+        rows = [_pad_tensor(g.coeffs, g.d, g.N, n).reshape(-1, 1) for g in duals]
+        got = model._dual_stacks[y.N] = (n, np.stack(rows))
+    n, stack = got
+    c = _pad_tensor(y.coeffs, y.d, y.N, n)
+    return np.matmul(c.reshape(c.shape[: c.ndim - y.d] + (-1,)), stack)[..., 0].T
 
 
 def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
@@ -115,47 +140,51 @@ def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
 
     A batch of P states gives shape (P, d, J).
     """
-    out = np.empty(y.batch + (model.d, model.J))
-    for j in range(model.J):
-        for i in range(model.d):
-            out[..., i, j] = pair(model.sigma[j][i], y)
-    return out
+    p = _pairings(model, y)
+    return p[..., model.d :].reshape(p.shape[:-1] + (model.J, model.d)).swapaxes(-1, -2)
+
+
+def _state_of(terms, d: int) -> SpectralState:
+    """The weighted sum of coefficient tensors, padded to their highest order."""
+    n = max(c.shape[-1] for c, _ in terms) - 1
+    padded = [(_pad_tensor(c, d, c.shape[-1] - 1, n), w) for c, w in terms]
+    return SpectralState(d, n, weighted_sum(padded, d))
 
 
 def ito_drift(model: ItoTypeModel, y: SpectralState) -> SpectralState:
     """Transport drift: half the pairing covariance against second
     derivatives minus the paired first-order transport term.
 
-    A term whose weight vanishes on every path is skipped.
+    A term whose weight vanishes on every path is skipped (``count_nonzero``
+    is ``any`` without the reduction machinery).
     """
-    s = sigma_pairings(model, y)
-    cov = s @ np.swapaxes(s, -1, -2)  # (..., d, d)
+    d, n, c = y.d, y.N, y.coeffs
+    pairings = _pairings(model, y)
+    s = pairings[..., d:].reshape(pairings.shape[:-1] + (model.J, d))  # row j pairs sigma[j]
+    cov = s.swapaxes(-1, -2) @ s  # (..., d, d)
     terms = []
-    for i in range(model.d):
-        for j in range(i, model.d):
+    for i in range(d):
+        for j in range(i, d):
             w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
-            if w.any():
-                terms.append((second_derivative(y, (i, j)), w))
-    for i in range(model.d):
-        bi = pair(model.b[i], y)
-        if bi.any() or not terms:
-            terms.append((derivative(y, axis=i), -bi))
-    return SpectralState.combine(terms)
+            if np.count_nonzero(w):
+                terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
+    for i in range(d):
+        bi = pairings[..., i]
+        if np.count_nonzero(bi) or not terms:
+            terms.append((derivative_coeffs(c, d, n, i), -bi))
+    return _state_of(terms, d)
 
 
 def ito_diffusion_from_pairings(
     model: ItoTypeModel, pairings: np.ndarray, y: SpectralState
 ) -> list:
     """Noise fields for a frozen pairing matrix: linear in y by construction."""
-    partials = [derivative(y, axis=i) for i in range(model.d)]
-    fields = []
-    for j in range(model.J):
-        f = None
-        for i in range(model.d):
-            term = partials[i] * (-pairings[..., i, j])
-            f = term if f is None else f + term
-        fields.append(f)
-    return fields
+    d, n = y.d, y.N
+    partials = [derivative_coeffs(y.coeffs, d, n, i) for i in range(d)]
+    return [
+        _state_of([(partials[i], -pairings[..., i, j]) for i in range(d)], d)
+        for j in range(model.J)
+    ]
 
 
 def ito_diffusion(model: ItoTypeModel, y: SpectralState) -> list:

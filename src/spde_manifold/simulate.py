@@ -15,11 +15,14 @@ summarizes the ensemble.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .hermite import weighted_sum
 from .manifold import RANK_FLOOR, Parametrization, block_frame, distance_to_manifold
 from .tangency import reduced_coefficients, row_blocks
 
@@ -106,26 +109,53 @@ def _recorded(exit_steps, n_steps: int) -> np.ndarray:
     return np.array([n_steps + 1 if k is None else k + 1 for k in exit_steps])
 
 
+class _RecordedStates(Sequence):
+    """A full run's state at each recorded step, read from its trajectory on access."""
+
+    def __init__(self, path: "FullPath"):
+        self._path = path
+
+    def __len__(self) -> int:
+        return len(self._path.ys)
+
+    def __getitem__(self, step):
+        path = self._path
+        return path.geometry.state_from_flat(path.ys[operator.index(step)], path.order)
+
+
 @dataclass
 class FullPath:
-    """One path, or an ensemble: then ``states`` holds one batched state
-    per recorded step and the flags, exit steps and spills are per path."""
+    """One path, or an ensemble: then the flags, exit steps and spills are per path.
+
+    ``ys`` is the trajectory, flat at the working order ``order``:
+    (steps + 1, P, n) for an ensemble, (steps + 1, n) for one path;
+    ``states`` reads one (batched) state per recorded step from it.
+    """
 
     times: np.ndarray
-    states: list
+    ys: np.ndarray
     exploded: bool
     exit_step: Optional[int]
     max_spill: float
+    geometry: object
+    order: Optional[int]
+
+    @property
+    def states(self) -> Sequence:
+        return _RecordedStates(self)
 
 
 def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> FullPath:
     """Explicit Euler path of dY = L(Y) dt + sum_j A^j(Y) dW^j in the ambient space.
 
     A sequence of path indices steps that ensemble at once from y0 (one
-    state for every path, or a batch).  Every step re-truncates to the
-    model's working order; the discarded relative mass is tracked as
-    ``max_spill``.  A state whose norm passes the ceiling marks its path
-    exploded and freezes it there.
+    state for every path, or a batch).  The trajectory is one array, flat
+    at the working order; each step builds the live paths' batch once, to
+    call ``model.drift`` and ``model.diffusion``, and does the update,
+    the truncation back to the working order and the explosion test on
+    the arrays.  The discarded relative mass is tracked as ``max_spill``.
+    A state whose norm passes the ceiling marks its path exploded and
+    freezes it there.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
@@ -133,40 +163,42 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
     flat = geo.flat(y, order)
-    ys = np.array(np.broadcast_to(flat, (paths.size,) + flat.shape[-1:]))
-    ensemble = np.ndim(path_index) > 0
-
-    def snapshot():  # the state of every path (or the one path) now
-        return geo.state_from_flat(ys if ensemble else ys[0], order)
-
-    states = [snapshot()]
+    ys = np.empty((n_steps + 1, paths.size) + flat.shape[-1:])
+    ys[0] = flat
     exploded = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
     max_spill = np.zeros(paths.size)
     live = np.arange(paths.size)
+    done = 0
     for step in range(n_steps):
         if not live.size:
             break
-        y = geo.state_from_flat(ys[live], order)
-        dw = increments[live, step]
+        # while every path is live a slice reads and writes them, without gathers
+        at = slice(None) if live.size == paths.size else live
+        y = geo.state_from_flat(ys[step, at], order)
+        dw = increments[at, step]
         terms = [(y, 1.0), (model.drift(y), cfg.dt)]
         for j, a_field in enumerate(model.diffusion(y)):
-            if dw[:, j].any() and geo.flat(a_field).any():
+            if np.count_nonzero(dw[:, j]) and np.count_nonzero(geo.flat(a_field)):
                 terms.append((a_field, dw[:, j]))
-        y_next = type(y).combine(terms)
-        max_spill[live] = np.maximum(max_spill[live], geo.spill_ratio(y_next))
-        y = geo.truncate_to_work(y_next)
-        ys[live] = geo.flat(y, order)
-        states.append(snapshot())
-        size = geo.norm_mid(y)
-        blown = ~np.isfinite(size) | (size > cfg.explosion_ceiling)
-        for k in live[blown]:
-            exploded[k], exit_step[k] = True, step + 1
-        live = live[~blown]
-    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: len(states)]
-    if ensemble:
-        return FullPath(times, states, exploded, exit_step, max_spill)
-    return FullPath(times, states, bool(exploded[0]), exit_step[0], float(max_spill[0]))
+        top = geo.embed_order([s for s, _ in terms])
+        y_next = weighted_sum([(geo.flat(s, top), w) for s, w in terms], 1)
+        y_next, spill, size = geo.truncate_rows(y_next, top)
+        max_spill[at] = np.maximum(max_spill[at], spill)
+        ys[step + 1] = ys[step]
+        ys[step + 1, at] = y_next
+        done = step + 1
+        blown = ~(size <= cfg.explosion_ceiling)  # NaN sizes too
+        if np.count_nonzero(blown):
+            for k in live[blown]:
+                exploded[k], exit_step[k] = True, step + 1
+            live = live[~blown]
+    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
+    ys = ys[: done + 1]
+    if np.ndim(path_index):
+        return FullPath(times, ys, exploded, exit_step, max_spill, geo, order)
+    single = (bool(exploded[0]), exit_step[0], float(max_spill[0]))
+    return FullPath(times, ys[:, 0], *single, geo, order)
 
 
 # The reduced run reads (a, beta) and the frame columns from a Chebyshev tensor interpolant on
@@ -281,11 +313,13 @@ def simulate_reduced(
     if not param.contains(xs).all():
         raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
     table = reduced_table(model, param)
-    rows = [xs.copy()]
+    traj = np.empty((n_steps + 1,) + xs.shape)
+    traj[0] = xs
     exited = np.zeros(paths.size, dtype=bool)
     degenerate = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
     live = np.arange(paths.size)
+    done = 0
     for step in range(n_steps):
         a, beta, cols = table(xs[live])
         sv = np.linalg.svd(cols, compute_uv=False)
@@ -297,16 +331,17 @@ def simulate_reduced(
             break
         dw = increments[live, step]
         xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
-        rows.append(xs.copy())
+        traj[step + 1] = xs
+        done = step + 1
         out = ~param.contains(xs[live])
         for k in live[out]:
             exited[k], exit_step[k] = True, step + 1
         live = live[~out]
-    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: len(rows)]
+    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
+    traj = traj[: done + 1]
     if np.ndim(path_index):
-        return ReducedPath(times, np.asarray(rows), exited, exit_step, degenerate, table)
-    xs = np.asarray(rows)[:, 0]
-    return ReducedPath(times, xs, bool(exited[0]), exit_step[0], bool(degenerate[0]), table)
+        return ReducedPath(times, traj, exited, exit_step, degenerate, table)
+    return ReducedPath(times, traj[:, 0], bool(exited[0]), exit_step[0], bool(degenerate[0]), table)
 
 
 # Gauss-Newton step tolerance of the recorded distances: the distance error
@@ -425,13 +460,10 @@ def coupled_compare(
     n_rec = np.minimum(_recorded(reduced.exit_step, n_steps), _recorded(full.exit_step, n_steps))
     # every recorded (step, path) row is known now: work on them in blocks
     live = np.arange(n_rec.max())[:, None] < n_rec
-    order = geo.embed_order([full.states[0]])
 
     def full_rows(idx):  # the full states of flat rows step * P + path
         step, path = np.divmod(idx, paths.size)
-        steps, at = np.unique(step, return_inverse=True)
-        held = np.stack([geo.flat(full.states[k], order) for k in steps])
-        return geo.state_from_flat(held[at, path], order)
+        return geo.state_from_flat(full.ys[step, path], full.order)
 
     xs = reduced.xs[: live.shape[0]]
     flat_x = xs.reshape(live.size, -1)

@@ -173,6 +173,53 @@ def test_transport_model_validation():
         )
 
 
+def _pairing_formula(model, y):
+    """Drift and transport fields term by term from ``pair`` and the ladder derivatives."""
+    s = np.empty(y.batch + (model.d, model.J))
+    for j in range(model.J):
+        for i in range(model.d):
+            s[..., i, j] = pair(model.sigma[j][i], y)
+    cov = s @ np.swapaxes(s, -1, -2)
+    terms = [
+        (second_derivative(y, (i, j)), (0.5 if i == j else 1.0) * cov[..., i, j])
+        for i in range(model.d)
+        for j in range(i, model.d)
+    ]
+    terms += [(derivative(y, axis=i), -pair(model.b[i], y)) for i in range(model.d)]
+    fields = [
+        SpectralState.combine([(derivative(y, axis=i), -s[..., i, j]) for i in range(model.d)])
+        for j in range(model.J)
+    ]
+    return s, SpectralState.combine(terms), fields
+
+
+@pytest.mark.parametrize("paths", [None, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_transport_kernels_with_duals_above_and_below_the_state_order(rng, d, paths):
+    n = 5
+    z = [0.2, -0.1][:d]
+    model = ItoTypeModel(
+        d=d, J=2, N=n,
+        b=tuple(DualField.dirac(z, n=n + 3) for _ in range(d)),
+        sigma=(
+            tuple(DualField.dirac(z[::-1], n=n - 2) for _ in range(d)),
+            tuple(DualField.constant(d, n + 1, 0.5) for _ in range(d)),
+        ),
+    )
+    shape = ((paths,) if paths else ()) + (n + 1,) * d
+    y = SpectralState(d, n, rng.standard_normal(shape))
+    s, drift, fields = _pairing_formula(model, y)
+    np.testing.assert_allclose(sigma_pairings(model, y), s, rtol=1e-13)
+    got = ito_drift(model, y)
+    assert (got.N, got.batch) == (n + 2, y.batch)
+    np.testing.assert_allclose(got.coeffs, drift.coeffs, rtol=1e-12, atol=1e-13)
+    got_fields = ito_diffusion(model, y)
+    assert len(got_fields) == model.n_noise == 2
+    for field, want in zip(got_fields, fields):
+        assert (field.N, field.batch) == (n + 1, y.batch)
+        np.testing.assert_allclose(field.coeffs, want.coeffs, rtol=1e-12, atol=1e-13)
+
+
 # -- divergence-form grid model -----------------------------------------------------
 
 

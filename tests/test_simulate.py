@@ -1,6 +1,7 @@
 """Noise streams, Euler paths in both spaces, and the coupled comparison."""
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,9 +16,16 @@ from spde_manifold import (
     load_config,
     translation_chart,
 )
-from spde_manifold.geometry import GridGeometry
+from spde_manifold.geometry import GridGeometry, HermiteGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
-from spde_manifold.hermite import DualField, SpectralState
+from spde_manifold.hermite import (
+    DualField,
+    SpectralState,
+    derivative,
+    order_grid,
+    pair,
+    second_derivative,
+)
 from spde_manifold.manifold import distance_to_manifold, jacobian
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
 from spde_manifold.simulate import (
@@ -571,3 +579,197 @@ def test_summary_reports_the_ensemble_spill():
     spills = [simulate_full(model, y0, cfg, p).max_spill for p in range(2)]
     assert rec.summary["max_spill"] == pytest.approx(max(spills), rel=1e-12)
     assert rec.summary["max_spill"] > 0.0
+
+
+# -- the array Euler step against the state arithmetic --------------------------------
+
+
+def _reference_pairings(model, y):
+    s = np.empty(y.batch + (model.d, model.J))
+    for j in range(model.J):
+        for i in range(model.d):
+            s[..., i, j] = pair(model.sigma[j][i], y)
+    return s
+
+
+def _reference_drift(model, y):
+    """Transport drift from pairings, ladder derivatives and ``combine``, term by term;
+    other models answer for themselves."""
+    if not isinstance(model, ItoTypeModel):
+        return model.drift(y)
+    s = _reference_pairings(model, y)
+    cov = s @ np.swapaxes(s, -1, -2)
+    terms = []
+    for i in range(model.d):
+        for j in range(i, model.d):
+            w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
+            if w.any():
+                terms.append((second_derivative(y, (i, j)), w))
+    for i in range(model.d):
+        bi = pair(model.b[i], y)
+        if bi.any() or not terms:
+            terms.append((derivative(y, axis=i), -bi))
+    return SpectralState.combine(terms)
+
+
+def _reference_diffusion(model, y):
+    if not isinstance(model, ItoTypeModel):
+        return model.diffusion(y)
+    s = _reference_pairings(model, y)
+    partials = [derivative(y, axis=i) for i in range(model.d)]
+    fields = [
+        SpectralState.combine([(partials[i], -s[..., i, j]) for i in range(model.d)])
+        for j in range(model.J)
+    ]
+    return fields + list(model.extra_fields)
+
+
+def _reference_spill(geo, y):
+    """Relative mid-norm mass of y above the working order, summed over the
+    indices of total order above it."""
+    if isinstance(geo, GridGeometry) or y.N <= geo.work_order:
+        return np.zeros(y.batch)
+    f = geo.flat(y)
+    wff = geo.weight_vector(y.N) * f * f
+    total = wff.sum(-1)
+    out = wff[..., (order_grid(geo.d, y.N) > geo.work_order).ravel()].sum(-1)
+    return np.sqrt(out / np.where(total == 0.0, 1.0, total))
+
+
+def _reference_full(model, y0, cfg, incr):
+    """The Euler loop on states: combine, spill, truncation and explosion
+    test through the state API, every path of the ensemble stepped at once."""
+    geo = model.geometry
+    y = geo.truncate_to_work(y0)
+    order = geo.embed_order([y])
+    flat = geo.flat(y, order)
+    n_paths = incr.shape[0]
+    ys = np.array(np.broadcast_to(flat, (n_paths,) + flat.shape[-1:]))
+    rows = [ys.copy()]
+    exploded = np.zeros(n_paths, dtype=bool)
+    exit_step = [None] * n_paths
+    max_spill = np.zeros(n_paths)
+    live = np.arange(n_paths)
+    for step in range(cfg.n_steps):
+        if not live.size:
+            break
+        y = geo.state_from_flat(ys[live], order)
+        dw = incr[live, step]
+        terms = [(y, 1.0), (_reference_drift(model, y), cfg.dt)]
+        for j, a_field in enumerate(_reference_diffusion(model, y)):
+            if dw[:, j].any() and geo.flat(a_field).any():
+                terms.append((a_field, dw[:, j]))
+        y_next = type(y).combine(terms)
+        max_spill[live] = np.maximum(max_spill[live], _reference_spill(geo, y_next))
+        y = geo.truncate_to_work(y_next)
+        ys[live] = geo.flat(y, order)
+        rows.append(ys.copy())
+        size = geo.norm_mid(y)
+        blown = ~np.isfinite(size) | (size > cfg.explosion_ceiling)
+        for k in live[blown]:
+            exploded[k], exit_step[k] = True, step + 1
+        live = live[~blown]
+    return np.array(rows), exploded, exit_step, max_spill
+
+
+def _assert_full_matches_reference(model, y0, cfg):
+    paths = np.arange(cfg.paths)
+    incr = wiener_increments(cfg.seed, paths, cfg.n_steps, model.n_noise, cfg.dt)
+    path = simulate_full(model, y0, cfg, paths, incr)
+    rows, exploded, exit_step, max_spill = _reference_full(model, y0, cfg, incr)
+    np.testing.assert_array_equal(path.ys, rows)
+    np.testing.assert_array_equal(path.exploded, exploded)
+    assert path.exit_step == exit_step
+    np.testing.assert_array_equal(path.max_spill, max_spill)
+    assert len(path.states) == len(rows)
+    for k in (0, len(rows) // 2, -1):
+        np.testing.assert_array_equal(model.geometry.flat(path.states[k], path.order), rows[k])
+    return path
+
+
+def test_array_step_matches_state_step_off_chart_transport():
+    cfg_dict = load_config({"preset": "ito_translation_d1_negative", "model": {"N": 24}})
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.03, dt=1e-3, paths=4, seed=5)
+    path = _assert_full_matches_reference(model, chart.eval(np.array([0.2])), cfg)
+    assert model.n_noise == 2 and (path.max_spill > 0.0).all()
+
+
+def test_array_step_matches_state_step_in_two_dimensions(rng):
+    # at N = 4 the indices above the working order are spread over the flat
+    # index of the (N + 3)^2 drift tensor, not a suffix of it
+    n = 4
+    model = ItoTypeModel(
+        d=2, J=1, N=n,
+        b=(DualField.dirac([0.1, -0.2], n=n), DualField.dirac([0.3, 0.0], n=n)),
+        sigma=((DualField.dirac([0.0, 0.2], n=n), DualField.dirac([-0.1, 0.1], n=n)),),
+    )
+    y0 = SpectralState(2, n, rng.standard_normal((n + 1, n + 1)) * 0.2)
+    cfg = SimConfig(horizon=0.02, dt=1e-3, paths=3, seed=8)
+    path = _assert_full_matches_reference(model, y0, cfg)
+    assert (path.max_spill > 0.0).all()
+
+
+def test_array_step_matches_state_step_on_the_grid_with_explosions():
+    m = 16
+    s1, s2 = sine_mode(m, 1), sine_mode(m, 2)
+    model = PLaplaceModel(2.0, m, fields=(s1 * 3.0, s2 * 0.5))
+    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=3, explosion_ceiling=1.5)
+    path = _assert_full_matches_reference(model, s1 * 1.0 + s2 * 0.5, cfg)
+    assert path.exploded.any() and not path.exploded.all()
+
+
+@dataclass(frozen=True)
+class _SharedNoiseModel:
+    """Linear decay with one noise field that is the same state on every path."""
+
+    N: int = 12
+
+    @property
+    def geometry(self):
+        return HermiteGeometry(1, self.N)
+
+    @property
+    def n_noise(self):
+        return 1
+
+    def drift(self, y):
+        return y * -1.0
+
+    def diffusion(self, y):
+        return [SpectralState.basis([1], self.N + 1) + SpectralState.basis([self.N + 1]) * 0.5]
+
+
+def test_custom_model_with_one_noise_state_for_every_path_steps():
+    model = _SharedNoiseModel()
+    cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=3, seed=2)
+    path = _assert_full_matches_reference(model, SpectralState.basis([0], model.N), cfg)
+    assert path.states[-1].batch == (3,)
+    assert (path.max_spill > 0.0).all()  # the field reaches one order above the working order
+
+
+def test_full_run_builds_states_only_at_the_protocol_edge(monkeypatch):
+    from spde_manifold import hermite
+
+    def no_combine(cls, terms):
+        raise AssertionError("simulate_full combined states")
+
+    built = [0]
+    post_init = SpectralState.__post_init__
+
+    def counted(state):
+        built[0] += 1
+        post_init(state)
+
+    cfg_dict = load_config({"preset": "ito_translation_d1_negative", "model": {"N": 16}})
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    y0 = chart.eval(np.array([0.2]))
+    monkeypatch.setattr(hermite.ArrayState, "combine", classmethod(no_combine))
+    monkeypatch.setattr(SpectralState, "__post_init__", counted)
+    per_step = 3 + model.n_noise  # the live batch, the drift, the noise fields, the recorded state
+    for n_steps in (2, 40):
+        built[0] = 0
+        cfg = SimConfig(horizon=n_steps * 1e-3, dt=1e-3, paths=4, seed=1)
+        path = simulate_full(model, y0, cfg, np.arange(4))
+        assert len(path.states) == n_steps + 1
+        assert built[0] <= per_step * n_steps
