@@ -85,8 +85,19 @@ class HermiteGeometry:
 
     def spill_ratio(self, state: SpectralState):
         """Relative mid-norm mass beyond the working order."""
-        ratio = self.truncate_rows(self.flat(state), state.N)[1]
+        if state.N <= self.work_order:
+            return np.zeros(state.batch) if state.batch else 0.0
+        f = self.flat(state)
+        ratio = self._spill(self.weight_vector(state.N) * f * f, state.N)
         return ratio if state.batch else float(ratio)
+
+    def _spill(self, wff: np.ndarray, order: int) -> np.ndarray:
+        """Per row, sqrt of the share of the weighted squares ``wff`` (flat at
+        ``order`` > work_order) that lies beyond the working order."""
+        total = wff.sum(-1)
+        out = wff[..., _outband_mask(self.d, order, self.work_order)].sum(-1)
+        # a zero state has no mass beyond the working order either
+        return np.sqrt(out / np.where(total == 0.0, 1.0, total))
 
     def truncate_to_work(self, state: SpectralState) -> SpectralState:
         return state.truncated(self.work_order)
@@ -98,10 +109,7 @@ class HermiteGeometry:
         wff = self.weight_vector(order) * f * f
         if order <= self.work_order:
             return f, np.zeros(f.shape[:-1]), _sqrt(wff.sum(-1))
-        total = wff.sum(-1)
-        out = wff[..., _outband_mask(self.d, order, self.work_order)].sum(-1)
-        # a zero state has no mass beyond the working order either
-        spill = np.sqrt(out / np.where(total == 0.0, 1.0, total))
+        spill = self._spill(wff, order)
         lead, keep = f.shape[:-1], (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
 
         def cut(a):  # the working-order part, masked as a state at that order is

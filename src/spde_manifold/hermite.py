@@ -102,8 +102,6 @@ def _pad_tensor(c: np.ndarray, d: int, n_from: int, n_to: int) -> np.ndarray:
 
 def _per_row(scalar, trailing: int):
     """A scalar, or a per-path vector shaped to broadcast over ``trailing`` axes."""
-    if isinstance(scalar, np.ndarray) and scalar.ndim == 1 and scalar.dtype == float:
-        return scalar.reshape(scalar.shape + (1,) * trailing)
     if isinstance(scalar, float) or np.ndim(scalar) == 0:
         return float(scalar)
     s = np.asarray(scalar, dtype=float)

@@ -30,7 +30,9 @@ from .hermite import (
     NormScale,
     SpectralState,
     _pad_tensor,
+    derivative,
     derivative_coeffs,
+    pair,
     second_derivative_coeffs,
     weighted_sum,
 )
@@ -107,13 +109,15 @@ class ItoTypeModel:
         return ito_diffusion(self, y)
 
     def diffusion_derivative(self, y: SpectralState, u: SpectralState, j: int) -> SpectralState:
-        """Derivative of component j at y applied to u (exact product rule):
-        the field's linear map frozen at u's pairings applied to y, plus the
-        map frozen at y's applied to u."""
+        """Derivative of component j at y applied to u (exact product rule)."""
         if j >= self.J:
             return SpectralState.zero(self.d, 0)  # constant extras
-        at_u = ito_diffusion_from_pairings(self, sigma_pairings(self, u), y)[j]
-        return at_u + ito_diffusion_from_pairings(self, sigma_pairings(self, y), u)[j]
+        out = None
+        for i in range(self.d):
+            term = derivative(y, axis=i) * (-pair(self.sigma[j][i], u))
+            term = term + derivative(u, axis=i) * (-pair(self.sigma[j][i], y))
+            out = term if out is None else out + term
+        return out
 
 
 def _pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:

@@ -173,10 +173,8 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     for step in range(n_steps):
         if not live.size:
             break
-        # while every path is live a slice reads and writes them, without gathers
-        at = slice(None) if live.size == paths.size else live
-        y = geo.state_from_flat(ys[step, at], order)
-        dw = increments[at, step]
+        y = geo.state_from_flat(ys[step, live], order)
+        dw = increments[live, step]
         terms = [(y, 1.0), (model.drift(y), cfg.dt)]
         for j, a_field in enumerate(model.diffusion(y)):
             if np.count_nonzero(dw[:, j]) and np.count_nonzero(geo.flat(a_field)):
@@ -184,9 +182,9 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
         top = geo.embed_order([s for s, _ in terms])
         y_next = weighted_sum([(geo.flat(s, top), w) for s, w in terms], 1)
         y_next, spill, size = geo.truncate_rows(y_next, top)
-        max_spill[at] = np.maximum(max_spill[at], spill)
+        max_spill[live] = np.maximum(max_spill[live], spill)
         ys[step + 1] = ys[step]
-        ys[step + 1, at] = y_next
+        ys[step + 1, live] = y_next
         done = step + 1
         blown = ~(size <= cfg.explosion_ceiling)  # NaN sizes too
         if np.count_nonzero(blown):
