@@ -8,8 +8,9 @@ once: the live paths form one batch, so every drift, diffusion, frame and
 distance evaluation covers all of them.  The reduced run tabulates its
 coefficients, which depend on the chart coordinate alone, once per run on
 the chart box.  The coupled comparison advances both, measures the
-distance from the full state to the chart at every recorded step, and
-summarizes the ensemble.
+distance from the full state to the chart at every recorded step with one
+Gauss-Newton solve per row, started from the reduced coordinate or from
+the nearest of a fixed set of chart images, and summarizes the ensemble.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .hermite import weighted_sum
 from .manifold import RANK_FLOOR, Parametrization, block_frame, distance_to_manifold
-from .tangency import reduced_coefficients, row_blocks
+from .tangency import SamplingSpec, reduced_coefficients, row_blocks, sample_points
 
 __all__ = [
     "SimConfig",
@@ -345,54 +346,9 @@ def simulate_reduced(
 # Gauss-Newton step tolerance of the recorded distances: the distance error
 # is quadratic in it, so 1e-5 keeps the recorded value good to ~1e-10
 DIST_STEP_TOL = 1e-5
-# a chart point inside the box by at least this much can start the next row
-CHAIN_MARGIN = 1e-9
-# a row is solved again when its chain start moved by more than this,
-# relative to the start it was solved from: well inside the step
-# tolerance, so the solve ends where it would from the chain start
-CHAIN_START_TOL = 0.1 * DIST_STEP_TOL
-
-
-def _chained_distances(param, geo, full_rows, xs, live, x0):
-    """Distance to the chart of every live (step, path) row, in row blocks.
-
-    ``full_rows`` maps flat row indices (step * P + path) to the batched
-    full states, ``xs`` (T, P, m) holds the reduced coordinates and
-    ``live`` (T, P) the recorded rows.  The answer is that of the serial
-    chain, where a row starts at the last earlier row of its path that
-    converged inside the chart, or at ``x0``.  The first pass starts each
-    row at its reduced coordinate instead (step 0 at ``x0``); each later
-    pass computes the chain starts from the current results and solves
-    again the rows whose start moved.  After pass k the first k rows of
-    every path are final, so at most T + 1 passes run.  Returns the
-    distances and the non-converged flags, both (T, P), and the summed
-    Gauss-Newton path-iterations.
-    """
-    n_steps, n_paths, m = xs.shape
-    steps = np.arange(n_steps)[:, None]
-    start = xs.reshape(-1, m).copy()
-    start[: n_paths] = x0
-    x = np.zeros_like(start)
-    dist = np.full(start.shape[0], np.nan)
-    converged = np.zeros(start.shape[0], dtype=bool)
-    rows = np.flatnonzero(live)
-    todo, iterations = rows, 0
-    while todo.size:
-        for idx in row_blocks(todo, geo):
-            res = distance_to_manifold(param, full_rows(idx), start[idx], geo, step_tol=DIST_STEP_TOL)
-            x[idx], dist[idx], converged[idx] = res.x, res.distance, res.path_converged
-            iterations += res.iterations
-        keep = (converged & param.contains(x, margin=CHAIN_MARGIN)).reshape(n_steps, n_paths)
-        last = np.maximum.accumulate(np.where(keep, steps, -1), axis=0)
-        prev = np.vstack([np.full((1, n_paths), -1), last[:-1]])
-        chain = np.where(
-            (prev >= 0)[..., None], x.reshape(n_steps, n_paths, m)[prev, np.arange(n_paths)], x0
-        ).reshape(-1, m)
-        shift = np.sqrt(((chain - start) ** 2).sum(-1))
-        moved = shift > CHAIN_START_TOL * (1.0 + np.sqrt((start * start).sum(-1)))
-        todo = rows[moved[rows]]
-        start[todo] = chain[todo]
-    return dist.reshape(live.shape), live & ~converged.reshape(live.shape), iterations
+# chart points whose images can start a distance solve: a lattice of this
+# many points on a 1-coordinate box, about as many on larger ones
+DIST_SEED_POINTS = 161
 
 
 @dataclass
@@ -440,13 +396,16 @@ def coupled_compare(
     (step, path) row is known, and both measures are taken in row blocks:
     ``coupled_err`` is the mid-norm gap between the full state and the
     chart image of the reduced coordinates; ``dist`` is the distance from
-    the full state to the chart itself, from Gauss-Newton solves whose
-    starts follow the serial chain (a row starts at the last earlier row of
-    its path that converged inside the chart, or at ``x0``).  Rows whose
-    solve did not converge are flagged and counted, and kept out of the
-    maximum distance.  The ensemble summary keeps the maxima, the mean and
-    standard error over paths of each path's largest gap, the Gauss-Newton
-    path-iterations of every block solve, the termination flags and the table's size.
+    the full state to the chart itself, from one Gauss-Newton solve per
+    row.  The solve starts at the row's reduced coordinate, or at the
+    nearest of ``DIST_SEED_POINTS`` chart points spread over the box
+    (``tangency.sample_points``, images evaluated once per run) where that
+    point's image is strictly closer to the full state; such rows are
+    counted.  Rows whose solve did not converge are flagged and counted,
+    and kept out of the maximum distance.  The ensemble summary keeps the
+    maxima, the mean and standard error over paths of each path's largest
+    gap, the Gauss-Newton path-iterations of every block solve, the
+    termination flags and the table's size.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
@@ -458,22 +417,33 @@ def coupled_compare(
     n_rec = np.minimum(_recorded(reduced.exit_step, n_steps), _recorded(full.exit_step, n_steps))
     # every recorded (step, path) row is known now: work on them in blocks
     live = np.arange(n_rec.max())[:, None] < n_rec
-
-    def full_rows(idx):  # the full states of flat rows step * P + path
-        step, path = np.divmod(idx, paths.size)
-        return geo.state_from_flat(full.ys[step, path], full.order)
-
-    xs = reduced.xs[: live.shape[0]]
-    flat_x = xs.reshape(live.size, -1)
+    xs = reduced.xs[: live.shape[0]].reshape(live.size, -1)
     err = np.zeros(live.size)
+    dist = np.full(live.size, np.nan)
+    unconverged = np.zeros(live.size, dtype=bool)
+    iterations = seeded_starts = 0
+    if cfg.record_distance:  # the seed images, flat at one order, and their weighted copies
+        per_axis = round(DIST_SEED_POINTS ** (1.0 / min(param.m, 2)))  # Halton draws per_axis**2
+        seeds = sample_points(SamplingSpec(per_axis, margin_frac=0.0), param.domain)
+        images = param.eval(seeds)
+        top = geo.embed_order([images])
+        w_images = geo.weight_vector(top) * geo.flat(images, top)
+        image_mass = geo.norm_mid(images) ** 2
     for idx in row_blocks(np.flatnonzero(live), geo):
-        err[idx] = geo.norm_diff(full_rows(idx), param.eval(flat_x[idx]))
-    err = err.reshape(live.shape)
-    dist = np.full(live.shape, np.nan)
-    unconverged = np.zeros(live.shape, dtype=bool)
-    iterations = 0
-    if cfg.record_distance:
-        dist, unconverged, iterations = _chained_distances(param, geo, full_rows, xs, live, x0)
+        step, path = np.divmod(idx, paths.size)
+        y = geo.state_from_flat(full.ys[step, path], full.order)
+        err[idx] = geo.norm_diff(y, param.eval(xs[idx]))
+        if not cfg.record_distance:
+            continue
+        # start from the nearest seed image where it is closer than the reduced coordinate's
+        near = np.argmin(image_mass - 2.0 * geo.flat(y, top) @ w_images.T, axis=1)
+        seeded = geo.norm_diff(y, images.rows(near)) < err[idx]
+        start = np.where(seeded[:, None], seeds[near], xs[idx])
+        res = distance_to_manifold(param, y, start, geo, step_tol=DIST_STEP_TOL)
+        dist[idx], unconverged[idx] = res.distance, ~res.path_converged
+        iterations += res.iterations
+        seeded_starts += int(seeded.sum())
+    err, dist, unconverged = (v.reshape(live.shape) for v in (err, dist, unconverged))
     records = [
         PathRecord(
             int(p),
@@ -507,6 +477,7 @@ def coupled_compare(
         "max_spill": float(full.max_spill.max()),
         "n_unconverged_distance": int(unconverged.sum()),
         "distance_iterations": iterations,
+        "distance_seeded_starts": seeded_starts,
         "n_exited": sum(r.exited for r in records),
         "n_degenerate_frame": int(np.sum(reduced.degenerate)),
         "n_exploded": sum(r.exploded for r in records),

@@ -29,6 +29,7 @@ from spde_manifold.hermite import (
 from spde_manifold.manifold import distance_to_manifold, jacobian
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
 from spde_manifold.simulate import (
+    DIST_SEED_POINTS,
     TABLE_FIRST_NODES,
     ReducedTableError,
     reduced_table,
@@ -36,7 +37,7 @@ from spde_manifold.simulate import (
     simulate_reduced,
     wiener_increments,
 )
-from spde_manifold.tangency import reduced_coefficients
+from spde_manifold.tangency import SamplingSpec, reduced_coefficients, sample_points
 
 
 def dirac0(n):
@@ -418,24 +419,28 @@ def _per_path(model, chart, x0, cfg, p):
     err = np.zeros(n_rec)
     dist = np.full(n_rec, np.nan)
     unconverged = np.zeros(n_rec, dtype=bool)
-    guess = np.asarray(x0, dtype=float)
+    per_axis = round(DIST_SEED_POINTS ** (1.0 / min(chart.m, 2)))
+    seeds = sample_points(SamplingSpec(per_axis, margin_frac=0.0), chart.domain)
+    images = chart.eval(seeds)
     for step in range(n_rec):
         y = full.states[step]
         err[step] = geo.norm_diff(y, chart.eval(reduced.xs[step]))
         if cfg.record_distance:
-            res = distance_to_manifold(chart, y, guess, geo, step_tol=1e-5)
+            # start from the nearest seed image when it is closer than the reduced coordinate's
+            gaps = geo.norm_diff(y, images)
+            near = int(np.argmin(gaps))
+            start = seeds[near] if gaps[near] < err[step] else reduced.xs[step]
+            res = distance_to_manifold(chart, y, start, geo, step_tol=1e-5)
             dist[step] = res.distance
             unconverged[step] = not res.converged
-            if res.converged and chart.contains(res.x, margin=1e-9):
-                guess = res.x
     exit_step = reduced.exit_step if reduced.exited else full.exit_step
     flags = (reduced.exited, full.exploded, exit_step)
     return reduced.xs[:n_rec], err, dist, unconverged, flags
 
 
 def _assert_matches_per_path(model, chart, x0, cfg, dist_atol=1e-12):
-    """The batched run against the per-path serial chain; distances are
-    compared on the rows whose solve converged."""
+    """The batched run against one solve per row of each path; distances
+    are compared on the rows whose solve converged."""
     rec = coupled_compare(model, chart, x0, cfg)
     assert len(rec.records) == cfg.paths
     for p, r in enumerate(rec.records):
@@ -457,15 +462,57 @@ def test_batched_transport_matches_per_path():
     assert rec.summary["n_exited"] == 0 and rec.summary["n_exploded"] == 0
 
 
-@pytest.mark.parametrize("seed", [3, 6])
-def test_batched_off_chart_distances_follow_the_serial_chain(seed):
+@pytest.mark.parametrize("seed", [2, 3, 6])
+def test_batched_off_chart_distances_match_per_row_solves(seed):
     # off the chart the distance has several local minima, so the block
-    # solve must reproduce the chain's starts, not only its tolerance
+    # solve must pick each row's start as one row alone would, not only
+    # meet its tolerance; seed 2 has rows whose solve does not converge
     cfg_dict = load_config("ito_translation_d1_negative")
     model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
     cfg = SimConfig(horizon=0.25, dt=1e-3, paths=4, seed=seed)
     rec = _assert_matches_per_path(model, chart, [0.2], cfg, dist_atol=1e-10)
-    assert rec.summary["n_unconverged_distance"] > 0
+    assert rec.summary["distance_seeded_starts"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_off_chart_distances_lie_below_a_dense_scan_of_the_box(seed):
+    # no converged row may end in a local minimum above the distance to
+    # the nearest of 4001 chart images spread over the box
+    cfg_dict = load_config("ito_translation_d1_negative")
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.25, dt=1e-3, paths=4, seed=seed)
+    x0 = np.array([0.2])
+    rec = coupled_compare(model, chart, x0, cfg)
+    paths = np.arange(cfg.paths)
+    incr = wiener_increments(cfg.seed, paths, cfg.n_steps, model.n_noise, cfg.dt)
+    full = simulate_full(model, chart.eval(x0), cfg, paths, incr)
+    geo = model.geometry
+    images = chart.eval(np.linspace(*chart.domain[0], 4001)[:, None])
+    top = geo.embed_order([images])
+    z, w = geo.flat(images, top), geo.weight_vector(top)
+    for p, r in enumerate(rec.records):
+        y = geo.flat(geo.state_from_flat(full.ys[: len(r.times), p], full.order), top)
+        square = (w * y * y).sum(-1)[:, None] - 2.0 * (y * w) @ z.T + (w * z * z).sum(-1)
+        scan = np.sqrt(np.maximum(square, 0.0)).min(axis=1)
+        assert (r.dist[~r.unconverged] <= scan[~r.unconverged] + 1e-6).all()
+
+
+def test_summary_counts_rows_started_from_a_seed_image():
+    # with no dynamics every full state is its reduced coordinate's image,
+    # so no seed image can be strictly closer
+    model, chart = zero_noise_setup()
+    rec = coupled_compare(model, chart, [0.0], SimConfig(horizon=0.01, dt=1e-3, paths=2, seed=1))
+    assert rec.summary["max_coupled_err"] == 0.0
+    assert rec.summary["distance_seeded_starts"] == 0
+
+    cfg_dict = load_config("ito_translation_d1_negative")
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.05, dt=1e-3, paths=2, seed=2)
+    rec = coupled_compare(model, chart, [0.2], cfg)
+    rows = sum(len(r.times) for r in rec.records)
+    assert 0 < rec.summary["distance_seeded_starts"] < rows
+    skipped = SimConfig(horizon=0.05, dt=1e-3, paths=2, seed=2, record_distance=False)
+    assert coupled_compare(model, chart, [0.2], skipped).summary["distance_seeded_starts"] == 0
 
 
 def test_batched_grid_span_with_exits_and_explosions_matches_per_path():
