@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -59,15 +60,14 @@ def _out_root(arg) -> Path:
     return Path(env) if env else Path("runs")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, obj, compact: bool = False) -> None:
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}  # indent takes json's slow path
+    path.write_text(json.dumps(obj, sort_keys=True, **layout) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Comma-separated cells that need no quoting (numbers and labels), CRLF line ends."""
+    path.write_text("\r\n".join(map(",".join, [header, *rows])) + "\r\n", newline="")
 
 
 def _manifest(command: str, cfg: dict, seed: int, outputs, summary) -> dict:
@@ -97,7 +97,7 @@ def _cmd_check(args) -> int:
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg), metadata={"config_hash": config_hash(cfg)})
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
-    _write_json(rundir / "report.json", report.to_json_dict())
+    _write_json(rundir / "report.json", report.to_json_dict(), compact=True)
     header, rows = report.to_csv_rows()
     _write_csv(rundir / "report.csv", header, rows)
     summary = {
@@ -181,7 +181,8 @@ def _cmd_report(args) -> int:
                 str(data.get("timestamp", "")),
             ]
         )
-    _write_csv(root / "summary.csv", header, rows)
+    with (root / "summary.csv").open("w", newline="") as fh:  # run names may need quoting
+        csv.writer(fh).writerows([header, *rows])
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
@@ -190,6 +191,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spde-manifold",

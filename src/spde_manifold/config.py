@@ -479,10 +479,10 @@ def _canon_sim(sim: dict, m: int) -> dict:
 def load_config(source) -> LoadedConfig:
     """Resolve a preset name, dict, or JSON file path into a canonical config.
 
-    The model, chart and sim config are built once, and the chart is
-    evaluated at its domain centre: what they reject, an image outside
-    the model's states, or a start ``sim.x0`` outside the chart box, is a
-    ConfigError here.  The built objects come back as ``built``.
+    The model, chart and sim config are built once: what they reject, a
+    chart whose profile or span vectors lie outside the model's states, or
+    a start ``sim.x0`` outside the chart box, is a ConfigError here.  The
+    built objects come back as ``built``.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -523,8 +523,9 @@ def load_config(source) -> LoadedConfig:
         built = build_model(cfg)
     with _rejected("manifold: "):
         chart = build_manifold(cfg)
-        # the image must meet the model's states: same grid size or dimension
-        built.geometry.zero_state() + chart.eval(chart.domain.mean(axis=1))
+        # its images are built from these states: same grid size or dimension as the model's
+        for state in chart.states:
+            built.geometry.zero_state() + state
     if not chart.contains(sim["x0"]):
         box = chart.domain.tolist()
         raise ConfigError(f"sim.x0 must lie in the chart box {box}, got {sim['x0']}")

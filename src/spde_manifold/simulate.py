@@ -25,7 +25,7 @@ import numpy as np
 
 from .hermite import weighted_sum
 from .manifold import RANK_FLOOR, Parametrization, block_frame, distance_to_manifold
-from .tangency import SamplingSpec, reduced_coefficients, row_blocks, sample_points
+from .tangency import SamplingSpec, reduced_coefficients, repr_columns, row_blocks, sample_points
 
 __all__ = [
     "SimConfig",
@@ -372,13 +372,12 @@ class TrajectoryRecord:
     table: Optional[ReducedTable] = None  # the reduced run's coefficient table
 
     def to_csv_rows(self):
-        """Header and rows; each float column is formatted once with repr,
-        which round-trips every value exactly."""
+        """Header and one row per path and recorded step; floats as ``repr_columns`` text."""
         recs = self.records
         m = recs[0].xs.shape[1]
         header = ["path", "step", "time", *(f"x_{k}" for k in range(m)), "dist", "coupled_err"]
         stacked = [np.column_stack([r.times, r.xs, r.dist, r.coupled_err]) for r in recs]
-        text = [list(map(repr, column)) for column in np.concatenate(stacked).T.tolist()]
+        text = repr_columns(np.concatenate(stacked))
         labels = [(str(r.path_index), str(k)) for r in recs for k in range(len(r.times))]
         return header, [[*label, *cells] for label, *cells in zip(labels, *text)]
 

@@ -67,6 +67,11 @@ def row_blocks(rows: np.ndarray, geometry):
     return (rows[k : k + size] for k in range(0, rows.size, size))
 
 
+def repr_columns(*columns) -> list:
+    """Each column of the columns side by side as repr text, which round-trips exactly."""
+    return [list(map(repr, c)) for c in np.column_stack(columns).T.tolist()]
+
+
 class InvalidSamplingError(ValueError):
     """The sampling request produced no usable chart points."""
 
@@ -305,7 +310,8 @@ class TangencyReport:
         def clean(arr):  # nested lists with NaN as None
             if arr is None:
                 return None
-            return np.where(np.isnan(arr), None, arr.astype(object)).tolist()
+            nan = np.isnan(arr)
+            return np.where(nan, None, arr.astype(object)).tolist() if nan.any() else arr.tolist()
 
         return {
             "points": self.points.tolist(),
@@ -328,7 +334,9 @@ class TangencyReport:
         }
 
     def to_csv_rows(self):
-        m = self.points.shape[1]
+        """Header and one row per point and noise component (per point without
+        noise); floats as ``repr_columns`` text, a point's own cells shared by its rows."""
+        s_count, m = self.points.shape
         n_noise = self.rho_diffusion.shape[1]
         header = (
             ["point", *(f"x_{k}" for k in range(m)), "j", "rho_diffusion"]
@@ -336,27 +344,16 @@ class TangencyReport:
             + ["rho_drift", *(f"beta_{k}" for k in range(m))]
             + ["rho_drift_strat", "spill", "threshold", "degenerate"]
         )
-        rows = []
-        for s in range(self.points.shape[0]):
-            xs = [f"{v:.17g}" for v in self.points[s]]
-            strat = (
-                f"{self.rho_drift_strat[s]:.17g}" if self.rho_drift_strat is not None else ""
-            )
-            shared = (
-                [f"{self.rho_drift[s]:.17g}"]
-                + [f"{v:.17g}" for v in self.beta[s]]
-                + [strat, f"{self.spill[s]:.17g}", f"{self.thresholds[s]:.17g}",
-                   str(bool(self.degenerate[s]))]
-            )
-            if n_noise == 0:
-                rows.append([str(s), *xs, "", ""] + [""] * m + shared)
-                continue
-            for j in range(n_noise):
-                rows.append(
-                    [str(s), *xs, str(j), f"{self.rho_diffusion[s, j]:.17g}"]
-                    + [f"{v:.17g}" for v in self.a_coords[s, j]]
-                    + shared
-                )
+        strat = self.rho_drift_strat
+        strat = [""] * s_count if strat is None else repr_columns(strat)[0]
+        lead = zip(map(str, range(s_count)), *repr_columns(self.points))
+        shared = zip(*repr_columns(self.rho_drift, self.beta), strat,
+                     *repr_columns(self.spill, self.thresholds), map(str, self.degenerate.tolist()))
+        own = iter([("",) * (m + 2)] * s_count)  # a component's cells, blank without noise
+        if n_noise:
+            cells = repr_columns(self.rho_diffusion.ravel(), self.a_coords.reshape(-1, m))
+            own = zip(list(map(str, range(n_noise))) * s_count, *cells)
+        rows = [[*x, *next(own), *c] for x, c in zip(lead, shared) for _ in range(max(n_noise, 1))]
         return header, rows
 
 

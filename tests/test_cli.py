@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spde_manifold.cli import main
+from spde_manifold.cli import _build_parser, main
 from spde_manifold.config import config_hash, load_config
 
 MANIFEST_KEYS = {
@@ -51,6 +51,24 @@ def test_check_tangent_exit_zero(out_root, capsys):
     assert report["metadata"]["config_hash"] == manifest["config_hash"]
     header, rows = read_csv(rundir / "report.csv")
     assert len(rows) == manifest["summary"]["points"]  # one noise component
+
+
+def test_check_artifact_layout_and_rerun_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    written = []
+    for root in (tmp_path / "first", tmp_path / "second"):
+        assert main(["check", "--config", "negative_control", "--out", str(root)]) == 2
+        (rundir,) = root.iterdir()
+        written.append({p.name: p.read_bytes() for p in rundir.iterdir()})
+    capsys.readouterr()
+    first, second = written
+    assert set(first) == {"report.json", "report.csv", "manifest.json"}
+    assert first == second  # a rerun writes the same bytes
+    report = first["report.json"].decode()
+    assert report.endswith("\n") and report.count("\n") == 1  # one compact line
+    assert json.loads(report)["verdict"] == "not_tangent"
+    manifest = first["manifest.json"].decode()
+    assert manifest == json.dumps(json.loads(manifest), sort_keys=True, indent=2) + "\n"
 
 
 def test_check_summary_reports_step_disagreement(out_root, tmp_path, capsys):
@@ -305,6 +323,26 @@ def test_report_aggregates_runs(out_root, capsys):
     float(by_command["simulate"][5])  # max distance
     for row in rows:
         assert row[0] in captured.out
+
+
+def test_one_parser_serves_every_command_of_a_process(out_root, capsys):
+    _build_parser.cache_clear()
+    assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
+    assert main(["report", "--out", str(out_root)]) == 0
+    assert _build_parser.cache_info().misses == 1 and _build_parser.cache_info().hits == 1
+    assert str(run_dir_for(out_root, "check", "ito_zero", 1)) in capsys.readouterr().out
+    header, rows = read_csv(out_root / "summary.csv")
+    assert [(r[1], r[4]) for r in rows] == [("check", "tangent")]
+
+
+def test_report_quotes_a_run_name_with_a_comma(out_root, capsys):
+    assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
+    run_dir_for(out_root, "check", "ito_zero", 1).rename(out_root / "run, copy")
+    assert main(["report", "--out", str(out_root)]) == 0
+    capsys.readouterr()
+    header, rows = read_csv(out_root / "summary.csv")
+    assert [r[:2] for r in rows] == [["run, copy", "check"]]
+    assert all(len(r) == len(header) for r in rows)
 
 
 def test_report_empty_root_exit_one(out_root, capsys):

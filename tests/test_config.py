@@ -316,6 +316,19 @@ def test_settings_the_built_objects_reject_fail_at_load(source, match):
         load_config(source)
 
 
+def test_load_checks_the_chart_without_evaluating_it(monkeypatch):
+    import spde_manifold.config as config
+
+    def unevaluated(cfg):
+        chart = build_manifold(cfg)
+        chart.eval = lambda x: pytest.fail("loading evaluated the chart")
+        return chart
+
+    monkeypatch.setattr(config, "build_manifold", unevaluated)
+    for name in preset_names():
+        assert load_config(name).built[1].states
+
+
 def test_range_edges_load():
     edges = {"margin_frac": 0.0, "points_per_axis": 1, "base_threshold": 0.0, "spill_factor": 0.0}
     cfg = load_config({"preset": "heat_equation", "check": edges})

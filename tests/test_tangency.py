@@ -1,5 +1,6 @@
 """Tangency residuals, drift forms, and the chart sweep report."""
 
+import csv
 import json
 import math
 
@@ -20,6 +21,7 @@ from spde_manifold import (
     sweep_config,
     translation_chart,
 )
+from spde_manifold.cli import _write_csv, _write_json
 from spde_manifold.config import preset_names
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import DualField, SpectralState
@@ -533,3 +535,116 @@ def test_csv_rows_without_noise():
     j_col = header.index("j")
     assert all(r[j_col] == "" for r in rows)
     assert all(len(r) == len(header) for r in rows)
+
+
+# -- report artifacts read back ------------------------------------------------------------
+
+
+def written_report(rep, root):
+    """The report written as `check` writes it, and read back: JSON document and CSV rows."""
+    header, rows = rep.to_csv_rows()
+    _write_csv(root / "report.csv", header, rows)
+    _write_json(root / "report.json", rep.to_json_dict(), compact=True)
+    with (root / "report.csv").open(newline="") as fh:
+        read = list(csv.reader(fh))
+    assert read == [header, *rows]
+    text = (root / "report.json").read_text()
+    assert "NaN" not in text
+    return json.loads(text), read[0], read[1:]
+
+
+def assert_same_bits(values, expected):
+    values = np.array(values, dtype=float)  # a JSON null reads as NaN
+    expected = np.asarray(expected, dtype=float)
+    assert values.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(values), nan)
+    assert values[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def assert_report_round_trips(rep, root):
+    doc, header, rows = written_report(rep, root)
+    s_count, m = rep.points.shape
+    n_noise = rep.rho_diffusion.shape[1]
+    for name in ("points", "rho_diffusion", "beta", "rho_drift", "spill", "thresholds"):
+        assert_same_bits(doc[name], getattr(rep, name))
+    for name in ("rho_drift_strat", "beta_strat"):
+        if getattr(rep, name) is None:
+            assert doc[name] is None
+        else:
+            assert_same_bits(doc[name], getattr(rep, name))
+    if n_noise:
+        assert_same_bits(doc["a_coords"], rep.a_coords)
+    else:
+        assert doc["a_coords"] == []
+    assert doc["degenerate"] == rep.degenerate.tolist()
+
+    col = {name: i for i, name in enumerate(header)}
+    per_point = max(n_noise, 1)
+    assert len(rows) == s_count * per_point
+
+    def floats(rows, name):
+        cells = [r[col[name]] for r in rows]
+        values = [float(c) for c in cells]
+        assert all(c == "nan" for c, v in zip(cells, values) if v != v)
+        return values
+
+    own = [f"x_{k}" for k in range(m)] + ["rho_drift", *(f"beta_{k}" for k in range(m))]
+    own += ["rho_drift_strat", "spill", "threshold", "degenerate"]
+    for s in range(s_count):
+        block = rows[s * per_point : (s + 1) * per_point]
+        assert {r[col["point"]] for r in block} == {str(s)}
+        # a point's own cells are the same text on every component row
+        assert all([r[col[c]] for c in own] == [block[0][col[c]] for c in own] for r in block)
+    first = rows[::per_point]
+    assert_same_bits(np.array([floats(first, f"x_{k}") for k in range(m)]).T, rep.points)
+    assert_same_bits(floats(first, "rho_drift"), rep.rho_drift)
+    assert_same_bits(np.array([floats(first, f"beta_{k}") for k in range(m)]).T, rep.beta)
+    if rep.rho_drift_strat is None:
+        assert {r[col["rho_drift_strat"]] for r in rows} == {""}
+    else:
+        assert_same_bits(floats(first, "rho_drift_strat"), rep.rho_drift_strat)
+    assert_same_bits(floats(first, "spill"), rep.spill)
+    assert_same_bits(floats(first, "threshold"), rep.thresholds)
+    assert [r[col["degenerate"]] for r in first] == [str(d) for d in rep.degenerate.tolist()]
+    component = ["j", "rho_diffusion", *(f"a_{k}" for k in range(m))]
+    if not n_noise:
+        assert all(r[col[c]] == "" for r in rows for c in component)
+        return
+    assert [r[col["j"]] for r in rows] == [str(j) for j in range(n_noise)] * s_count
+    assert_same_bits(np.reshape(floats(rows, "rho_diffusion"), (s_count, n_noise)), rep.rho_diffusion)
+    a = np.array([floats(rows, f"a_{k}") for k in range(m)]).T.reshape(s_count, n_noise, m)
+    assert_same_bits(a, rep.a_coords)
+
+
+def test_report_artifacts_round_trip_two_components_on_a_plane(tmp_path):
+    m = 16
+    mixed = sine_mode(m, 1) * 0.6 + sine_mode(m, 3) * 0.8
+    model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1), mixed))
+    chart = linear_span_chart([sine_mode(m, 1), sine_mode(m, 2)], [[-2.0, 2.0]] * 2)
+    rep = sweep(model, chart, SamplingSpec(points_per_axis=3), form="both")
+    assert rep.rho_diffusion.shape == (9, 2) and rep.rho_drift_strat is not None
+    assert_report_round_trips(rep, tmp_path)
+
+
+def test_report_artifacts_round_trip_without_noise(tmp_path):
+    n = 8
+    model = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=())
+    chart = linear_span_chart([basis([0], n)], [[-1.0, 1.0]])
+    for form in ("bracket", "both"):
+        root = tmp_path / form
+        root.mkdir()
+        assert_report_round_trips(sweep(model, chart, SamplingSpec(points_per_axis=3), form=form), root)
+
+
+def test_report_artifacts_round_trip_with_a_degenerate_row(tmp_path):
+    m = 8
+    v = sine_mode(m, 1)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
+    model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1), sine_mode(m, 2)))
+    rep = sweep(model, chart, SamplingSpec(points_per_axis=3), form="both")
+    np.testing.assert_array_equal(rep.degenerate, [False, True, False])
+    assert_report_round_trips(rep, tmp_path)
+    doc, header, rows = written_report(rep, tmp_path)
+    assert doc["rho_drift"][1] is None and doc["a_coords"][1] == [[None], [None]]
+    assert rows[2][header.index("rho_diffusion")] == "nan"
