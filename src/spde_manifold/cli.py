@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -66,8 +65,8 @@ def _write_json(path: Path, obj, compact: bool = False) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Comma-separated cells that need no quoting (numbers and labels), CRLF line ends."""
-    path.write_text("\r\n".join(map(",".join, [header, *rows])) + "\r\n", newline="")
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _manifest(command: str, cfg: dict, seed: int, outputs, summary) -> dict:
@@ -181,8 +180,7 @@ def _cmd_report(args) -> int:
                 str(data.get("timestamp", "")),
             ]
         )
-    with (root / "summary.csv").open("w", newline="") as fh:  # run names may need quoting
-        csv.writer(fh).writerows([header, *rows])
+    _write_csv(root / "summary.csv", header, rows)
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
@@ -191,7 +189,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spde-manifold",

@@ -522,9 +522,8 @@ def load_config(source) -> LoadedConfig:
     with _rejected("model: "):
         built = build_model(cfg)
     with _rejected("manifold: "):
-        chart = build_manifold(cfg)
-        # its images are built from these states: same grid size or dimension as the model's
-        for state in chart.states:
+        chart, states = _chart_and_states(cfg)
+        for state in states:  # the chart's images: same grid size or dimension as the model's
             built.geometry.zero_state() + state
     if not chart.contains(sim["x0"]):
         box = chart.domain.tolist()
@@ -590,17 +589,22 @@ def build_model(cfg: dict):
     raise ConfigError(f"unknown model type {model['type']!r}")
 
 
-def build_manifold(cfg: dict) -> Parametrization:
+def _chart_and_states(cfg: dict):
+    """The config's chart and the states it is built from: its profile or span vectors."""
     manifold = cfg["manifold"]
     basis = "hermite" if cfg["model"]["type"] == "ito" else "grid"
     domain = np.asarray(manifold["domain"], dtype=float)
     if manifold["type"] == "translation":
-        return translation_chart(build_state(manifold["profile"], basis), domain)
+        profile = build_state(manifold["profile"], basis)
+        return translation_chart(profile, domain), [profile]
     if manifold["type"] == "span":
-        return linear_span_chart(
-            [build_state(s, basis) for s in manifold["vectors"]], domain
-        )
+        vectors = [build_state(s, basis) for s in manifold["vectors"]]
+        return linear_span_chart(vectors, domain), vectors
     raise ConfigError(f"unknown manifold type {manifold['type']!r}")
+
+
+def build_manifold(cfg: dict) -> Parametrization:
+    return _chart_and_states(cfg)[0]
 
 
 def build_sampling(cfg: dict) -> SamplingSpec:

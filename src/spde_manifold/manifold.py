@@ -80,7 +80,6 @@ class Parametrization:
     eval: Callable[[np.ndarray], object]
     jac: Optional[Callable[[np.ndarray], list]] = None
     hess: Optional[Callable[[np.ndarray], list]] = None
-    states: tuple = ()  # the states every image is built from, when known
 
     def __post_init__(self):
         dom = np.asarray(self.domain, dtype=float).reshape(self.m, 2)
@@ -502,7 +501,7 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
                 out[l][k] = s
         return out
 
-    return Parametrization(m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess, states=(profile,))
+    return Parametrization(m=d, domain=domain, eval=shifted, jac=_jac, hess=_hess)
 
 
 def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
@@ -526,4 +525,4 @@ def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
         zero = vectors[0] * 0.0
         return [[zero for _ in range(m)] for _ in range(m)]
 
-    return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess, states=tuple(vectors))
+    return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess)

@@ -334,8 +334,7 @@ class TangencyReport:
         }
 
     def to_csv_rows(self):
-        """Header and one row per point and noise component (per point without
-        noise); floats as ``repr_columns`` text, a point's own cells shared by its rows."""
+        """Header and one row per point and noise component (one per point without noise)."""
         s_count, m = self.points.shape
         n_noise = self.rho_diffusion.shape[1]
         header = (
@@ -344,16 +343,17 @@ class TangencyReport:
             + ["rho_drift", *(f"beta_{k}" for k in range(m))]
             + ["rho_drift_strat", "spill", "threshold", "degenerate"]
         )
-        strat = self.rho_drift_strat
-        strat = [""] * s_count if strat is None else repr_columns(strat)[0]
-        lead = zip(map(str, range(s_count)), *repr_columns(self.points))
+        strat = [""] * s_count if self.rho_drift_strat is None else repr_columns(self.rho_drift_strat)[0]
+        xs = zip(*repr_columns(self.points))
         shared = zip(*repr_columns(self.rho_drift, self.beta), strat,
                      *repr_columns(self.spill, self.thresholds), map(str, self.degenerate.tolist()))
-        own = iter([("",) * (m + 2)] * s_count)  # a component's cells, blank without noise
-        if n_noise:
-            cells = repr_columns(self.rho_diffusion.ravel(), self.a_coords.reshape(-1, m))
-            own = zip(list(map(str, range(n_noise))) * s_count, *cells)
-        rows = [[*x, *next(own), *c] for x, c in zip(lead, shared) for _ in range(max(n_noise, 1))]
+        own = list(zip(*repr_columns(self.rho_diffusion.ravel(), self.a_coords.reshape(-1, m))))
+        rows = []
+        for s, (x, cells) in enumerate(zip(xs, shared)):
+            if n_noise == 0:
+                rows.append([str(s), *x, "", "", *[""] * m, *cells])
+            for j in range(n_noise):
+                rows.append([str(s), *x, str(j), *own[s * n_noise + j], *cells])
         return header, rows
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spde_manifold.cli import _build_parser, main
+from spde_manifold.cli import main
 from spde_manifold.config import config_hash, load_config
 
 MANIFEST_KEYS = {
@@ -325,11 +325,9 @@ def test_report_aggregates_runs(out_root, capsys):
         assert row[0] in captured.out
 
 
-def test_one_parser_serves_every_command_of_a_process(out_root, capsys):
-    _build_parser.cache_clear()
+def test_check_then_report_in_one_process(out_root, capsys):
     assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
     assert main(["report", "--out", str(out_root)]) == 0
-    assert _build_parser.cache_info().misses == 1 and _build_parser.cache_info().hits == 1
     assert str(run_dir_for(out_root, "check", "ito_zero", 1)) in capsys.readouterr().out
     header, rows = read_csv(out_root / "summary.csv")
     assert [(r[1], r[4]) for r in rows] == [("check", "tangent")]

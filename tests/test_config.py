@@ -319,14 +319,18 @@ def test_settings_the_built_objects_reject_fail_at_load(source, match):
 def test_load_checks_the_chart_without_evaluating_it(monkeypatch):
     import spde_manifold.config as config
 
-    def unevaluated(cfg):
-        chart = build_manifold(cfg)
-        chart.eval = lambda x: pytest.fail("loading evaluated the chart")
-        return chart
+    def unevaluated(make):
+        def build(*args):
+            chart = make(*args)
+            chart.eval = lambda x: pytest.fail("loading evaluated the chart")
+            return chart
 
-    monkeypatch.setattr(config, "build_manifold", unevaluated)
+        return build
+
+    for name in ("translation_chart", "linear_span_chart"):
+        monkeypatch.setattr(config, name, unevaluated(getattr(config, name)))
     for name in preset_names():
-        assert load_config(name).built[1].states
+        load_config(name)
 
 
 def test_range_edges_load():
