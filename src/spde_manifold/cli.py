@@ -90,9 +90,17 @@ def _run_dir(root: Path, command: str, cfg: dict, seed: int) -> Path:
     return path
 
 
+def _sim_config(cfg, seed):
+    """The config's SimConfig, at the ``--seed`` override if one is given."""
+    try:
+        return cfg.built[2] if seed is None else dataclasses.replace(cfg.built[2], seed=seed)
+    except ValueError as err:
+        raise ConfigError(f"--seed: {err}") from err
+
+
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
-    seed = cfg["sim"]["seed"] if args.seed is None else args.seed
+    seed = _sim_config(cfg, args.seed).seed
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg), metadata={"config_hash": config_hash(cfg)})
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
@@ -125,10 +133,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    seed = cfg["sim"]["seed"] if args.seed is None else args.seed
-    model, param, sim_cfg = cfg.built
+    sim_cfg = _sim_config(cfg, args.seed)
+    seed = sim_cfg.seed
+    model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg))
-    sim_cfg = dataclasses.replace(sim_cfg, seed=seed)
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
     # the table against the sweep's coefficients off its nodes (beta from the bracket form);
     # null under jac_mode fd, whose frames the table's need not share

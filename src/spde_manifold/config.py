@@ -2,10 +2,10 @@
 
 A config is a dict with four sections: ``model``, ``manifold``,
 ``check``, ``sim``.  ``load_config`` resolves an optional preset,
-deep-merges overrides, fills defaults, and expands every state/dual
-spec to an explicit canonical form, so the same physical setup always
-canonicalizes (and hashes) identically; it also hands back the objects
-it built to validate the config.
+deep-merges overrides, and expands every section to an explicit canonical
+form through one table of kinds (each key's converter and default, each
+kind's builder), so the same physical setup always canonicalizes (and
+hashes) identically; it hands back the objects it built to validate it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
+from operator import itemgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,36 +60,6 @@ class LoadedConfig(dict):
     built: tuple
 
 
-_CHECK_DEFAULTS = {
-    "points_per_axis": 11,
-    "method": "auto",
-    "margin_frac": 0.01,
-    "base_threshold": 1e-6,
-    "spill_factor": 10.0,
-    "form": "both",
-    "jac_mode": "auto",
-    "da_mode": "auto",
-    "form_error_tol": 1e-2,
-}
-
-_CHECK_ENUMS = {
-    "form": FORMS,
-    "method": ("auto", "lattice", "halton"),
-    "jac_mode": JAC_MODES,
-    "da_mode": DA_MODES,
-}
-
-_SIM_DEFAULTS = {
-    "horizon": 0.5,
-    "dt": 1e-3,
-    "paths": 1,
-    "x0": [0.0],
-    "seed": 0,
-    "record_distance": True,
-    "explosion_ceiling": 1e6,
-}
-
-
 def _presets() -> dict:
     dirac0 = {"kind": "dirac", "z": [0.0]}
     translation = {
@@ -97,7 +70,6 @@ def _presets() -> dict:
             "N": 64,
             "b": [dict(dirac0)],
             "sigma": [[dict(dirac0)]],
-            "extra_fields": [],
         },
         "manifold": {
             "type": "translation",
@@ -110,7 +82,6 @@ def _presets() -> dict:
     translation_neg["model"]["extra_fields"] = [
         {"kind": "basis", "index": [4], "coef": 2.0}
     ]
-    translation_neg["sim"]["paths"] = 64
     return {
         "ito_translation_d1": translation,
         "ito_translation_d1_negative": translation_neg,
@@ -121,7 +92,6 @@ def _presets() -> dict:
                 "J": 0,
                 "N": 40,
                 "b": [{"kind": "zero"}],
-                "sigma": [],
                 "extra_fields": [{"kind": "basis", "index": [32]}],
             },
             "manifold": {
@@ -188,127 +158,166 @@ def preset_names() -> tuple:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
+    """``base`` with ``override`` merged into its nested dicts; neither is modified."""
+    out = dict(base)
     for key, val in override.items():
         if isinstance(val, dict) and isinstance(out.get(key), dict):
             out[key] = _deep_merge(out[key], val)
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = val
     return out
 
 
-def _require_keys(section: dict, allowed, where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+# -- converters: (value, key path, model section) -> canonical value -----------
+
+_REQUIRED = object()  # the default of a key that must be given
 
 
-def _as_int(val, where: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or int(val) != val:
+def _keep(val, where: str, model=None):
+    return val
+
+
+def _int(val, where: str, model=None) -> int:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or val % 1:
         raise ConfigError(f"{where} must be an integer, got {val!r}")
     return int(val)
 
 
-def _as_float(val, where: str) -> float:
+def _number(val, where: str, model=None) -> float:
+    """Any float, for the keys whose range a built object checks."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where} must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if val > 0 else -math.inf
 
 
-# -- state and dual specs ------------------------------------------------------
+def _list(convert):
+    def convert_list(val, where: str, model=None) -> list:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {val!r}")
+        return [convert(v, f"{where}[{i}]", model) for i, v in enumerate(val)]
+
+    return convert_list
 
 
-def _canon_state(spec: dict, basis: str, d: int, n: int, where: str) -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where} must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if basis == "hermite":
-        if kind == "basis":
-            _require_keys(spec, {"kind", "d", "index", "n", "coef"}, where)
-            index = [
-                _as_int(v, f"{where}.index") for v in spec.get("index", [0])
-            ]
-            out = {
-                "kind": "basis",
-                "d": _as_int(spec.get("d", d), f"{where}.d"),
-                "index": index,
-                "n": _as_int(spec.get("n", n), f"{where}.n"),
-                "coef": _as_float(spec.get("coef", 1.0), f"{where}.coef"),
-            }
-            if len(index) != out["d"]:
-                raise ConfigError(f"{where}: index length must equal d")
-            if sum(index) > out["n"]:
-                raise ConfigError(f"{where}: index order exceeds resolution n")
-            return out
-        if kind == "coeffs":
-            _require_keys(spec, {"kind", "d", "n", "entries"}, where)
-            out = {
-                "kind": "coeffs",
-                "d": _as_int(spec.get("d", d), f"{where}.d"),
-                "n": _as_int(spec.get("n", n), f"{where}.n"),
-                "entries": [
-                    [[_as_int(i, where) for i in idx], _as_float(v, where)]
-                    for idx, v in spec.get("entries", [])
-                ],
-            }
-            return out
-        raise ConfigError(f"{where}: unknown state kind {kind!r} for spectral basis")
-    if kind == "sine":
-        _require_keys(spec, {"kind", "m", "k", "coef"}, where)
-        return {
-            "kind": "sine",
-            "m": _as_int(spec.get("m", d), f"{where}.m"),
-            "k": _as_int(spec.get("k", 1), f"{where}.k"),
-            "coef": _as_float(spec.get("coef", 1.0), f"{where}.coef"),
-        }
-    if kind == "grid_values":
-        _require_keys(spec, {"kind", "values"}, where)
-        return {
-            "kind": "grid_values",
-            "values": [_as_float(v, where) for v in spec.get("values", [])],
-        }
-    raise ConfigError(f"{where}: unknown state kind {kind!r} for grid basis")
+def _ranged(convert, ok, rule: str):
+    """``convert``, then reject a value ``ok`` refuses: it must ``rule``."""
 
-
-def _canon_dual(spec: dict, d: int, n: int, where: str) -> dict:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where} must be a dict with a 'kind'")
-    kind = spec["kind"]
-    if kind == "dirac":
-        _require_keys(spec, {"kind", "d", "z", "n"}, where)
-        z = [_as_float(v, f"{where}.z") for v in spec.get("z", [0.0])]
-        out = {"kind": "dirac", "d": len(z), "z": z, "n": _as_int(spec.get("n", n), where)}
-        if out["d"] != d:
-            raise ConfigError(f"{where}: dirac location length must equal d={d}")
+    def convert_ranged(val, where: str, model=None):
+        out = convert(val, where, model)
+        if not ok(out):
+            raise ConfigError(f"{where} must {rule}, got {out!r}")
         return out
-    if kind == "constant":
-        _require_keys(spec, {"kind", "d", "n", "value"}, where)
-        return {
-            "kind": "constant",
-            "d": _as_int(spec.get("d", d), where),
-            "n": _as_int(spec.get("n", n), where),
-            "value": _as_float(spec.get("value", 1.0), where),
-        }
-    if kind == "zero":
-        _require_keys(spec, {"kind", "d"}, where)
-        return {"kind": "zero", "d": _as_int(spec.get("d", d), where)}
-    if kind == "dual_coeffs":
-        _require_keys(spec, {"kind", "d", "n", "entries"}, where)
-        return {
-            "kind": "dual_coeffs",
-            "d": _as_int(spec.get("d", d), where),
-            "n": _as_int(spec.get("n", n), where),
-            "entries": [
-                [[_as_int(i, where) for i in idx], _as_float(v, where)]
-                for idx, v in spec.get("entries", [])
-            ],
-        }
-    raise ConfigError(f"{where}: unknown dual kind {kind!r}")
+
+    return convert_ranged
 
 
-def _tensor_from_entries(d: int, n: int, entries) -> np.ndarray:
+def _enum(allowed):
+    return _ranged(_keep, lambda v: v in allowed, f"be {'/'.join(allowed)}")
+
+
+def _entry(val, where: str, model=None) -> list:
+    if not isinstance(val, (list, tuple)) or len(val) != 2:
+        raise ConfigError(f"{where} must be a pair [index, coefficient], got {val!r}")
+    return [_ints(val[0], f"{where}[0]"), _finite(val[1], f"{where}[1]")]
+
+
+_finite = _ranged(_number, math.isfinite, "be a finite number")
+_non_negative = _ranged(_finite, lambda v: v >= 0.0, "not be negative")
+_positive_int = _ranged(_int, lambda v: v >= 1, "be at least 1")
+_bool = _ranged(_keep, lambda v: isinstance(v, bool), "be true or false")
+_ints, _entries = _list(_int), _list(_entry)
+# rows [lo, hi]; the chart checks that there is one per coordinate, finite with lo < hi
+_domain = _list(_ranged(_list(_number), lambda row: len(row) == 2, "be a pair [lo, hi]"))
+
+
+# -- the tables of kinds -------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """Each key's (converter, default), a callable default reading the model
+    section; the builder; a cross-field check; the one basis it needs, if any."""
+
+    fields: dict
+    build: Callable
+    check: Callable = lambda spec, where, model: None
+    basis: str | None = None
+
+
+class _Family(NamedTuple):
+    """The kinds that a spec's ``tag`` key names; messages call the name ``noun``."""
+
+    tag: str
+    noun: str
+    kinds: dict
+
+    def kind(self, spec, where: str) -> _Kind:
+        if not isinstance(spec, dict) or self.tag not in spec:
+            raise ConfigError(f"{where} must be a dict with a {self.tag!r}")
+        name = spec[self.tag]
+        kind = self.kinds.get(name) if isinstance(name, str) else None
+        if kind is None:
+            known = ", ".join(self.kinds)
+            raise ConfigError(f"{where}: unknown {self.noun} {name!r}; known: {known}")
+        return kind
+
+    def build(self, spec):
+        return self.kind(spec, "spec").build(spec)
+
+    def __call__(self, spec, where: str, model=None) -> dict:
+        """The canonical form of a spec of one of these kinds: a converter."""
+        kind = self.kind(spec, where)
+        if kind.basis and kind.basis != _basis(model):
+            raise ConfigError(f"{where}: unknown {self.noun} {spec[self.tag]!r} for a "
+                              f"{_basis(model)} model, it needs the {kind.basis} basis")
+        out = _fill(spec, {self.tag: (_keep, _REQUIRED), **kind.fields}, where, model)
+        kind.check(out, where, out if model is None else model)
+        return out
+
+
+def _basis(model: dict) -> str:
+    return "spectral" if model["type"] == "ito" else "grid"
+
+
+def _fill(spec, fields: dict, where: str, model=None) -> dict:
+    """Reject a spec's unknown keys, fill its defaults and convert each value.
+    With no ``model``, ``spec`` is the model section: it reads its keys filled so far."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be a dict, got {spec!r}")
+    for key in spec:
+        if key not in fields:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    out: dict = {}
+    model = out if model is None else model
+    for key, (convert, default) in fields.items():
+        if key in spec:
+            val = spec[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}.{key} is required")
+        else:
+            val = default(model) if callable(default) else default
+        out[key] = convert(val, f"{where}.{key}", model)
+    return out
+
+
+def _check_basis(spec: dict, where: str, model: dict):
+    if len(spec["index"]) != spec["d"]:
+        raise ConfigError(f"{where}: index length must equal d")
+    if sum(spec["index"]) > spec["n"]:
+        raise ConfigError(f"{where}: index order exceeds resolution n")
+
+
+def _check_dirac(spec: dict, where: str, model: dict):
+    if not len(spec["z"]) == spec["d"] == model["d"]:
+        raise ConfigError(f"{where}: dirac location length must equal d={model['d']}")
+
+
+def _tensor(spec: dict) -> np.ndarray:
+    d, n = spec["d"], spec["n"]
     c = np.zeros((n + 1,) * d)
-    for idx, val in entries:
+    for idx, val in spec["entries"]:
         mi = MultiIndex(idx)
         if len(mi) != d or mi.order > n:
             raise ConfigError(f"coefficient index {list(mi)} out of range for d={d}, n={n}")
@@ -316,164 +325,103 @@ def _tensor_from_entries(d: int, n: int, entries) -> np.ndarray:
     return c
 
 
+def _scaled(state, coef: float):
+    return state if coef == 1.0 else state * coef
+
+
+def _translation(spec: dict):
+    profile = _STATES.build(spec["profile"])
+    return translation_chart(profile, spec["domain"]), [profile]
+
+
+def _span(spec: dict):
+    vectors = [_STATES.build(s) for s in spec["vectors"]]
+    return linear_span_chart(vectors, spec["domain"]), vectors
+
+
+# a spectral object's dimension and resolution, by default the model's
+_DN = {"d": (_int, itemgetter("d")), "n": (_int, itemgetter("N"))}
+
+_STATES = _Family("kind", "state kind", {
+    "basis": _Kind({**_DN, "index": (_ints, [0]), "coef": (_finite, 1.0)},
+                   lambda s: _scaled(SpectralState.basis(s["index"], s["n"]), s["coef"]),
+                   _check_basis, "spectral"),
+    "coeffs": _Kind({**_DN, "entries": (_entries, [])},
+                    lambda s: SpectralState(s["d"], s["n"], _tensor(s)), basis="spectral"),
+    "sine": _Kind({"m": (_int, itemgetter("M")), "k": (_int, 1), "coef": (_finite, 1.0)},
+                  lambda s: _scaled(sine_mode(s["m"], s["k"]), s["coef"]), basis="grid"),
+    "grid_values": _Kind({"values": (_list(_finite), [])},
+                         lambda s: GridState(np.asarray(s["values"], dtype=float)), basis="grid"),
+})
+
+_DUALS = _Family("kind", "dual kind", {
+    "dirac": _Kind({**_DN, "z": (_list(_finite), [0.0])},
+                   lambda s: DualField.dirac(s["z"], s["n"]), _check_dirac),
+    "constant": _Kind({**_DN, "value": (_finite, 1.0)},
+                      lambda s: DualField.constant(s["d"], s["n"], s["value"])),
+    "zero": _Kind({"d": _DN["d"]}, lambda s: DualField.zero(s["d"])),
+    "dual_coeffs": _Kind({**_DN, "entries": (_entries, [])},
+                         lambda s: DualField(s["d"], s["n"], _tensor(s))),
+})
+
+_MODELS = _Family("type", "model type", {
+    "ito": _Kind(
+        {
+            "d": (_int, 1), "J": (_int, 0), "N": (_int, 32),
+            "b": (_list(_DUALS), []), "sigma": (_list(_list(_DUALS)), []),
+            "extra_fields": (_list(_STATES), []), "scale_base": (_finite, 0.0),
+        },
+        lambda m: ItoTypeModel(
+            m["d"], m["J"], m["N"], tuple(map(_DUALS.build, m["b"])),
+            tuple(tuple(map(_DUALS.build, row)) for row in m["sigma"]),
+            tuple(map(_STATES.build, m["extra_fields"])), NormScale.half_step(m["scale_base"]),
+        ),
+    ),
+    "plaplace": _Kind(
+        {"p": (_finite, 2.0), "M": (_int, 64), "fields": (_list(_STATES), [])},
+        lambda m: PLaplaceModel(m["p"], m["M"], tuple(map(_STATES.build, m["fields"]))),
+    ),
+})
+
+_MANIFOLDS = _Family("type", "manifold type", {
+    "translation": _Kind({"profile": (_STATES, _REQUIRED), "domain": (_domain, _REQUIRED)},
+                         _translation, basis="spectral"),
+    "span": _Kind({"vectors": (_ranged(_list(_STATES), len, "not be empty"), []),
+                   "domain": (_domain, _REQUIRED)}, _span),
+})
+
+_CHECK = {
+    "points_per_axis": (_positive_int, 11),
+    "method": (_enum(("auto", "lattice", "halton")), "auto"),
+    # a margin of half the box or more leaves no box to sample
+    "margin_frac": (_ranged(_finite, lambda v: 0.0 <= v < 0.5, "be in [0, 0.5)"), 0.01),
+    "base_threshold": (_non_negative, 1e-6),
+    "spill_factor": (_non_negative, 10.0),
+    "form": (_enum(FORMS), "both"),
+    "jac_mode": (_enum(JAC_MODES), "auto"),
+    "da_mode": (_enum(DA_MODES), "auto"),
+    "form_error_tol": (_non_negative, 1e-2),
+}
+
+# SimConfig checks horizon, dt, explosion_ceiling and seed; the chart box checks x0
+_SIM = {
+    "horizon": (_number, 0.5),
+    "dt": (_number, 1e-3),
+    "paths": (_positive_int, 1),
+    "x0": (_list(_number), [0.0]),
+    "seed": (_int, 0),
+    "record_distance": (_bool, True),
+    "explosion_ceiling": (_number, 1e6),
+}
+
+
 def build_state(spec: dict, basis: str):
-    kind = spec["kind"]
-    if kind == "basis":
-        state = SpectralState.basis(MultiIndex(spec["index"]), spec["n"])
-        return state if spec["coef"] == 1.0 else state * spec["coef"]
-    if kind == "coeffs":
-        return SpectralState(spec["d"], spec["n"], _tensor_from_entries(spec["d"], spec["n"], spec["entries"]))
-    if kind == "sine":
-        mode = sine_mode(spec["m"], spec["k"])
-        return mode if spec["coef"] == 1.0 else mode * spec["coef"]
-    if kind == "grid_values":
-        return GridState(np.asarray(spec["values"], dtype=float))
-    raise ConfigError(f"unknown state kind {kind!r}")
+    """The state of a canonical spec; its kind fixes its basis, "hermite" or "grid"."""
+    return _STATES.build(spec)
 
 
 def build_dual(spec: dict) -> DualField:
-    kind = spec["kind"]
-    if kind == "dirac":
-        return DualField.dirac(spec["z"], spec["n"])
-    if kind == "constant":
-        return DualField.constant(spec["d"], spec["n"], spec["value"])
-    if kind == "zero":
-        return DualField.zero(spec["d"])
-    if kind == "dual_coeffs":
-        return DualField(spec["d"], spec["n"], _tensor_from_entries(spec["d"], spec["n"], spec["entries"]))
-    raise ConfigError(f"unknown dual kind {kind!r}")
-
-
-# -- section canonicalizers ----------------------------------------------------
-
-
-def _canon_model(model: dict) -> dict:
-    if not isinstance(model, dict) or "type" not in model:
-        raise ConfigError("config needs a 'model' section with a 'type'")
-    mtype = model["type"]
-    if mtype == "ito":
-        _require_keys(
-            model, {"type", "d", "J", "N", "b", "sigma", "extra_fields", "scale_base"},
-            "model",
-        )
-        d = _as_int(model.get("d", 1), "model.d")
-        big_j = _as_int(model.get("J", 0), "model.J")
-        n = _as_int(model.get("N", 32), "model.N")
-        b = [
-            _canon_dual(s, d, n, f"model.b[{i}]")
-            for i, s in enumerate(model.get("b", []))
-        ]
-        sigma = [
-            [_canon_dual(s, d, n, f"model.sigma[{jj}][{i}]") for i, s in enumerate(row)]
-            for jj, row in enumerate(model.get("sigma", []))
-        ]
-        extras = [
-            _canon_state(s, "hermite", d, n, f"model.extra_fields[{i}]")
-            for i, s in enumerate(model.get("extra_fields", []))
-        ]
-        return {
-            "type": "ito",
-            "d": d,
-            "J": big_j,
-            "N": n,
-            "b": b,
-            "sigma": sigma,
-            "extra_fields": extras,
-            "scale_base": _as_float(model.get("scale_base", 0.0), "model.scale_base"),
-        }
-    if mtype == "plaplace":
-        _require_keys(model, {"type", "p", "M", "fields"}, "model")
-        m_pts = _as_int(model.get("M", 64), "model.M")
-        fields = [
-            _canon_state(s, "grid", m_pts, m_pts, f"model.fields[{i}]")
-            for i, s in enumerate(model.get("fields", []))
-        ]
-        return {
-            "type": "plaplace",
-            "p": _as_float(model.get("p", 2.0), "model.p"),
-            "M": m_pts,
-            "fields": fields,
-        }
-    raise ConfigError(f"unknown model type {mtype!r}")
-
-
-def _canon_manifold(manifold: dict, model: dict) -> dict:
-    if not isinstance(manifold, dict) or "type" not in manifold:
-        raise ConfigError("config needs a 'manifold' section with a 'type'")
-    basis = "hermite" if model["type"] == "ito" else "grid"
-    d = model["d"] if basis == "hermite" else model["M"]
-    n = model["N"] if basis == "hermite" else model["M"]
-    kind = manifold["type"]
-    if kind == "translation":
-        if basis != "hermite":
-            raise ConfigError("translation charts need the spectral basis")
-        _require_keys(manifold, {"type", "profile", "domain"}, "manifold")
-        profile = _canon_state(manifold["profile"], basis, d, n, "manifold.profile")
-        domain = _canon_domain(manifold.get("domain"), d)
-        return {"type": "translation", "profile": profile, "domain": domain}
-    if kind == "span":
-        _require_keys(manifold, {"type", "vectors", "domain"}, "manifold")
-        vectors = [
-            _canon_state(s, basis, d, n, f"manifold.vectors[{i}]")
-            for i, s in enumerate(manifold.get("vectors", []))
-        ]
-        if not vectors:
-            raise ConfigError("manifold.vectors must not be empty")
-        domain = _canon_domain(manifold.get("domain"), len(vectors))
-        return {"type": "span", "vectors": vectors, "domain": domain}
-    raise ConfigError(f"unknown manifold type {kind!r}")
-
-
-def _canon_domain(domain, m: int):
-    if domain is None:
-        raise ConfigError("manifold.domain is required")
-    arr = np.asarray(domain, dtype=float)
-    if arr.shape != (m, 2):
-        raise ConfigError(f"manifold.domain must have shape ({m}, 2), got {arr.shape}")
-    return [[float(lo), float(hi)] for lo, hi in arr]
-
-
-def _canon_check(check: dict) -> dict:
-    _require_keys(check, set(_CHECK_DEFAULTS), "check")
-    out = dict(_CHECK_DEFAULTS)
-    out.update(check)
-    out["points_per_axis"] = _as_int(out["points_per_axis"], "check.points_per_axis")
-    for key in ("margin_frac", "base_threshold", "spill_factor", "form_error_tol"):
-        out[key] = _as_float(out[key], f"check.{key}")
-    for key, allowed in _CHECK_ENUMS.items():
-        if out[key] not in allowed:
-            raise ConfigError(f"check.{key} must be {'/'.join(allowed)}, got {out[key]!r}")
-    if out["points_per_axis"] < 1:
-        raise ConfigError("check.points_per_axis must be at least 1")
-    # a margin of half the box or more leaves no box to sample
-    if not 0.0 <= out["margin_frac"] < 0.5:
-        raise ConfigError(f"check.margin_frac must be in [0, 0.5), got {out['margin_frac']!r}")
-    for key in ("base_threshold", "spill_factor", "form_error_tol"):
-        if not out[key] >= 0.0:
-            raise ConfigError(f"check.{key} must not be negative, got {out[key]!r}")
-    return out
-
-
-def _canon_sim(sim: dict, m: int) -> dict:
-    _require_keys(sim, set(_SIM_DEFAULTS), "sim")
-    out = dict(_SIM_DEFAULTS)
-    out.update(sim)
-    out["horizon"] = _as_float(out["horizon"], "sim.horizon")
-    out["dt"] = _as_float(out["dt"], "sim.dt")
-    out["paths"] = _as_int(out["paths"], "sim.paths")
-    out["seed"] = _as_int(out["seed"], "sim.seed")
-    out["explosion_ceiling"] = _as_float(out["explosion_ceiling"], "sim.explosion_ceiling")
-    if not isinstance(out["record_distance"], bool):
-        raise ConfigError(
-            f"sim.record_distance must be true or false, got {out['record_distance']!r}"
-        )
-    if out["paths"] < 1:
-        raise ConfigError("sim.paths must be at least 1")
-    x0 = [_as_float(v, "sim.x0") for v in out["x0"]]
-    if len(x0) != m:
-        raise ConfigError(f"sim.x0 must have {m} coordinates, got {len(x0)}")
-    out["x0"] = x0
-    return out
+    return _DUALS.build(spec)
 
 
 def load_config(source) -> LoadedConfig:
@@ -487,7 +435,7 @@ def load_config(source) -> LoadedConfig:
     if isinstance(source, (str, Path)):
         text = str(source)
         if text in _presets():
-            raw: dict = {"preset": text}
+            raw = {"preset": text}
         else:
             path = Path(source)
             if not path.exists():
@@ -496,28 +444,29 @@ def load_config(source) -> LoadedConfig:
                 raw = json.loads(path.read_text())
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config file {text!r} is not valid JSON: {err}") from err
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config file {text!r} must hold a JSON object")
     elif isinstance(source, dict):
-        raw = copy.deepcopy(dict(source))
+        raw = dict(source)  # canonicalizing reads a spec and builds a new one
     else:
         raise ConfigError(f"unsupported config source {type(source).__name__}")
 
     if "preset" in raw:
         name = raw.pop("preset")
         presets = _presets()
-        if name not in presets:
+        if not isinstance(name, str) or name not in presets:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"
             )
         raw = _deep_merge(presets[name], raw)
 
-    _require_keys(raw, {"model", "manifold", "check", "sim"}, "config")
-    if "model" not in raw or "manifold" not in raw:
-        raise ConfigError("config needs 'model' and 'manifold' sections")
-    model = _canon_model(raw["model"])
-    manifold = _canon_manifold(raw["manifold"], model)
-    m = len(manifold["domain"])
-    check = _canon_check(raw.get("check", {}))
-    sim = _canon_sim(raw.get("sim", {}), m)
+    for key in raw:
+        if key not in ("model", "manifold", "check", "sim"):
+            raise ConfigError(f"unknown key {key!r} in config")
+    model = _MODELS(raw.get("model"), "model")
+    manifold = _MANIFOLDS(raw.get("manifold"), "manifold", model)
+    check = _fill(raw.get("check", {}), _CHECK, "check")
+    sim = _fill(raw.get("sim", {}), _SIM, "sim")
     cfg = LoadedConfig(model=model, manifold=manifold, check=check, sim=sim)
     with _rejected("model: "):
         built = build_model(cfg)
@@ -525,6 +474,8 @@ def load_config(source) -> LoadedConfig:
         chart, states = _chart_and_states(cfg)
         for state in states:  # the chart's images: same grid size or dimension as the model's
             built.geometry.zero_state() + state
+    if len(sim["x0"]) != chart.m:
+        raise ConfigError(f"sim.x0 must have {chart.m} coordinates, got {len(sim['x0'])}")
     if not chart.contains(sim["x0"]):
         box = chart.domain.tolist()
         raise ConfigError(f"sim.x0 must lie in the chart box {box}, got {sim['x0']}")
@@ -549,89 +500,48 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _sha(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
-
-
 def config_hash(cfg: dict) -> str:
-    return _sha(cfg)
+    return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
 
 def model_hash(cfg: dict) -> str:
-    return _sha(cfg["model"])
+    return config_hash(cfg["model"])
 
 
 def manifold_hash(cfg: dict) -> str:
-    return _sha(cfg["manifold"])
+    return config_hash(cfg["manifold"])
 
 
 # -- object builders -----------------------------------------------------------
 
 
 def build_model(cfg: dict):
-    model = cfg["model"]
-    if model["type"] == "ito":
-        return ItoTypeModel(
-            d=model["d"],
-            J=model["J"],
-            N=model["N"],
-            b=tuple(build_dual(s) for s in model["b"]),
-            sigma=tuple(tuple(build_dual(s) for s in row) for row in model["sigma"]),
-            extra_fields=tuple(build_state(s, "hermite") for s in model["extra_fields"]),
-            scale=NormScale.half_step(model["scale_base"]),
-        )
-    if model["type"] == "plaplace":
-        return PLaplaceModel(
-            p_exponent=model["p"],
-            M=model["M"],
-            fields=tuple(build_state(s, "grid") for s in model["fields"]),
-        )
-    raise ConfigError(f"unknown model type {model['type']!r}")
+    return _MODELS.build(cfg["model"])
 
 
 def _chart_and_states(cfg: dict):
     """The config's chart and the states it is built from: its profile or span vectors."""
-    manifold = cfg["manifold"]
-    basis = "hermite" if cfg["model"]["type"] == "ito" else "grid"
-    domain = np.asarray(manifold["domain"], dtype=float)
-    if manifold["type"] == "translation":
-        profile = build_state(manifold["profile"], basis)
-        return translation_chart(profile, domain), [profile]
-    if manifold["type"] == "span":
-        vectors = [build_state(s, basis) for s in manifold["vectors"]]
-        return linear_span_chart(vectors, domain), vectors
-    raise ConfigError(f"unknown manifold type {manifold['type']!r}")
+    return _MANIFOLDS.build(cfg["manifold"])
 
 
 def build_manifold(cfg: dict) -> Parametrization:
     return _chart_and_states(cfg)[0]
 
 
+_SAMPLING_KEYS = ("points_per_axis", "method", "margin_frac")  # the rest are sweep's
+
+
 def build_sampling(cfg: dict) -> SamplingSpec:
-    check = cfg["check"]
-    return SamplingSpec(
-        points_per_axis=check["points_per_axis"],
-        method=check["method"],
-        margin_frac=check["margin_frac"],
-    )
-
-
-_SWEEP_KEYS = ("base_threshold", "spill_factor", "form", "jac_mode", "da_mode", "form_error_tol")
+    return SamplingSpec(**{key: cfg["check"][key] for key in _SAMPLING_KEYS})
 
 
 def sweep_config(cfg: dict) -> dict:
     """Keyword arguments of ``sweep`` for a config: its sampling and check settings."""
-    check = cfg["check"]
-    return {"sampling": build_sampling(cfg), **{key: check[key] for key in _SWEEP_KEYS}}
+    check = {key: val for key, val in cfg["check"].items() if key not in _SAMPLING_KEYS}
+    return {"sampling": build_sampling(cfg), **check}
 
 
 def build_sim_config(cfg: dict, seed=None) -> SimConfig:
-    sim = cfg["sim"]
-    return SimConfig(
-        horizon=sim["horizon"],
-        dt=sim["dt"],
-        paths=sim["paths"],
-        seed=sim["seed"] if seed is None else int(seed),
-        record_distance=sim["record_distance"],
-        explosion_ceiling=sim["explosion_ceiling"],
-    )
+    """The config's SimConfig: its ``sim`` section but the start ``x0``, at ``seed`` if given."""
+    sim = {key: val for key, val in cfg["sim"].items() if key != "x0"}
+    return SimConfig(**sim) if seed is None else SimConfig(**{**sim, "seed": int(seed)})

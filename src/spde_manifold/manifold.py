@@ -82,9 +82,9 @@ class Parametrization:
     hess: Optional[Callable[[np.ndarray], list]] = None
 
     def __post_init__(self):
-        dom = np.asarray(self.domain, dtype=float).reshape(self.m, 2)
-        if not np.all(np.isfinite(dom)) or np.any(dom[:, 0] >= dom[:, 1]):
-            raise ValueError("chart domain rows must be finite and satisfy lo < hi")
+        dom = np.asarray(self.domain, dtype=float)
+        if dom.shape != (self.m, 2) or not np.isfinite(dom).all() or (dom[:, 0] >= dom[:, 1]).any():
+            raise ValueError(f"chart domain must have shape ({self.m}, 2), finite rows and lo < hi")
         self.domain = dom
 
     def contains(self, x, margin: float = 0.0):

@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError(f"horizon shorter than one step: {self.horizon!r} < dt {self.dt!r}")
         if not self.explosion_ceiling > 0:
             raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
     @property
     def n_steps(self) -> int:

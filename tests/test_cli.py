@@ -282,6 +282,15 @@ def test_simulate_seed_override(out_root, capsys):
     assert manifest["config"]["sim"]["seed"] == 1
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("seed", ["-5", str(2**128)])
+def test_seed_outside_the_philox_key_range_is_an_error(out_root, capsys, command, seed):
+    rc = main([command, "--config", "ito_zero", "--seed", seed, "--out", str(out_root)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --seed: seed must be in [0, 2**128)")
+    assert not any(out_root.iterdir())
+
+
 def test_out_root_from_environment(tmp_path, monkeypatch, capsys):
     root = tmp_path / "envruns"
     monkeypatch.setenv("SPDE_MANIFOLD_OUT", str(root))

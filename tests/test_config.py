@@ -1,6 +1,8 @@
 """Preset resolution, canonicalization, validation, and hashing."""
 
+import inspect
 import json
+import re
 
 import pytest
 
@@ -13,6 +15,8 @@ from spde_manifold import (
     build_model,
     build_sim_config,
     load_config,
+    sweep,
+    sweep_config,
 )
 from spde_manifold.config import (
     build_dual,
@@ -427,3 +431,108 @@ def test_eigen_preset_step_is_stable_for_its_grid():
     m, dt = cfg["model"]["M"], cfg["sim"]["dt"]
     stiffest = laplace_eigenvalue(m, m)
     assert abs(1.0 + stiffest * dt) < 1.0
+
+
+@pytest.mark.parametrize(
+    "source, path",
+    [
+        ({"preset": "ito_zero", "manifold": {"profile": {"kind": "basis", "index": 3}}},
+         "manifold.profile.index must be a list"),
+        ({"preset": "ito_zero",
+          "model": {"extra_fields": [{"kind": "coeffs", "entries": [[0, 1.0]]}]}},
+         "model.extra_fields[0].entries[0][0] must be a list"),
+        ({"preset": "ito_zero",
+          "model": {"extra_fields": [{"kind": "coeffs", "entries": [[[0]]]}]}},
+         "model.extra_fields[0].entries[0] must be a pair"),
+        ({"preset": "ito_zero", "sim": {"x0": 0.5}}, "sim.x0 must be a list"),
+        ({"preset": "ito_zero", "sim": None}, "sim must be a dict"),
+        ({"preset": "ito_zero", "check": []}, "check must be a dict"),
+        ({"preset": "ito_zero", "manifold": {"domain": "ab"}}, "manifold.domain must be a list"),
+        ({"preset": "ito_zero", "manifold": {"domain": [[-1.0, 0.0, 1.0]]}},
+         "manifold.domain[0] must be a pair"),
+        ({"preset": "heat_equation",
+          "model": {"fields": [{"kind": "grid_values", "values": 5}]}},
+         "model.fields[0].values must be a list"),
+        ({"preset": ["ito_zero"]}, "unknown preset"),
+    ],
+)
+def test_malformed_shapes_fail_as_config_errors(source, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_config(source)
+
+
+def test_a_json_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text("null")
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "source, path",
+    [
+        ({"preset": "ito_translation_d1_negative",
+          "model": {"extra_fields": [{"kind": "basis", "index": [4], "coef": value}]}},
+         "model.extra_fields[0].coef")
+        for value in (float("nan"), float("1e400"), -float("inf"), 10**400)
+    ]
+    + [
+        ({"preset": "plaplace_p2_eigen", "model": {"p": float("nan")}}, "model.p"),
+        ({"preset": "ito_zero",
+          "model": {"extra_fields": [{"kind": "coeffs", "entries": [[[0], float("nan")]]}]}},
+         "model.extra_fields[0].entries[0][1]"),
+        ({"preset": "ito_zero", "model": {"b": [{"kind": "dirac", "z": [float("inf")]}]}},
+         "model.b[0].z[0]"),
+        ({"preset": "ito_zero", "check": {"spill_factor": float("inf")}}, "check.spill_factor"),
+    ],
+)
+def test_non_finite_numbers_fail_at_load(source, path):
+    with pytest.raises(ConfigError, match=re.escape(path) + " must be a finite number"):
+        load_config(source)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_the_philox_key_range_fails_at_load(seed):
+    with pytest.raises(ConfigError, match=re.escape("sim.seed must be in [0, 2**128)")):
+        load_config({"preset": "ito_zero", "sim": {"seed": seed}})
+    with pytest.raises(ValueError, match="seed must be in"):
+        SimConfig(seed=seed)
+
+
+def test_seed_range_edges_load():
+    for seed in (0, 2**128 - 1):
+        cfg = load_config({"preset": "ito_zero", "sim": {"seed": seed}})
+        assert build_sim_config(cfg).seed == seed
+
+
+PRESET_HASHES = {
+    "heat_equation": "cb60d5ecaad4a2d3",
+    "ito_translation_d1": "d9c274532614df86",
+    "ito_translation_d1_negative": "a98f2e1a3e51b233",
+    "ito_zero": "fd3dbbd33756527b",
+    "negative_control": "da6e9bdcad0e68c7",
+    "plaplace_p2_eigen": "f8658bfbb34b52fb",
+}
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_canonical_form_is_pinned(name):
+    # the hash names every run directory: a canonicaliser change must not move it
+    assert config_hash(load_config(name))[:16] == PRESET_HASHES[name]
+
+
+def test_loader_defaults_match_the_objects_defaults():
+    cfg = load_config({
+        "model": {"type": "plaplace", "M": 16},
+        "manifold": {"type": "span", "vectors": [{"kind": "sine", "k": 1}], "domain": [[-1, 1]]},
+    })
+    swept = sweep_config(cfg)
+    assert swept.pop("sampling") == SamplingSpec()
+    keyword_defaults = {
+        name: param.default
+        for name, param in inspect.signature(sweep).parameters.items()
+        if param.kind is param.KEYWORD_ONLY
+    }
+    assert swept == {name: keyword_defaults[name] for name in swept}
+    assert len(swept) + 3 == len(cfg["check"])
+    assert build_sim_config(cfg) == SimConfig()
