@@ -432,9 +432,10 @@ def load_config(source) -> LoadedConfig:
     a start ``sim.x0`` outside the chart box, is a ConfigError here.  The
     built objects come back as ``built``.
     """
+    presets = _presets()
     if isinstance(source, (str, Path)):
         text = str(source)
-        if text in _presets():
+        if text in presets:
             raw = {"preset": text}
         else:
             path = Path(source)
@@ -453,7 +454,6 @@ def load_config(source) -> LoadedConfig:
 
     if "preset" in raw:
         name = raw.pop("preset")
-        presets = _presets()
         if not isinstance(name, str) or name not in presets:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(presets))}"

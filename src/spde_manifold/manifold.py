@@ -16,7 +16,7 @@ every path at once with per-path convergence and backtracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "TangentFrame",
     "ProjectionResult",
     "DistanceResult",
+    "rank_deficient",
     "jacobian",
     "block_frame",
     "bracket",
@@ -87,12 +88,10 @@ class Parametrization:
             raise ValueError(f"chart domain must have shape ({self.m}, 2), finite rows and lo < hi")
         self.domain = dom
 
-    def contains(self, x, margin: float = 0.0):
-        """Whether x lies in the box shrunk by margin; one flag per path for a batch."""
+    def contains(self, x):
+        """Whether x lies in the box; one flag per path for a batch."""
         x = np.asarray(x, dtype=float)
-        inside = np.all(
-            (x >= self.domain[:, 0] + margin) & (x <= self.domain[:, 1] - margin), axis=-1
-        )
+        inside = np.all((x >= self.domain[:, 0]) & (x <= self.domain[:, 1]), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -120,8 +119,6 @@ def _solve_r(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve r c = v for upper-triangular r (..., m, m) and v (..., m)."""
     if r.shape[-1] == 1:
         return v / r[..., 0]
-    if v.ndim == 1:
-        return np.linalg.solve(r, v)
     return np.linalg.solve(r, v[..., None])[..., 0]
 
 
@@ -135,10 +132,18 @@ def _row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v * v).sum(-1))
 
 
-@dataclass
+def rank_deficient(sv: np.ndarray) -> np.ndarray:
+    """Whether singular values (..., m), largest first, mark a degenerate frame:
+    the smallest is at most ``RANK_FLOOR`` times max(1, the largest)."""
+    return sv[..., -1] <= RANK_FLOOR * np.maximum(1.0, sv[..., 0])
+
+
+@dataclass(frozen=True)
 class TangentFrame:
-    """Chart derivative columns at one point and their thin QR (``q``, ``r``)
-    at ``base_order``, computed once by ``jacobian``.
+    """Chart derivative columns at one point, held at the geometry's working
+    order: ``sqrt_w`` is sqrt of the weight vector there, ``weighted`` the
+    columns times it, shape (..., n, m), and ``q``, ``r`` their one thin QR,
+    computed once by ``jacobian``.
 
     At a (P, m) batch of points the columns are batched states and every
     factor carries a leading path axis.
@@ -147,34 +152,16 @@ class TangentFrame:
     x: np.ndarray
     columns: list
     geometry: object
-    base_order: object
     singular_values: np.ndarray
     cond: float
+    sqrt_w: np.ndarray
+    weighted: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)  # order -> (sqrt(w), weighted columns)
 
     @property
     def m(self) -> int:
         return len(self.columns)
-
-    def _weighted(self, order):
-        """sqrt(w) and the weighted columns at one order."""
-        got = self._cache.get(order)
-        if got is None:
-            sw = np.sqrt(self.geometry.weight_vector(order))
-            got = self._cache[order] = (sw, _weighted_columns(sw, self.geometry, self.columns, order))
-        return got
-
-    def _in_band(self, field_state) -> np.ndarray:
-        """Flat coefficients at the frame's order, mass above the working order cut."""
-        geo = self.geometry
-        return geo.flat(geo.truncate_to_work(field_state), self.base_order)
-
-    def _solve(self, flat: np.ndarray) -> np.ndarray:
-        """Least-squares coordinates of a flat field held at the frame's order."""
-        fw = self._weighted(self.base_order)[0] * flat
-        return _solve_r(self.r, _vecmat(fw, self.q))
 
     def coordinates(self, field_state) -> np.ndarray:
         """Mid-norm least-squares coordinates of a field on the frame.
@@ -183,32 +170,24 @@ class TangentFrame:
         move the coordinates: the field is truncated there and solved
         against the one factorization the frame keeps.
         """
-        return self._solve(self._in_band(field_state))
+        geo = self.geometry
+        flat = geo.flat(geo.truncate_to_work(field_state), geo.work_order)
+        return _solve_r(self.r, _vecmat(self.sqrt_w * flat, self.q))
 
     def project(self, field_state) -> ProjectionResult:
+        """``coordinates`` of a field with its normal residual, norm and spill."""
         geo = self.geometry
-        order = geo.embed_order([field_state] + self.columns)
-        sw, b = self._weighted(order)
-        flat = geo.flat(field_state, order)
-        fw = sw * flat
-        coords = self._solve(flat if order == self.base_order else self._in_band(field_state))
+        order = geo.embed_order([field_state])
+        fw = np.sqrt(geo.weight_vector(order)) * geo.flat(field_state, order)
+        coords = self.coordinates(field_state)
+        # the fit lives at the working order: zero-padded, the field's mass above it stays residual
+        fit = _vecmat(coords, np.swapaxes(self.weighted, -1, -2))
+        fit = geo.flat(geo.state_from_flat(fit, geo.work_order), order)
+        residual = _row_norm(fw - fit)
         field_norm = _row_norm(fw)
-        spill = geo.spill_ratio(field_state)
-        residual = _row_norm(fw - _vecmat(coords, np.swapaxes(b, -1, -2)))
-        if residual.ndim == 0:
-            residual, field_norm = float(residual), float(field_norm)
-            rel = residual / field_norm if field_norm > 0.0 else 0.0
-        else:
-            # a zero field has a zero residual: 0/0 reads as 0
-            rel = residual / np.where(field_norm > 0.0, field_norm, 1.0)
-        return ProjectionResult(coords, residual, rel, field_norm, spill)
-
-
-def _weighted_columns(sw, geometry, columns, order) -> np.ndarray:
-    """sqrt(w) times the stacked flat columns, shape (..., n, m)."""
-    if len(columns) == 1:
-        return (sw * geometry.flat(columns[0], order))[..., None]
-    return sw[:, None] * np.stack([geometry.flat(c, order) for c in columns], axis=-1)
+        # a zero field has a zero residual: 0/0 reads as 0
+        rel = residual / np.where(field_norm > 0.0, field_norm, 1.0)
+        return ProjectionResult(coords, residual, rel, field_norm, geo.spill_ratio(field_state))
 
 
 def _fd_columns(param: Parametrization, x: np.ndarray, h: float) -> list:
@@ -246,15 +225,14 @@ def jacobian(
     use_analytic = param.jac is not None if mode == "auto" else mode == "analytic"
     raw = param.jac(x) if use_analytic else _fd_columns(param, x, h_fd)
     cols = [geometry.truncate_to_work(c) for c in raw]
-    order = geometry.embed_order(cols)
+    order = geometry.work_order
     sw = np.sqrt(geometry.weight_vector(order))
-    b = _weighted_columns(sw, geometry, cols, order)
+    b = sw[:, None] * np.stack([geometry.flat(c, order) for c in cols], axis=-1)
     # one factorization serves the rank test and every later projection:
     # Q is orthonormal, so the columns share their singular values with R
     q, r = _factor(b)
     sv = np.abs(r[..., 0]) if r.shape[-1] == 1 else np.linalg.svd(r, compute_uv=False)
-    lo, hi = sv[..., -1], sv[..., 0]
-    bad = lo <= RANK_FLOOR * np.maximum(1.0, hi)
+    bad = rank_deficient(sv)
     if bad.any():
         batch = x.shape[:-1]
         bad = np.broadcast_to(bad, batch)
@@ -266,9 +244,9 @@ def jacobian(
             if bad[k]
         ]
         raise DegenerateChartError(messages[0], rows=bad if batch else None, messages=messages)
-    cond = (hi / lo) ** 2
+    cond = (sv[..., 0] / sv[..., -1]) ** 2
     cond = float(cond) if cond.ndim == 0 else cond
-    return TangentFrame(x, cols, geometry, order, sv, cond, q, r, {order: (sw, b)})
+    return TangentFrame(x, cols, geometry, sv, cond, sw, b, q, r)
 
 
 def block_frame(
@@ -403,32 +381,25 @@ def distance_to_manifold(
             break
         x_act = x[act]
         y_act = y if act.size == paths else y.rows(act)
-        # the columns live at the working order: mass above it cannot move the step
-        step = -frame._solve(frame._in_band(param.eval(x_act)) - frame._in_band(y_act))
+        step = -frame.coordinates(param.eval(x_act) - y_act)
         step_norm = _row_norm(step)
-        # the full step first; a sub-tolerance step is taken too when it
-        # helps, otherwise the reported distance carries an O(step_tol) offset
+        # the full step first, then halved until the cost decreases, 29 more
+        # times at most; a sub-tolerance step is taken too when it helps,
+        # otherwise the reported distance carries an O(step_tol) offset
         small = step_norm <= step_tol * (1.0 + _row_norm(x_act))
-        trial = x_act + step
-        c_trial, d_trial = cost_at(trial, y_act)
-        accepted = c_trial < cost[act]
-        won = act[accepted]
-        x[won], cost[won], dist[won] = trial[accepted], c_trial[accepted], d_trial[accepted]
-        # then halve the step until the cost decreases, 29 more times at most
-        pending = ~accepted & ~small
-        alpha = 1.0
-        for _ in range(29):
-            if not pending.any():
-                break
-            alpha *= 0.5
-            rows = np.flatnonzero(pending)
+        accepted = np.zeros(act.size, dtype=bool)
+        rows, alpha = np.arange(act.size), 1.0
+        for _ in range(30):
             trial = x_act[rows] + alpha * step[rows]
-            c_trial, d_trial = cost_at(trial, y_act.rows(rows))
+            c_trial, d_trial = cost_at(trial, y_act if rows.size == act.size else y_act.rows(rows))
             ok = c_trial < cost[act[rows]]
             won = act[rows[ok]]
             x[won], cost[won], dist[won] = trial[ok], c_trial[ok], d_trial[ok]
             accepted[rows[ok]] = True
-            pending[rows[ok]] = False
+            rows = rows[~ok & ~small[rows]]
+            if not rows.size:
+                break
+            alpha *= 0.5
         # full stall: cost differences are below float resolution, so
         # treat the iterate as converged when the pending step is tiny
         stalled = ~small & ~accepted

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .hermite import weighted_sum
-from .manifold import RANK_FLOOR, Parametrization, block_frame, distance_to_manifold
+from .manifold import Parametrization, block_frame, distance_to_manifold, rank_deficient
 from .tangency import SamplingSpec, reduced_coefficients, repr_columns, row_blocks, sample_points
 
 __all__ = [
@@ -258,7 +258,7 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
                 note = next(iter(dropped.values()))
                 raise ReducedTableError(f"frame degenerates at a table node: {note}")
             a, beta = reduced_coefficients(model, param, frame)
-            cols = frame._weighted(frame.base_order)[1]  # one (n, m) frame on a constant chart
+            cols = frame.weighted  # one (n, m) frame on a constant chart
             beta = np.broadcast_to(beta, (idx.size, m))
             cols = np.broadcast_to(cols, (idx.size,) + cols.shape[-2:])
             values.append(np.hstack([v.reshape(idx.size, -1) for v in (a, beta, cols)]))
@@ -324,7 +324,7 @@ def simulate_reduced(
     for step in range(n_steps):
         a, beta, cols = table(xs[live])
         sv = np.linalg.svd(cols, compute_uv=False)
-        bad = sv[:, -1] <= RANK_FLOOR * np.maximum(1.0, sv[:, 0])
+        bad = rank_deficient(sv)
         for k in live[bad]:
             exited[k], degenerate[k], exit_step[k] = True, True, step
         a, beta, live = a[~bad], beta[~bad], live[~bad]

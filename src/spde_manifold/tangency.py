@@ -166,13 +166,6 @@ class DriftCheck:
     degenerate: dict = field(default_factory=dict)  # row -> rank message of a shifted frame
 
 
-def _max(a, b):
-    """Larger of two spills, per path when either is batched."""
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return max(a, b)
-    return np.maximum(a, b)
-
-
 def check_diffusion_tangency(model, param: Parametrization, frame: TangentFrame) -> DiffusionCheck:
     """Project every diffusion component at phi(frame.x) onto the frame."""
     state = param.eval(frame.x)
@@ -186,7 +179,7 @@ def check_diffusion_tangency(model, param: Parametrization, frame: TangentFrame)
         proj = frame.project(f)
         a[..., j, :] = proj.coords
         rho[..., j] = proj.rel_residual
-        spill = _max(spill, proj.spill)
+        spill = np.maximum(spill, proj.spill)
     return DiffusionCheck(a, rho, spill)
 
 
@@ -200,13 +193,22 @@ def _bracket_drift(param, frame, drift, a):
     return type(drift).combine(terms) if len(terms) > 1 else drift
 
 
+def _noise_coords(model, frame, state) -> np.ndarray:
+    """Frame coordinates (..., n_noise, m) of the diffusion fields at ``state``."""
+    fields = model.diffusion(state)
+    a = np.zeros(frame.x.shape[:-1] + (len(fields), frame.m))
+    for j, f in enumerate(fields):
+        a[..., j, :] = frame.coordinates(f)
+    return a
+
+
 def _shifted_coords(model, param, x, jac_mode, h_fd):
     """Noise coordinates at the rows of x (B, m) on frames of their own:
     NaN at a row whose frame degenerates, whose rank message is kept."""
     kept, frame, dropped = block_frame(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
     a = np.full((x.shape[0], model.n_noise, param.m), np.nan)
     if kept.size:
-        a[kept] = check_diffusion_tangency(model, param, frame).a
+        a[kept] = _noise_coords(model, frame, param.eval(frame.x))
     return a, dropped
 
 
@@ -236,7 +238,8 @@ def check_drift_tangency(
     drift = model.drift(state)
     if form == "bracket":
         proj = frame.project(_bracket_drift(param, frame, drift, diffusion.a))
-        return DriftCheck(proj.coords, proj.rel_residual, _max(diffusion.spill, proj.spill), form)
+        spill = np.maximum(diffusion.spill, proj.spill)
+        return DriftCheck(proj.coords, proj.rel_residual, spill, form)
     if form == "stratonovich":
         corr = stratonovich_correction(model, state, da_mode=da_mode, h_fd=h_fd)
         w = drift - corr.value * 0.5
@@ -260,7 +263,7 @@ def check_drift_tangency(
         return DriftCheck(
             beta,
             proj.rel_residual,
-            _max(diffusion.spill, proj.spill),
+            np.maximum(diffusion.spill, proj.spill),
             form,
             corr.step_disagreement,
             degenerate,
@@ -274,10 +277,7 @@ def reduced_coefficients(model, param: Parametrization, frame: TangentFrame):
     At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m).
     """
     state = param.eval(frame.x)
-    fields = model.diffusion(state)
-    a = np.zeros(frame.x.shape[:-1] + (len(fields), param.m))
-    for j, f in enumerate(fields):
-        a[..., j, :] = frame.coordinates(f)
+    a = _noise_coords(model, frame, state)
     beta = frame.coordinates(_bracket_drift(param, frame, model.drift(state), a))
     return a, beta
 
@@ -432,7 +432,7 @@ def sweep(
         if form != "stratonovich":
             db = check_drift_tangency(model, param, frame, "bracket", diffusion=diff)
             rho_drift[rows], beta[rows] = db.rho, db.beta
-            block_spill = _max(block_spill, db.spill)
+            block_spill = np.maximum(block_spill, db.spill)
         if strat:
             ds = check_drift_tangency(
                 model, param, frame, "stratonovich", diffusion=diff,
@@ -450,7 +450,7 @@ def sweep(
             for k, note in ds.degenerate.items():
                 degenerate[rows[k]] = True
                 notes[rows[k]].append(note)
-            block_spill = _max(block_spill, ds.spill)
+            block_spill = np.maximum(block_spill, ds.spill)
         spill[rows] = block_spill
     warnings = [note for point in notes for note in point]
     # a point degenerate in a shifted frame keeps no numbers, like any other

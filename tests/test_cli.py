@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +294,19 @@ def test_seed_outside_the_philox_key_range_is_an_error(out_root, capsys, command
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: --seed: seed must be in [0, 2**128)")
     assert not any(out_root.iterdir())
+
+
+def test_module_form_runs_a_command(out_root):
+    # `python -m spde_manifold.cli` from a checkout, without installing the package
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    cmd = [sys.executable, "-m", "spde_manifold.cli"]
+    run = partial(subprocess.run, env=env, capture_output=True, text=True, timeout=120)
+    done = run(cmd + ["check", "--config", "ito_zero", "--out", str(out_root)])
+    assert done.returncode == 0
+    assert "RUNDIR " in done.stdout
+    done = run(cmd + ["simulate", "--config", "ito_zero", "--seed", "-5"], cwd=out_root)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: --seed")
 
 
 def test_out_root_from_environment(tmp_path, monkeypatch, capsys):

@@ -238,7 +238,7 @@ def test_reduced_table_matches_the_exact_coefficients(preset):
     got_a, got_beta, cols = table(x)
     assert np.abs(got_a - a).max() <= 1e-12
     assert np.abs(got_beta - beta).max() <= 1e-12
-    assert np.abs(cols - frame._weighted(frame.base_order)[1]).max() <= 1e-12
+    assert np.abs(cols - frame.weighted).max() <= 1e-12
     assert table.nodes == {"ito_translation_d1": 32, "ito_translation_d1_negative": 64}[preset]
 
 
