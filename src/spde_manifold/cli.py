@@ -173,18 +173,22 @@ def _cmd_report(args) -> int:
     header = ["run", "command", "config_hash", "seed", "verdict", "metric", "timestamp"]
     rows = []
     for path in manifests:
-        data = json.loads(path.read_text())
-        summary = data.get("summary", {})
-        verdict = summary.get("verdict")
-        metric = summary.get("max_residual" if data.get("command") == "check" else "max_distance")
+        try:
+            data = json.loads(path.read_text())
+            summary = data.get("summary", {})
+            metric = summary.get("max_residual" if data.get("command") == "check" else "max_distance")
+            metric = "" if metric is None else f"{metric:.6e}"
+        except (ValueError, AttributeError, TypeError) as err:  # not JSON, not an object, no number
+            print(f"error: {path} is not a run manifest: {err}", file=sys.stderr)
+            return 1
         rows.append(
             [
                 path.parent.name,
                 str(data.get("command", "")),
                 str(data.get("config_hash", ""))[:12],
                 str(data.get("seed", "")),
-                str(verdict),
-                "" if metric is None else f"{metric:.6e}",
+                str(summary.get("verdict")),
+                metric,
                 str(data.get("timestamp", "")),
             ]
         )

@@ -403,7 +403,7 @@ _CHECK = {
     "form_error_tol": (_non_negative, 1e-2),
 }
 
-# SimConfig checks horizon, dt, explosion_ceiling and seed; the chart box checks x0
+# SimConfig checks horizon, dt, explosion_ceiling and seed (paths too); the chart box checks x0
 _SIM = {
     "horizon": (_number, 0.5),
     "dt": (_number, 1e-3),

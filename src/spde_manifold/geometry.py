@@ -39,8 +39,10 @@ def _sqrt(total):
 
 
 @lru_cache(maxsize=None)
-def _outband_mask(d: int, order: int, work_order: int) -> np.ndarray:
-    """Flat mask of the indices above the working order."""
+def _outband(d: int, order: int, work_order: int):
+    """The flat indices above the working order: a suffix slice at d = 1, a mask otherwise."""
+    if d == 1:
+        return slice(work_order + 1, None)
     out = (order_grid(d, order) > work_order).ravel()
     out.setflags(write=False)
     return out
@@ -95,33 +97,38 @@ class HermiteGeometry:
         """Per row, sqrt of the share of the weighted squares ``wff`` (flat at
         ``order`` > work_order) that lies beyond the working order."""
         total = wff.sum(-1)
-        out = wff[..., _outband_mask(self.d, order, self.work_order)].sum(-1)
+        out = wff[..., _outband(self.d, order, self.work_order)].sum(-1)
         # a zero state has no mass beyond the working order either
         return np.sqrt(out / np.where(total == 0.0, 1.0, total))
 
     def truncate_to_work(self, state: SpectralState) -> SpectralState:
         return state.truncated(self.work_order)
 
-    def truncate_rows(self, f: np.ndarray, order: int):
-        """Flat coefficients at ``order`` projected onto the working order, as
-        ``truncate_to_work``, with one value per row of the spill ratio (the
-        relative mid-norm mass cut off) and of the mid norm of what is kept."""
+    def truncate_rows(self, c: np.ndarray):
+        """Coefficient tensors projected onto the working order, as ``truncate_to_work``,
+        flat, with one value per row of the spill ratio (the relative mid-norm
+        mass cut off) and of the mid norm of what is kept."""
+        order, lead = c.shape[-1] - 1, c.shape[: c.ndim - self.d]
+        f = c.reshape(lead + (-1,))
         wff = self.weight_vector(order) * f * f
         if order <= self.work_order:
-            return f, np.zeros(f.shape[:-1]), _sqrt(wff.sum(-1))
+            return f, np.zeros(lead), _sqrt(wff.sum(-1))
         spill = self._spill(wff, order)
-        lead, keep = f.shape[:-1], (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
+        keep = (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
 
         def cut(a):  # the working-order part, masked as a state at that order is
-            c = a.reshape(lead + (order + 1,) * self.d)[keep]
-            return _mask_simplex(c, self.d, self.work_order).reshape(lead + (-1,))
+            kept = a.reshape(c.shape)[keep]
+            return _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
 
         # a weight depends on the total order alone: the kept part of wff is w f f of the kept f
         return cut(f), spill, _sqrt(cut(wff).sum(-1))
 
+    def tensor(self, f: np.ndarray, order: int) -> np.ndarray:
+        """Flat coefficient rows at ``order`` as the states' arrays (a view)."""
+        return f.reshape(f.shape[:-1] + (order + 1,) * self.d)
+
     def state_from_flat(self, vec: np.ndarray, order: int) -> SpectralState:
-        vec = np.asarray(vec)
-        return SpectralState(self.d, order, vec.reshape(vec.shape[:-1] + (order + 1,) * self.d))
+        return SpectralState(self.d, order, self.tensor(np.asarray(vec), order))
 
     def zero_state(self, order: int | None = None) -> SpectralState:
         return SpectralState.zero(self.d, self.work_order if order is None else order)
@@ -158,9 +165,12 @@ class GridGeometry:
     def truncate_to_work(self, state: GridState) -> GridState:
         return state
 
-    def truncate_rows(self, f: np.ndarray, order=None):
+    def truncate_rows(self, v: np.ndarray):
         """The rows as they are, no spill, and their norm."""
-        return f, np.zeros(f.shape[:-1]), _sqrt(self.h * np.sum(f * f, axis=-1))
+        return v, np.zeros(v.shape[:-1]), _sqrt(self.h * np.sum(v * v, axis=-1))
+
+    def tensor(self, v: np.ndarray, order=None) -> np.ndarray:
+        return v
 
     def state_from_flat(self, vec: np.ndarray, order=None) -> GridState:
         return GridState(vec)

@@ -48,7 +48,7 @@ class GridState(ArrayState):
         object.__setattr__(self, "values", v)
 
     @property
-    def _array(self) -> np.ndarray:
+    def array(self) -> np.ndarray:
         return self.values
 
     def _like(self, v: np.ndarray) -> "GridState":

@@ -109,12 +109,22 @@ def _per_row(scalar, trailing: int):
 
 
 def weighted_sum(terms, core_ndim: int) -> np.ndarray:
-    """``ArrayState.combine`` on arrays at one order: the sum of array * weight
-    over (array, weight) pairs, in order, with ``core_ndim`` axes per state."""
-    acc = None
+    """``ArrayState.combine`` on arrays: the sum of array * weight over (array,
+    weight) pairs, in order, with ``core_ndim`` axes per state.  Arrays of
+    different orders meet in the leading blocks of the largest, as they
+    would zero padded."""
+    k, acc = core_ndim, None
     for c, weight in terms:
-        c = c * _per_row(weight, core_ndim)
-        acc = c if acc is None else acc + c
+        c = c * _per_row(weight, k)
+        if acc is None or c.shape == acc.shape:
+            acc = c if acc is None else np.add(acc, c, out=acc)
+            continue
+        if c.ndim > acc.ndim or any(map(int.__lt__, acc.shape[-k:], c.shape[-k:])):
+            lead = (c if c.ndim > acc.ndim else acc).shape[:-k]
+            grown = np.zeros(lead + tuple(map(max, acc.shape[-k:], c.shape[-k:])))
+            grown[(Ellipsis, *map(slice, acc.shape[-k:]))] = acc
+            acc = grown
+        acc[(Ellipsis, *map(slice, c.shape[-k:]))] += c
     return acc
 
 
@@ -127,7 +137,7 @@ def _same_paths(batches) -> None:
 class ArrayState:
     """A state as one frozen float array, and the arithmetic every state shares.
 
-    The trailing ``_core_ndim`` axes of ``_array`` hold one state; one
+    The trailing ``_core_ndim`` axes of ``array`` hold one state; one
     leading axis, when present, holds P states of the same order, and
     every operation acts on each path (per-path scalars are (P,) vectors);
     batches that meet agree on P, and a single state or scalar meets any.
@@ -139,7 +149,7 @@ class ArrayState:
     @property
     def batch(self) -> tuple:
         """Leading path shape: () for one state, (P,) for P states."""
-        return self._array.shape[: self._array.ndim - self._core_ndim]
+        return self.array.shape[: self.array.ndim - self._core_ndim]
 
     @classmethod
     def combine(cls, terms):
@@ -155,7 +165,7 @@ class ArrayState:
 
     def rows(self, rows):
         """The given paths of a batch; a single state is returned as is."""
-        return self._like(self._array[rows]) if self.batch else self
+        return self._like(self.array[rows]) if self.batch else self
 
     def _binary(self, other, sign):
         if not isinstance(other, type(self)):
@@ -172,7 +182,7 @@ class ArrayState:
 
     def __mul__(self, scalar):
         _same_paths([self.batch, getattr(scalar, "shape", ())])
-        return self._like(self._array * _per_row(scalar, self._core_ndim))
+        return self._like(self.array * _per_row(scalar, self._core_ndim))
 
     __rmul__ = __mul__
 
@@ -197,7 +207,7 @@ class _CoeffTensor(ArrayState):
         object.__setattr__(self, "coeffs", c)
 
     @property
-    def _array(self) -> np.ndarray:
+    def array(self) -> np.ndarray:
         return self.coeffs
 
     @property

@@ -91,7 +91,7 @@ class Parametrization:
     def contains(self, x):
         """Whether x lies in the box; one flag per path for a batch."""
         x = np.asarray(x, dtype=float)
-        inside = np.all((x >= self.domain[:, 0]) & (x <= self.domain[:, 1]), axis=-1)
+        inside = ((x >= self.domain[:, 0]) & (x <= self.domain[:, 1])).all(axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 

@@ -105,6 +105,30 @@ class ItoTypeModel:
     def drift(self, y: SpectralState) -> SpectralState:
         return ito_drift(self, y)
 
+    def drift_and_diffusion(self, c: np.ndarray):
+        """``drift`` and ``diffusion`` on arrays: the coefficient tensor of one
+        state, or a batch, to the drift's and every noise field's, each at its
+        own order.  The drift is half the pairing covariance against second
+        derivatives minus the paired first-order transport term; a term whose
+        weight vanishes on every path is skipped."""
+        d, n = self.d, c.shape[-1] - 1
+        pairings = _pairings(self, c, n)
+        s = pairings[..., d:].reshape(pairings.shape[:-1] + (self.J, d))  # row j pairs sigma[j]
+        cov = s.swapaxes(-1, -2) @ s  # (..., d, d)
+        partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
+        terms = []
+        for i in range(d):
+            for j in range(i, d):
+                w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
+                if np.count_nonzero(w):
+                    terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
+        for i in range(d):
+            bi = pairings[..., i]
+            if np.count_nonzero(bi) or not terms:
+                terms.append((partials[i], -bi))
+        fields = _paired_fields(partials, s.swapaxes(-1, -2), d)
+        return weighted_sum(terms, d), fields + [f.coeffs for f in self.extra_fields]
+
     def diffusion(self, y: SpectralState) -> list:
         return ito_diffusion(self, y)
 
@@ -120,23 +144,27 @@ class ItoTypeModel:
         return out
 
 
-def _pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
-    """Pairings of y with b then sigma (j-major), shape (..., d + J d).
+def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
+    """Pairings of the order-n coefficient tensors c (one or a batch) with b
+    then sigma (j-major), shape (..., d + J d).
 
     One product against the stacked duals, at the order of the state or
     of the longest dual; it makes one matrix-vector product per dual, so
     each pairing rounds as ``pair`` does."""
-    if y.d != model.d:
-        raise ValueError(f"dimension mismatch: dual d={model.d}, state d={y.d}")
-    got = model._dual_stacks.get(y.N)
+    got = model._dual_stacks.get(n)
     if got is None:
         duals = model.b + tuple(s for row in model.sigma for s in row)
-        n = max([y.N] + [g.N for g in duals])
-        rows = [_pad_tensor(g.coeffs, g.d, g.N, n).reshape(-1, 1) for g in duals]
-        got = model._dual_stacks[y.N] = (n, np.stack(rows))
-    n, stack = got
-    c = _pad_tensor(y.coeffs, y.d, y.N, n)
-    return np.matmul(c.reshape(c.shape[: c.ndim - y.d] + (-1,)), stack)[..., 0].T
+        top = max([n] + [g.N for g in duals])
+        rows = [_pad_tensor(g.coeffs, g.d, g.N, top).reshape(-1, 1) for g in duals]
+        got = model._dual_stacks[n] = (top, np.stack(rows))
+    top, stack = got
+    c = _pad_tensor(c, model.d, n, top)
+    return np.matmul(c.reshape(c.shape[: c.ndim - model.d] + (-1,)), stack)[..., 0].T
+
+
+def _check_dim(model: ItoTypeModel, y: SpectralState) -> None:
+    if y.d != model.d:
+        raise ValueError(f"dimension mismatch: dual d={model.d}, state d={y.d}")
 
 
 def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
@@ -144,39 +172,27 @@ def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
 
     A batch of P states gives shape (P, d, J).
     """
-    p = _pairings(model, y)
+    _check_dim(model, y)
+    p = _pairings(model, y.coeffs, y.N)
     return p[..., model.d :].reshape(p.shape[:-1] + (model.J, model.d)).swapaxes(-1, -2)
 
 
-def _state_of(terms, d: int) -> SpectralState:
-    """The weighted sum of coefficient tensors, padded to their highest order."""
-    n = max(c.shape[-1] for c, _ in terms) - 1
-    padded = [(_pad_tensor(c, d, c.shape[-1] - 1, n), w) for c, w in terms]
-    return SpectralState(d, n, weighted_sum(padded, d))
+def _paired_fields(partials: list, s: np.ndarray, d: int) -> list:
+    """Noise field j = -sum_i s[..., i, j] d_i y, from the first derivatives d_i y."""
+    return [
+        weighted_sum([(p, -s[..., i, j]) for i, p in enumerate(partials)], d)
+        for j in range(s.shape[-1])
+    ]
+
+
+def _state(d: int, c: np.ndarray) -> SpectralState:
+    return SpectralState(d, c.shape[-1] - 1, c)
 
 
 def ito_drift(model: ItoTypeModel, y: SpectralState) -> SpectralState:
-    """Transport drift: half the pairing covariance against second
-    derivatives minus the paired first-order transport term.
-
-    A term whose weight vanishes on every path is skipped (``count_nonzero``
-    is ``any`` without the reduction machinery).
-    """
-    d, n, c = y.d, y.N, y.coeffs
-    pairings = _pairings(model, y)
-    s = pairings[..., d:].reshape(pairings.shape[:-1] + (model.J, d))  # row j pairs sigma[j]
-    cov = s.swapaxes(-1, -2) @ s  # (..., d, d)
-    terms = []
-    for i in range(d):
-        for j in range(i, d):
-            w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
-            if np.count_nonzero(w):
-                terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
-    for i in range(d):
-        bi = pairings[..., i]
-        if np.count_nonzero(bi) or not terms:
-            terms.append((derivative_coeffs(c, d, n, i), -bi))
-    return _state_of(terms, d)
+    """Transport drift at y, one state or a batch (see ``drift_and_diffusion``)."""
+    _check_dim(model, y)
+    return _state(y.d, model.drift_and_diffusion(y.coeffs)[0])
 
 
 def ito_diffusion_from_pairings(
@@ -185,10 +201,7 @@ def ito_diffusion_from_pairings(
     """Noise fields for a frozen pairing matrix: linear in y by construction."""
     d, n = y.d, y.N
     partials = [derivative_coeffs(y.coeffs, d, n, i) for i in range(d)]
-    return [
-        _state_of([(partials[i], -pairings[..., i, j]) for i in range(d)], d)
-        for j in range(model.J)
-    ]
+    return [_state(d, f) for f in _paired_fields(partials, pairings, d)]
 
 
 def ito_diffusion(model: ItoTypeModel, y: SpectralState) -> list:
@@ -233,6 +246,10 @@ class PLaplaceModel:
     def drift(self, y: GridState) -> GridState:
         return plaplace_drift(self, y)
 
+    def drift_and_diffusion(self, v: np.ndarray):
+        """``drift`` and ``diffusion`` on arrays: grid values, one state or a batch."""
+        return _plaplace(self, v), [f.values for f in self.fields]
+
     def diffusion(self, y: GridState) -> list:
         return list(self.fields)
 
@@ -243,12 +260,15 @@ class PLaplaceModel:
 def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
     if y.M != model.M:
         raise ValueError("grid size mismatch")
-    h = y.h
-    v = y.values
+    return GridState(_plaplace(model, y.values))
+
+
+def _plaplace(model: PLaplaceModel, v: np.ndarray) -> np.ndarray:
+    h = 1.0 / (model.M + 1)
     wall = np.zeros(v.shape[:-1] + (1,))
     g = np.diff(np.concatenate((wall, v, wall), -1), axis=-1) / h  # M + 1 face slopes
     flux = np.abs(g) ** (model.p_exponent - 2.0) * g
-    return GridState(np.diff(flux, axis=-1) / h)
+    return np.diff(flux, axis=-1) / h
 
 
 # -- Stratonovich-style drift correction --------------------------------------

@@ -16,6 +16,7 @@ the nearest of a fixed set of chart images, and summarizes the ensemble.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -65,6 +66,8 @@ class SimConfig:
             raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
         if not 0 <= self.seed < 2**128:  # the Philox key range
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
+        if not (isinstance(self.paths, numbers.Integral) and self.paths >= 1):
+            raise ValueError(f"paths must be an integer of at least 1, got {self.paths!r}")
 
     @property
     def n_steps(self) -> int:
@@ -99,12 +102,13 @@ def wiener_increments(seed: int, path_index, n_steps: int, n_noise: int, dt: flo
 
 
 def _ensemble(path_index, cfg: SimConfig, n_noise: int, increments):
-    """Path indices as an array, and the (P, n_steps, n_noise) increments."""
+    """Path indices as an array, and the increments step-major: (n_steps, P, n_noise)."""
     paths = np.atleast_1d(path_index)
     if increments is None:
-        return paths, wiener_increments(cfg.seed, paths, cfg.n_steps, n_noise, cfg.dt)
-    increments = np.asarray(increments)
-    return paths, increments if np.ndim(path_index) else increments[None]
+        increments = wiener_increments(cfg.seed, paths, cfg.n_steps, n_noise, cfg.dt)
+    elif not np.ndim(path_index):
+        increments = np.asarray(increments)[None]
+    return paths, np.ascontiguousarray(np.swapaxes(increments, 0, 1))
 
 
 def _recorded(exit_steps, n_steps: int) -> np.ndarray:
@@ -153,8 +157,9 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
 
     A sequence of path indices steps that ensemble at once from y0 (one
     state for every path, or a batch).  The trajectory is one array, flat
-    at the working order; each step builds the live paths' batch once, to
-    call ``model.drift`` and ``model.diffusion``, and does the update,
+    at the working order; each step takes the live paths' drift and noise
+    fields as arrays, from ``model.drift_and_diffusion`` or else from one
+    batch state passed to ``drift`` and ``diffusion``, and does the update,
     the truncation back to the working order and the explosion test on
     the arrays.  The discarded relative mass is tracked as ``max_spill``.
     A state whose norm passes the ceiling marks its path exploded and
@@ -162,7 +167,8 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     """
     geo = model.geometry
     n_steps = cfg.n_steps
-    paths, increments = _ensemble(path_index, cfg, model.n_noise, increments)
+    paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
+    kernel = getattr(model, "drift_and_diffusion", None)
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
     flat = geo.flat(y, order)
@@ -176,18 +182,23 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     for step in range(n_steps):
         if not live.size:
             break
-        y = geo.state_from_flat(ys[step, live], order)
-        dw = increments[live, step]
-        terms = [(y, 1.0), (model.drift(y), cfg.dt)]
-        for j, a_field in enumerate(model.diffusion(y)):
-            if np.count_nonzero(dw[:, j]) and np.count_nonzero(geo.flat(a_field)):
+        rows = slice(None) if live.size == paths.size else live  # no gather while all live
+        f, dw = ys[step, rows], noise[step, rows]
+        c = geo.tensor(f, order)
+        if kernel is None:
+            y = geo.state_from_flat(f, order)
+            drift, fields = model.drift(y).array, [a.array for a in model.diffusion(y)]
+        else:
+            drift, fields = kernel(c)
+        terms = [(drift, cfg.dt), (c, 1.0)]  # drift dt + y is y + drift dt: one addition commutes
+        for j, a_field in enumerate(fields):
+            if np.count_nonzero(dw[:, j]) and np.count_nonzero(a_field):
                 terms.append((a_field, dw[:, j]))
-        top = geo.embed_order([s for s, _ in terms])
-        y_next = weighted_sum([(geo.flat(s, top), w) for s, w in terms], 1)
-        y_next, spill, size = geo.truncate_rows(y_next, top)
-        max_spill[live] = np.maximum(max_spill[live], spill)
-        ys[step + 1] = ys[step]
-        ys[step + 1, live] = y_next
+        y_next, spill, size = geo.truncate_rows(weighted_sum(terms, c.ndim - 1))
+        max_spill[rows] = np.maximum(max_spill[rows], spill)
+        if live.size < paths.size:
+            ys[step + 1] = ys[step]  # exploded paths stay frozen
+        ys[step + 1, rows] = y_next
         done = step + 1
         blown = ~(size <= cfg.explosion_ceiling)  # NaN sizes too
         if np.count_nonzero(blown):
@@ -308,9 +319,9 @@ def simulate_reduced(
     singular value of its columns is at most ``RANK_FLOOR``, as in ``jacobian``.
     A start ``x0`` outside the chart box raises ValueError.
     """
-    n_steps = cfg.n_steps
-    paths, increments = _ensemble(path_index, cfg, model.n_noise, increments)
-    xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, param.m)))
+    n_steps, m = cfg.n_steps, param.m
+    paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
+    xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, m)))
     if not param.contains(xs).all():
         raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
     table = reduced_table(model, param)
@@ -322,22 +333,27 @@ def simulate_reduced(
     live = np.arange(paths.size)
     done = 0
     for step in range(n_steps):
-        a, beta, cols = table(xs[live])
-        sv = np.linalg.svd(cols, compute_uv=False)
+        rows = slice(None) if live.size == paths.size else live  # no gather while all live
+        a, beta, cols = table(xs[rows])
+        # one column's only singular value is its norm, as in ``jacobian``
+        sv = np.sqrt((cols * cols).sum(-2)) if m == 1 else np.linalg.svd(cols, compute_uv=False)
         bad = rank_deficient(sv)
-        for k in live[bad]:
-            exited[k], degenerate[k], exit_step[k] = True, True, step
-        a, beta, live = a[~bad], beta[~bad], live[~bad]
+        if np.count_nonzero(bad):
+            for k in live[bad]:
+                exited[k], degenerate[k], exit_step[k] = True, True, step
+            a, beta, live = a[~bad], beta[~bad], live[~bad]
+            rows = live
         if not live.size:
             break
-        dw = increments[live, step]
-        xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
+        dw = noise[step, rows]
+        xs[rows] = xs[rows] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
         traj[step + 1] = xs
         done = step + 1
-        out = ~param.contains(xs[live])
-        for k in live[out]:
-            exited[k], exit_step[k] = True, step + 1
-        live = live[~out]
+        out = ~param.contains(xs[rows])
+        if np.count_nonzero(out):
+            for k in live[out]:
+                exited[k], exit_step[k] = True, step + 1
+            live = live[~out]
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
     traj = traj[: done + 1]
     if np.ndim(path_index):

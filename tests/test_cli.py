@@ -377,6 +377,21 @@ def test_report_empty_root_exit_one(out_root, capsys):
     assert "no run manifests" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{bad", "[1, 2]", json.dumps({"command": "simulate", "summary": {"max_distance": "x"}})],
+)
+def test_report_fails_cleanly_on_a_bad_manifest(out_root, capsys, text):
+    assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
+    bad = out_root / "broken" / "manifest.json"
+    bad.parent.mkdir()
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out_root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_report_resolution_refinement_is_monotone(out_root, tmp_path, capsys):
     """Cranking the working order must tighten the checked residuals."""
     orders = (16, 32, 64)

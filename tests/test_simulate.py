@@ -113,6 +113,19 @@ def test_config_rejects_non_positive_explosion_ceiling(ceiling):
         SimConfig(explosion_ceiling=ceiling)
 
 
+@pytest.mark.parametrize("paths", [0, -1, 2.5, "4"])
+def test_config_rejects_a_path_count_that_is_not_a_positive_integer(paths):
+    with pytest.raises(ValueError, match="^paths must be an integer of at least 1"):
+        SimConfig(horizon=0.01, dt=1e-3, paths=paths)
+    assert SimConfig(paths=np.int64(3)).paths == 3
+
+
+def test_coupled_compare_rejects_zero_paths_before_simulating():
+    model, chart = zero_noise_setup()
+    with pytest.raises(ValueError, match="^paths must be"):
+        coupled_compare(model, chart, [0.0], SimConfig(horizon=0.01, dt=1e-3, paths=0))
+
+
 # -- full-space paths ----------------------------------------------------------------
 
 
@@ -795,11 +808,26 @@ def test_custom_model_with_one_noise_state_for_every_path_steps():
     assert (path.max_spill > 0.0).all()  # the field reaches one order above the working order
 
 
+@pytest.mark.parametrize(
+    "preset", ["ito_zero", "negative_control", "ito_translation_d1", "ito_translation_d1_negative"]
+)
+def test_array_step_matches_state_step_on_the_hermite_presets(preset):
+    # each at its own N: ito_zero takes the zero-drift branch, negative_control
+    # has J = 0 and one constant extra field, the translations run at N = 64
+    cfg_dict = load_config(preset)
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.02, dt=1e-3, paths=3, seed=4)
+    _assert_full_matches_reference(model, chart.eval(np.array(cfg_dict["sim"]["x0"])), cfg)
+
+
 def test_full_run_builds_states_only_at_the_protocol_edge(monkeypatch):
     from spde_manifold import hermite
 
     def no_combine(cls, terms):
         raise AssertionError("simulate_full combined states")
+
+    def no_state_call(self, y):
+        raise AssertionError("simulate_full called the state protocol")
 
     built = [0]
     post_init = SpectralState.__post_init__
@@ -813,10 +841,13 @@ def test_full_run_builds_states_only_at_the_protocol_edge(monkeypatch):
     y0 = chart.eval(np.array([0.2]))
     monkeypatch.setattr(hermite.ArrayState, "combine", classmethod(no_combine))
     monkeypatch.setattr(SpectralState, "__post_init__", counted)
-    per_step = 3 + model.n_noise  # the live batch, the drift, the noise fields, the recorded state
+    monkeypatch.setattr(ItoTypeModel, "drift", no_state_call)
+    monkeypatch.setattr(ItoTypeModel, "diffusion", no_state_call)
+    counts = []
     for n_steps in (2, 40):
         built[0] = 0
         cfg = SimConfig(horizon=n_steps * 1e-3, dt=1e-3, paths=4, seed=1)
         path = simulate_full(model, y0, cfg, np.arange(4))
         assert len(path.states) == n_steps + 1
-        assert built[0] <= per_step * n_steps
+        counts.append(built[0])
+    assert counts[0] == counts[1]  # the states built do not grow with the steps
