@@ -263,16 +263,21 @@ class SpectralState(_CoeffTensor):
 
     @cached_property
     def _shift_tables(self):
-        """(T_cos, T_sin) with exp(-x D) p = cos(x lambda) T_cos + sin(x lambda) T_sin
-        for this single d=1 state p.  Row l of E * (E^H p)_l, split into real
-        and imaginary parts; a chart shifts one profile over and over, so
-        they are built once per state and keep every shift real."""
-        evecs = _shift_eig(self.N)[1]
+        """(lam, F_cos, F_sin) with exp(-x D) p = cos(x lam) F_cos + sin(x lam) F_sin
+        for this single d=1 state p: rows l of E * (E^H p)_l, real and imaginary
+        parts, each +-lambda pair folded into one row (cos is even, sin odd) and
+        the zero mode of even N last, at lam = 0; built once per shifted profile."""
+        evals, evecs = _shift_eig(self.N)
         m = (evecs * (self.coeffs @ evecs.conj())).T
-        t_cos, t_sin = m.real.copy(), -m.imag
-        t_cos.setflags(write=False)
-        t_sin.setflags(write=False)
-        return t_cos, t_sin
+        lo = np.arange((self.N + 1) // 2)
+        hi = self.N - lo
+        zero = m.real[lo.size : self.N + 1 - lo.size]  # the middle row for even N, none for odd
+        lam = np.append(0.5 * (evals[hi] - evals[lo]), np.zeros(len(zero)))
+        t_cos = np.vstack([m.real[hi] + m.real[lo], zero])
+        t_sin = np.vstack([m.imag[lo] - m.imag[hi], np.zeros_like(zero)])
+        for t in (lam, t_cos, t_sin):
+            t.setflags(write=False)
+        return lam, t_cos, t_sin
 
     @classmethod
     def basis(cls, index, n: int | None = None) -> "SpectralState":
@@ -529,8 +534,8 @@ def translate(state: SpectralState, shift) -> SpectralState:
     if unshifted.ndim == 0 and unshifted:
         return state
     if d == 1 and not state.batch:
-        angle = x[..., :1] * _shift_eig(state.N)[0]
-        t_cos, t_sin = state._shift_tables
+        lam, t_cos, t_sin = state._shift_tables
+        angle = x[..., :1] * lam
         c = np.cos(angle) @ t_cos + np.sin(angle) @ t_sin
     else:
         evals, evecs = _shift_eig(state.N)

@@ -41,6 +41,7 @@ __all__ = [
 FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
 RANK_FLOOR = 1e-10  # relative singular value at or below which a frame is degenerate
+NEWTON_FLOOR = 0.1  # a Newton step needs J'WJ + S above this multiple of J'WJ
 SHIFT_MEMO_ENTRIES = 2 ** 16  # coefficient entries a translation chart keeps memoized
 JAC_MODES = ("auto", "analytic", "fd")
 
@@ -115,11 +116,11 @@ def _factor(b: np.ndarray):
     return np.linalg.qr(b)
 
 
-def _solve_r(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve r c = v for upper-triangular r (..., m, m) and v (..., m)."""
-    if r.shape[-1] == 1:
-        return v / r[..., 0]
-    return np.linalg.solve(r, v[..., None])[..., 0]
+def _solve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Solve a c = v for square a (..., m, m) and v (..., m)."""
+    if a.shape[-1] == 1:
+        return v / a[..., 0]
+    return np.linalg.solve(a, v[..., None])[..., 0]
 
 
 def _vecmat(v: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -172,7 +173,7 @@ class TangentFrame:
         """
         geo = self.geometry
         flat = geo.flat(geo.truncate_to_work(field_state), geo.work_order)
-        return _solve_r(self.r, _vecmat(self.sqrt_w * flat, self.q))
+        return _solve(self.r, _vecmat(self.sqrt_w * flat, self.q))
 
     def project(self, field_state) -> ProjectionResult:
         """``coordinates`` of a field with its normal residual, norm and spill."""
@@ -330,8 +331,9 @@ def bracket(
 class DistanceResult:
     """Closest chart point and distance; per-path arrays for a batch.
 
-    ``converged`` is true when every path converged and ``iterations``
-    is summed over paths; ``path_converged`` holds the per-path flags.
+    ``converged`` is true when every path converged, ``path_converged`` holds
+    the per-path flags, and ``iterations``, ``newton_steps`` (iterations on the
+    Newton step) and ``backtracks`` (step halvings) are summed over paths.
     """
 
     x: np.ndarray
@@ -339,6 +341,17 @@ class DistanceResult:
     converged: bool
     iterations: int
     path_converged: np.ndarray
+    newton_steps: int
+    backtracks: int
+
+
+def _curvature(hess: list, frame: TangentFrame, resid: np.ndarray) -> np.ndarray:
+    """S_kl = <d_kl phi, r>_W per row, from the chart Hessian's states and the weighted
+    residual rows at the working order; a Hessian that holds at every point broadcasts."""
+    geo, w_resid = frame.geometry, frame.sqrt_w * resid  # W r
+    s = [[(geo.flat(geo.truncate_to_work(h), geo.work_order) * w_resid).sum(-1) for h in row]
+         for row in hess]
+    return np.moveaxis(np.array(s), (0, 1), (-2, -1))
 
 
 def distance_to_manifold(
@@ -350,19 +363,22 @@ def distance_to_manifold(
     max_iter: int = 50,
     step_tol: float = 1e-10,
 ) -> DistanceResult:
-    """Mid-norm distance from a state to the chart image via Gauss-Newton.
+    """Mid-norm distance from a state to the chart image.
 
     Deterministic damped iteration: full step, halved until the cost
-    decreases, capped backtracking.  Hitting the iteration cap without
-    meeting the step tolerance is reported as non-converged.  A batched
-    ``y`` (or a (P, m) start) solves every path at once: each path keeps
-    its own iterate, step halving and stopping decision, and a path whose
-    frame degenerates stops there, not converged.
+    decreases, capped backtracking.  The step is Newton's, -(J'WJ + S)^-1 J'Wr
+    with S_kl = <d_kl phi, r>_W from the chart Hessian, on each row where S is
+    nonzero and J'WJ + S exceeds ``NEWTON_FLOOR`` times J'WJ, and Gauss-Newton's
+    elsewhere.  Hitting the iteration cap without meeting the step tolerance is
+    reported as non-converged.  A batched ``y`` (or a (P, m) start) solves every
+    path at once: each path keeps its own iterate, step halving and stopping
+    decision, and a path whose frame degenerates stops there, not converged.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim < 2 and not y.batch
     paths = y.batch[0] if y.batch else (1 if x0.ndim < 2 else x0.shape[0])
     x = np.array(np.broadcast_to(x0.reshape(-1, param.m), (paths, param.m)))
+    y_work = geometry.flat(geometry.truncate_to_work(y), geometry.work_order)
 
     def cost_at(xp, target):
         n = geometry.norm_diff(param.eval(xp), target)
@@ -371,6 +387,7 @@ def distance_to_manifold(
     cost, dist = cost_at(x, y)
     converged = np.zeros(paths, dtype=bool)
     iterations = np.zeros(paths, dtype=int)
+    newton_steps = backtracks = 0
     stall_tol = math.sqrt(np.finfo(float).eps)
     act = np.arange(paths)
     for it in range(max_iter):
@@ -381,7 +398,18 @@ def distance_to_manifold(
             break
         x_act = x[act]
         y_act = y if act.size == paths else y.rows(act)
-        step = -frame.coordinates(param.eval(x_act) - y_act)
+        fit = geometry.flat(geometry.truncate_to_work(param.eval(x_act)), geometry.work_order)
+        resid = frame.sqrt_w * (fit - (y_work[act] if y.batch else y_work))
+        grad = _vecmat(resid, frame.q)  # R^-T J'Wr
+        step = -_solve(frame.r, grad)
+        if param.hess is not None:
+            curv = _curvature(param.hess(x_act), frame, resid)
+            gram = np.swapaxes(frame.r, -1, -2) @ frame.r
+            margin = curv + (1.0 - NEWTON_FLOOR) * gram
+            lowest = margin[..., 0, 0] if param.m == 1 else np.linalg.eigvalsh(margin)[..., 0]
+            newton = curv.any((-2, -1)) & (lowest > 0.0)
+            step[newton] = -_solve((gram + curv)[newton], _vecmat(grad, frame.r)[newton])
+            newton_steps += int(newton.sum())
         step_norm = _row_norm(step)
         # the full step first, then halved until the cost decreases, 29 more
         # times at most; a sub-tolerance step is taken too when it helps,
@@ -390,6 +418,7 @@ def distance_to_manifold(
         accepted = np.zeros(act.size, dtype=bool)
         rows, alpha = np.arange(act.size), 1.0
         for _ in range(30):
+            backtracks += rows.size if alpha < 1.0 else 0
             trial = x_act[rows] + alpha * step[rows]
             c_trial, d_trial = cost_at(trial, y_act if rows.size == act.size else y_act.rows(rows))
             ok = c_trial < cost[act[rows]]
@@ -412,8 +441,9 @@ def distance_to_manifold(
         if not act.size:
             break
     if single:
-        return DistanceResult(x[0], float(dist[0]), bool(converged[0]), int(iterations[0]), converged)
-    return DistanceResult(x, dist, bool(converged.all()), int(iterations.sum()), converged)
+        x, dist = x[0], float(dist[0])
+    done = bool(converged.all())
+    return DistanceResult(x, dist, done, int(iterations.sum()), converged, newton_steps, backtracks)
 
 
 # -- built-in charts ---------------------------------------------------------

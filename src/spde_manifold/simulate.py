@@ -9,7 +9,7 @@ distance evaluation covers all of them.  The reduced run tabulates its
 coefficients, which depend on the chart coordinate alone, once per run on
 the chart box.  The coupled comparison advances both, measures the
 distance from the full state to the chart at every recorded step with one
-Gauss-Newton solve per row, started from the reduced coordinate or from
+damped Newton solve per row, started from the reduced coordinate or from
 the nearest of a fixed set of chart images, and summarizes the ensemble.
 """
 
@@ -287,7 +287,8 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
         groups = (slice(0, n_a), slice(n_a, n_a + m), slice(n_a + m, None))
         tails = [(tail[g].max(initial=0.0), scale[g].max(initial=0.0)) for g in groups]
         if all(t <= TABLE_TAIL_TOL * s for t, s in tails):
-            return ReducedTable(param.domain, coeffs, model.n_noise, k**m)
+            # .real is a strided view; every reduced step's einsum reads a contiguous copy faster
+            return ReducedTable(param.domain, np.ascontiguousarray(coeffs), model.n_noise, k**m)
         k *= 2
     raise ReducedTableError(
         f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes ({k // 2} per axis) resolves the "
@@ -361,7 +362,7 @@ def simulate_reduced(
     return ReducedPath(times, traj[:, 0], bool(exited[0]), exit_step[0], bool(degenerate[0]), table)
 
 
-# Gauss-Newton step tolerance of the recorded distances: the distance error
+# step tolerance of the recorded distances' solve: the distance error
 # is quadratic in it, so 1e-5 keeps the recorded value good to ~1e-10
 DIST_STEP_TOL = 1e-5
 # chart points whose images can start a distance solve: a lattice of this
@@ -413,7 +414,7 @@ def coupled_compare(
     (step, path) row is known, and both measures are taken in row blocks:
     ``coupled_err`` is the mid-norm gap between the full state and the
     chart image of the reduced coordinates; ``dist`` is the distance from
-    the full state to the chart itself, from one Gauss-Newton solve per
+    the full state to the chart itself, from one damped Newton solve per
     row.  The solve starts at the row's reduced coordinate, or at the
     nearest of ``DIST_SEED_POINTS`` chart points spread over the box
     (``tangency.sample_points``, images evaluated once per run) where that
@@ -421,8 +422,8 @@ def coupled_compare(
     counted.  Rows whose solve did not converge are flagged and counted,
     and kept out of the maximum distance.  The ensemble summary keeps the
     maxima, the mean and standard error over paths of each path's largest
-    gap, the Gauss-Newton path-iterations of every block solve, the
-    termination flags and the table's size.
+    gap, the path-iterations, Newton steps and step halvings of every block
+    solve, the termination flags and the table's size.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
@@ -438,7 +439,7 @@ def coupled_compare(
     err = np.zeros(live.size)
     dist = np.full(live.size, np.nan)
     unconverged = np.zeros(live.size, dtype=bool)
-    iterations = seeded_starts = 0
+    iterations = newton_steps = backtracks = seeded_starts = 0
     if cfg.record_distance:  # the seed images, flat at one order, and their weighted copies
         per_axis = round(DIST_SEED_POINTS ** (1.0 / min(param.m, 2)))  # Halton draws per_axis**2
         seeds = sample_points(SamplingSpec(per_axis, margin_frac=0.0), param.domain)
@@ -459,6 +460,8 @@ def coupled_compare(
         res = distance_to_manifold(param, y, start, geo, step_tol=DIST_STEP_TOL)
         dist[idx], unconverged[idx] = res.distance, ~res.path_converged
         iterations += res.iterations
+        newton_steps += res.newton_steps
+        backtracks += res.backtracks
         seeded_starts += int(seeded.sum())
     err, dist, unconverged = (v.reshape(live.shape) for v in (err, dist, unconverged))
     records = [
@@ -494,6 +497,8 @@ def coupled_compare(
         "max_spill": float(full.max_spill.max()),
         "n_unconverged_distance": int(unconverged.sum()),
         "distance_iterations": iterations,
+        "distance_newton_steps": newton_steps,
+        "distance_backtracks": backtracks,
         "distance_seeded_starts": seeded_starts,
         "n_exited": sum(r.exited for r in records),
         "n_degenerate_frame": int(np.sum(reduced.degenerate)),

@@ -252,6 +252,26 @@ def test_translate_batches_match_single_shifts(rng):
     np.testing.assert_array_equal(batch.coeffs[1], profile.coeffs)  # zero shift is exact
 
 
+@pytest.mark.parametrize("n", [16, 17, 64, 65])
+def test_folded_shift_matches_the_complex_path(rng, n):
+    # a single d=1 profile shifts through tables with one row per +-lambda pair
+    # (and a constant zero-mode row for even n); a one-row batched state takes
+    # the complex path
+    profile = SpectralState(1, n, rng.standard_normal(n + 1))
+    lam, t_cos, t_sin = profile._shift_tables
+    rows = (n + 1) // 2 + (n % 2 == 0)
+    assert lam.shape == (rows,) and t_cos.shape == t_sin.shape == (rows, n + 1)
+    assert (lam[-1] == 0.0 and not t_sin[-1].any()) == (n % 2 == 0)
+    shifts = np.array([[-1.7], [-0.2], [0.3], [1.9]])
+    folded = translate(profile, shifts).coeffs
+    one_row = SpectralState(1, n, profile.coeffs[None])
+    for x, got in zip(shifts, folded):
+        want = translate(one_row, x).coeffs[0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(profile.coeffs).max())
+    assert translate(profile, 0.0) is profile
+    np.testing.assert_array_equal(translate(profile, [[0.0], [0.3]]).coeffs[0], profile.coeffs)
+
+
 def test_translate_shape_validation():
     with pytest.raises(ValueError):
         translate(basis([0]), [0.1, 0.2])

@@ -1,5 +1,6 @@
 """Charts, tangent frames, brackets, and closest-point distances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -317,6 +318,7 @@ def test_distance_to_span_equals_normal_component():
     y = basis([0], 8) * 1.2 + basis([5], 8) * eps
     res = distance_to_manifold(chart, y, [0.0], geo)
     assert res.converged
+    assert res.newton_steps == 0  # a linear chart's Hessian is zero: Gauss-Newton steps
     # mid norm of eps * h_5 under the default half-step scale
     assert res.distance == pytest.approx(eps * math.sqrt(11.0), rel=1e-10)
     assert res.x[0] == pytest.approx(1.2, abs=1e-10)
@@ -368,6 +370,7 @@ def test_distance_backtracking_rows_solve_as_alone():
     # the first iteration halves the step twice: the full and the half step raise the cost
     first = distance_to_manifold(chart, y, x0, geo, max_iter=1)
     assert first.x[0, 0] == pytest.approx(0.1 + 0.25 * (full[0] - 0.1), rel=0.0, abs=1e-12)
+    assert first.backtracks == 2 and first.newton_steps == 0  # no chart Hessian
     alone = [
         distance_to_manifold(chart, chart.eval(np.array([e])), [s], geo)
         for e, s in zip(ends, starts)
@@ -385,6 +388,27 @@ def test_distance_backtracking_rows_solve_as_alone():
             for k in range(1, solo.iterations + 1)
         ]
         assert capped == [False] * (solo.iterations - 1) + [True]
+
+
+def test_distance_takes_newton_steps_off_a_curved_chart():
+    # off a translation chart the residual curvature S is large: the Newton
+    # step reaches Gauss-Newton's minimum in fewer iterations
+    geo = HermiteGeometry(1, 20)
+    chart = translation_chart(basis([0], 20), BOX1)
+    gauss_newton = dataclasses.replace(chart, hess=None)
+    y = chart.eval(np.array([0.3])) + basis([2], 20)
+    res = distance_to_manifold(chart, y, [0.0], geo)
+    ref = distance_to_manifold(gauss_newton, y, [0.0], geo)
+    assert res.converged and ref.converged
+    assert res.newton_steps > 0 and ref.newton_steps == 0
+    assert res.iterations < ref.iterations
+    assert res.x[0] == pytest.approx(ref.x[0], abs=1e-8)
+    assert res.distance == pytest.approx(ref.distance, rel=1e-12)
+    # where J'WJ + S is not safely positive definite the step stays Gauss-Newton's
+    y = chart.eval(np.array([0.3])) + basis([3], 20)
+    res = distance_to_manifold(chart, y, [0.0], geo)
+    assert res.converged and 0 < res.newton_steps < res.iterations
+
 
 def test_distance_iteration_cap_reports_nonconverged():
     geo = HermiteGeometry(1, 20)

@@ -255,6 +255,18 @@ def test_reduced_table_matches_the_exact_coefficients(preset):
     assert table.nodes == {"ito_translation_d1": 32, "ito_translation_d1_negative": 64}[preset]
 
 
+def test_reduced_table_is_contiguous_and_reads_each_row_alone():
+    cfg = load_config("ito_translation_d1_negative")
+    model, chart = build_model(cfg), build_manifold(cfg)
+    table = reduced_table(model, chart)
+    assert table.coeffs.flags.c_contiguous
+    x = np.array([[-1.9], [-0.4], [0.2], [1.7]])
+    four = table(x)
+    for k in range(x.shape[0]):
+        for got, want in zip(table(x[k : k + 1]), four):
+            np.testing.assert_array_equal(got[0], want[k])
+
+
 def test_reduced_table_rejects_coefficients_that_are_not_smooth():
     # p = 3 on the span of one sine mode: beta is proportional to |x| x
     model = PLaplaceModel(3.0, 16)
@@ -479,12 +491,18 @@ def test_batched_transport_matches_per_path():
 def test_batched_off_chart_distances_match_per_row_solves(seed):
     # off the chart the distance has several local minima, so the block
     # solve must pick each row's start as one row alone would, not only
-    # meet its tolerance; seed 2 has rows whose solve does not converge
+    # meet its tolerance; with Newton steps every row converges, where
+    # Gauss-Newton alone left 12 rows of seed 2 at the iteration cap after
+    # 4998 path-iterations
     cfg_dict = load_config("ito_translation_d1_negative")
     model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
     cfg = SimConfig(horizon=0.25, dt=1e-3, paths=4, seed=seed)
     rec = _assert_matches_per_path(model, chart, [0.2], cfg, dist_atol=1e-10)
     assert rec.summary["distance_seeded_starts"] > 0
+    assert rec.summary["n_unconverged_distance"] == 0
+    assert rec.summary["distance_newton_steps"] > 0
+    if seed == 2:
+        assert rec.summary["distance_iterations"] < 3500
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -508,6 +526,17 @@ def test_off_chart_distances_lie_below_a_dense_scan_of_the_box(seed):
         square = (w * y * y).sum(-1)[:, None] - 2.0 * (y * w) @ z.T + (w * z * z).sum(-1)
         scan = np.sqrt(np.maximum(square, 0.0)).min(axis=1)
         assert (r.dist[~r.unconverged] <= scan[~r.unconverged] + 1e-6).all()
+
+
+def test_summary_counts_no_newton_steps_on_a_span_chart():
+    # the span chart's Hessian is zero, so every distance step is Gauss-Newton's
+    cfg_dict = load_config("heat_equation")
+    model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
+    cfg = SimConfig(horizon=0.01, dt=1e-3, paths=2, seed=0)
+    summary = coupled_compare(model, chart, cfg_dict["sim"]["x0"], cfg).summary
+    assert summary["distance_iterations"] > 0
+    assert summary["distance_newton_steps"] == 0
+    assert isinstance(summary["distance_backtracks"], int)
 
 
 def test_summary_counts_rows_started_from_a_seed_image():
