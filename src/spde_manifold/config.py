@@ -37,8 +37,6 @@ __all__ = [
     "config_hash",
     "model_hash",
     "manifold_hash",
-    "build_state",
-    "build_dual",
     "build_model",
     "build_manifold",
     "build_sampling",
@@ -413,15 +411,6 @@ _SIM = {
     "record_distance": (_bool, True),
     "explosion_ceiling": (_number, 1e6),
 }
-
-
-def build_state(spec: dict, basis: str):
-    """The state of a canonical spec; its kind fixes its basis, "hermite" or "grid"."""
-    return _STATES.build(spec)
-
-
-def build_dual(spec: dict) -> DualField:
-    return _DUALS.build(spec)
 
 
 def load_config(source) -> LoadedConfig:

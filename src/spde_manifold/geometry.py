@@ -25,6 +25,7 @@ from .hermite import (
     SpectralState,
     _mask_simplex,
     _pad_tensor,
+    _same_paths,
     hermite_weights,
     order_grid,
 )
@@ -79,6 +80,7 @@ class HermiteGeometry:
 
     def norm_diff(self, u: SpectralState, v: SpectralState):
         """norm_mid(u - v) without building the intermediate state."""
+        _same_paths([u.batch, v.batch])
         if u.N == v.N:
             diff = u.coeffs - v.coeffs
             f = diff.reshape(diff.shape[: diff.ndim - self.d] + (-1,))
@@ -156,6 +158,8 @@ class GridGeometry:
         return _sqrt(self.h * np.sum(state.values * state.values, axis=-1))
 
     def norm_diff(self, u: GridState, v: GridState):
+        """norm_mid(u - v) without building the intermediate state."""
+        _same_paths([u.batch, v.batch])
         diff = u.values - v.values
         return _sqrt(self.h * np.sum(diff * diff, axis=-1))
 

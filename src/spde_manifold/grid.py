@@ -77,18 +77,12 @@ class GridState(ArrayState):
         return cls(np.zeros(m))
 
 
-def sine_mode(m: int, k: int, normalize: bool = True) -> GridState:
-    """Sampled sine mode sin(k pi x) on the interior grid.
-
-    With ``normalize`` the discrete L2 norm is one.
-    """
+def sine_mode(m: int, k: int) -> GridState:
+    """Sampled sine mode sin(k pi x) on the interior grid, of discrete L2 norm one."""
     if not 1 <= k <= m:
         raise ValueError(f"mode number must be in 1..{m}, got {k}")
     xs = np.arange(1, m + 1) / (m + 1.0)
-    v = np.sin(k * math.pi * xs)
-    if normalize:
-        v = v * math.sqrt(2.0)  # h * sum sin^2 = 1/2 on this grid
-    return GridState(v)
+    return GridState(np.sin(k * math.pi * xs) * math.sqrt(2.0))  # h * sum sin^2 = 1/2 on this grid
 
 
 def laplace_eigenvalue(m: int, k: int) -> float:

@@ -229,19 +229,6 @@ class _CoeffTensor(ArrayState):
         n = max(s.N for s in states)
         return [_pad_tensor(s.coeffs, d, s.N, n) for s in states]
 
-    def coefficient(self, index) -> float:
-        index = MultiIndex(index)
-        if len(index) != self.d:
-            raise ValueError("index dimension mismatch")
-        if index.order > self.N:
-            return 0.0
-        return float(self.coeffs[index])
-
-    def padded(self, n: int):
-        if n == self.N:
-            return self
-        return self._like(_pad_tensor(self.coeffs, self.d, self.N, n))
-
     def truncated(self, n: int):
         """Project onto |index| <= n (array resized to order min(N, n))."""
         if n >= self.N:

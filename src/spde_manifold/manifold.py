@@ -202,18 +202,11 @@ def _fd_columns(param: Parametrization, x: np.ndarray, h: float) -> list:
     return cols
 
 
-def jacobian(
-    param: Parametrization,
-    x,
-    geometry,
-    *,
-    mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
-) -> TangentFrame:
+def jacobian(param: Parametrization, x, geometry, *, mode: str = "auto") -> TangentFrame:
     """Tangent frame at a chart point, or one frame per row of a (P, m) batch.
 
     ``mode`` is "auto" (analytic when the chart supplies it), "analytic",
-    or "fd".  Columns are truncated to the geometry's working order and
+    or "fd" (central differences at step ``FD_STEP_JACOBIAN``).  Columns are truncated to the geometry's working order and
     factorized once there; the frame raises for rank collapse (with the
     mask of degenerate paths for a batch) and reports the Gram condition
     number per point in ``cond``.
@@ -224,7 +217,7 @@ def jacobian(
     if mode == "analytic" and param.jac is None:
         raise ValueError("chart has no analytic jacobian")
     use_analytic = param.jac is not None if mode == "auto" else mode == "analytic"
-    raw = param.jac(x) if use_analytic else _fd_columns(param, x, h_fd)
+    raw = param.jac(x) if use_analytic else _fd_columns(param, x, FD_STEP_JACOBIAN)
     cols = [geometry.truncate_to_work(c) for c in raw]
     order = geometry.work_order
     sw = np.sqrt(geometry.weight_vector(order))
@@ -250,14 +243,7 @@ def jacobian(
     return TangentFrame(x, cols, geometry, sv, cond, sw, b, q, r)
 
 
-def block_frame(
-    param: Parametrization,
-    x: np.ndarray,
-    geometry,
-    *,
-    mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
-):
+def block_frame(param: Parametrization, x: np.ndarray, geometry, *, mode: str = "auto"):
     """Frame at the non-degenerate rows of a (B, m) batch of points.
 
     A degenerate row is dropped and the frame retried on the rest, so it
@@ -269,7 +255,7 @@ def block_frame(
     dropped = {}
     while kept.size:
         try:
-            return kept, jacobian(param, x[kept], geometry, mode=mode, h_fd=h_fd), dropped
+            return kept, jacobian(param, x[kept], geometry, mode=mode), dropped
         except DegenerateChartError as err:
             dropped.update(zip(kept[err.rows], err.messages))
             kept = kept[~err.rows]

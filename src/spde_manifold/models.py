@@ -1,15 +1,22 @@
 """Concrete drift/diffusion models.
 
 Two families share one small protocol (``geometry``, ``n_noise``,
-``drift``, ``diffusion``, optional ``diffusion_derivative``).  Each
-callable takes one state or a batch of states (one row per path) and
-returns states with the same leading path axis, or single states that
-hold on every path (constant noise fields).  The families:
+``drift``, ``diffusion``, optional ``diffusion_derivative`` and
+``drift_and_diffusion``).  Each callable takes one state or a batch of
+states (one row per path) and returns states with the same leading path
+axis, or single states that hold on every path (constant noise fields).
+``drift_and_diffusion`` is the array form of the first two, coefficient
+arrays in and out.  The families:
 
 * transport models whose coefficients are dual pairings against the
   state, with quadratic transport drift and linear transport noise;
 * a divergence-form grid model with exponent p >= 2 on the unit
   interval (p == 2 reduces exactly to the second-difference operator).
+
+Each family computes on arrays once, in its kernel pieces (the
+transport model's stacked pairings and paired fields over ladder
+derivatives, the grid model's flux differences); its state methods only
+wrap arrays into states at the edge.
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -30,9 +37,7 @@ from .hermite import (
     NormScale,
     SpectralState,
     _pad_tensor,
-    derivative,
     derivative_coeffs,
-    pair,
     second_derivative_coeffs,
     weighted_sum,
 )
@@ -40,16 +45,12 @@ from .hermite import (
 __all__ = [
     "ItoTypeModel",
     "PLaplaceModel",
-    "ito_drift",
-    "ito_diffusion",
-    "sigma_pairings",
-    "ito_diffusion_from_pairings",
-    "plaplace_drift",
     "StratCorrection",
     "stratonovich_correction",
 ]
 
 DA_MODES = ("auto", "analytic", "fd")
+FD_STEP_DA = 1e-4  # step of the directional difference of the diffusion fields
 
 
 # -- transport model with pairing coefficients -------------------------------
@@ -102,8 +103,14 @@ class ItoTypeModel:
         one (K, 1) matrix per dual), n the larger of the state's and the duals' orders."""
         return {}
 
+    def _coeffs(self, y: SpectralState) -> np.ndarray:
+        """y's coefficient tensor; a state of another dimension would read as a batch."""
+        if y.d != self.d:
+            raise ValueError(f"dimension mismatch: model d={self.d}, state d={y.d}")
+        return y.coeffs
+
     def drift(self, y: SpectralState) -> SpectralState:
-        return ito_drift(self, y)
+        return _state(self.d, self.drift_and_diffusion(self._coeffs(y))[0])
 
     def drift_and_diffusion(self, c: np.ndarray):
         """``drift`` and ``diffusion`` on arrays: the coefficient tensor of one
@@ -112,8 +119,7 @@ class ItoTypeModel:
         derivatives minus the paired first-order transport term; a term whose
         weight vanishes on every path is skipped."""
         d, n = self.d, c.shape[-1] - 1
-        pairings = _pairings(self, c, n)
-        s = pairings[..., d:].reshape(pairings.shape[:-1] + (self.J, d))  # row j pairs sigma[j]
+        b, s = _pairings(self, c, n)
         cov = s.swapaxes(-1, -2) @ s  # (..., d, d)
         partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
         terms = []
@@ -123,34 +129,40 @@ class ItoTypeModel:
                 if np.count_nonzero(w):
                     terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
         for i in range(d):
-            bi = pairings[..., i]
-            if np.count_nonzero(bi) or not terms:
-                terms.append((partials[i], -bi))
-        fields = _paired_fields(partials, s.swapaxes(-1, -2), d)
+            if np.count_nonzero(b[..., i]) or not terms:
+                terms.append((partials[i], -b[..., i]))
+        fields = _paired_fields(partials, s, d)
         return weighted_sum(terms, d), fields + [f.coeffs for f in self.extra_fields]
 
     def diffusion(self, y: SpectralState) -> list:
-        return ito_diffusion(self, y)
+        """Every noise field at y: the paired transport fields, then the constants."""
+        d, n, c = self.d, y.N, self._coeffs(y)
+        partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
+        fields = _paired_fields(partials, _pairings(self, c, n)[1], d)
+        return [_state(d, f) for f in fields] + list(self.extra_fields)
 
     def diffusion_derivative(self, y: SpectralState, u: SpectralState, j: int) -> SpectralState:
-        """Derivative of component j at y applied to u (exact product rule)."""
+        """Derivative of component j at y applied to u (exact product rule):
+        -sum_i (<sigma[j][i], u> d_i y + <sigma[j][i], y> d_i u)."""
         if j >= self.J:
             return SpectralState.zero(self.d, 0)  # constant extras
-        out = None
-        for i in range(self.d):
-            term = derivative(y, axis=i) * (-pair(self.sigma[j][i], u))
-            term = term + derivative(u, axis=i) * (-pair(self.sigma[j][i], y))
-            out = term if out is None else out + term
-        return out
+        d, terms = self.d, []
+        cy, cu = self._coeffs(y), self._coeffs(u)
+        sy, su = (_pairings(self, c, c.shape[-1] - 1)[1][..., j, :] for c in (cy, cu))
+        for i in range(d):
+            terms.append((derivative_coeffs(cy, d, y.N, i), -su[..., i]))
+            terms.append((derivative_coeffs(cu, d, u.N, i), -sy[..., i]))
+        return _state(d, weighted_sum(terms, d))
 
 
-def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
-    """Pairings of the order-n coefficient tensors c (one or a batch) with b
-    then sigma (j-major), shape (..., d + J d).
+def _pairings(model: ItoTypeModel, c: np.ndarray, n: int):
+    """Pairings of the order-n coefficient tensors c (one or a batch) with b,
+    shape (..., d), and with sigma, shape (..., J, d): row j pairs sigma[j].
 
     One product against the stacked duals, at the order of the state or
     of the longest dual; it makes one matrix-vector product per dual, so
-    each pairing rounds as ``pair`` does."""
+    each pairing rounds as ``hermite.pair`` does."""
+    d = model.d
     got = model._dual_stacks.get(n)
     if got is None:
         duals = model.b + tuple(s for row in model.sigma for s in row)
@@ -158,57 +170,21 @@ def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
         rows = [_pad_tensor(g.coeffs, g.d, g.N, top).reshape(-1, 1) for g in duals]
         got = model._dual_stacks[n] = (top, np.stack(rows))
     top, stack = got
-    c = _pad_tensor(c, model.d, n, top)
-    return np.matmul(c.reshape(c.shape[: c.ndim - model.d] + (-1,)), stack)[..., 0].T
-
-
-def _check_dim(model: ItoTypeModel, y: SpectralState) -> None:
-    if y.d != model.d:
-        raise ValueError(f"dimension mismatch: dual d={model.d}, state d={y.d}")
-
-
-def sigma_pairings(model: ItoTypeModel, y: SpectralState) -> np.ndarray:
-    """Matrix of noise pairings, shape (d, J); entry (i, j) pairs sigma[j][i].
-
-    A batch of P states gives shape (P, d, J).
-    """
-    _check_dim(model, y)
-    p = _pairings(model, y.coeffs, y.N)
-    return p[..., model.d :].reshape(p.shape[:-1] + (model.J, model.d)).swapaxes(-1, -2)
+    c = _pad_tensor(c, d, n, top)
+    p = np.matmul(c.reshape(c.shape[: c.ndim - d] + (-1,)), stack)[..., 0].T
+    return p[..., :d], p[..., d:].reshape(p.shape[:-1] + (model.J, d))
 
 
 def _paired_fields(partials: list, s: np.ndarray, d: int) -> list:
-    """Noise field j = -sum_i s[..., i, j] d_i y, from the first derivatives d_i y."""
+    """Noise field j = -sum_i s[..., j, i] d_i y, from the first derivatives d_i y."""
     return [
-        weighted_sum([(p, -s[..., i, j]) for i, p in enumerate(partials)], d)
-        for j in range(s.shape[-1])
+        weighted_sum([(p, -s[..., j, i]) for i, p in enumerate(partials)], d)
+        for j in range(s.shape[-2])
     ]
 
 
 def _state(d: int, c: np.ndarray) -> SpectralState:
     return SpectralState(d, c.shape[-1] - 1, c)
-
-
-def ito_drift(model: ItoTypeModel, y: SpectralState) -> SpectralState:
-    """Transport drift at y, one state or a batch (see ``drift_and_diffusion``)."""
-    _check_dim(model, y)
-    return _state(y.d, model.drift_and_diffusion(y.coeffs)[0])
-
-
-def ito_diffusion_from_pairings(
-    model: ItoTypeModel, pairings: np.ndarray, y: SpectralState
-) -> list:
-    """Noise fields for a frozen pairing matrix: linear in y by construction."""
-    d, n = y.d, y.N
-    partials = [derivative_coeffs(y.coeffs, d, n, i) for i in range(d)]
-    return [_state(d, f) for f in _paired_fields(partials, pairings, d)]
-
-
-def ito_diffusion(model: ItoTypeModel, y: SpectralState) -> list:
-    """All noise fields at y: paired transport components plus constants."""
-    fields = ito_diffusion_from_pairings(model, sigma_pairings(model, y), y)
-    fields.extend(model.extra_fields)
-    return fields
 
 
 # -- divergence-form grid model ----------------------------------------------
@@ -244,7 +220,9 @@ class PLaplaceModel:
         return len(self.fields)
 
     def drift(self, y: GridState) -> GridState:
-        return plaplace_drift(self, y)
+        if y.M != self.M:
+            raise ValueError("grid size mismatch")
+        return GridState(_plaplace(self, y.values))
 
     def drift_and_diffusion(self, v: np.ndarray):
         """``drift`` and ``diffusion`` on arrays: grid values, one state or a batch."""
@@ -255,12 +233,6 @@ class PLaplaceModel:
 
     def diffusion_derivative(self, y: GridState, u: GridState, j: int) -> GridState:
         return GridState.zero(self.M)
-
-
-def plaplace_drift(model: PLaplaceModel, y: GridState) -> GridState:
-    if y.M != model.M:
-        raise ValueError("grid size mismatch")
-    return GridState(_plaplace(model, y.values))
 
 
 def _plaplace(model: PLaplaceModel, v: np.ndarray) -> np.ndarray:
@@ -283,20 +255,15 @@ class StratCorrection:
     step_disagreement: float
 
 
-def stratonovich_correction(
-    model,
-    y,
-    *,
-    da_mode: str = "auto",
-    h_fd: float = 1e-4,
-) -> StratCorrection:
+def stratonovich_correction(model, y, *, da_mode: str = "auto") -> StratCorrection:
     """sum_j DA^j(y) A^j(y) for the model's diffusion components.
 
     ``da_mode``: "analytic" uses the model's derivative, "fd" uses
-    directional central differences of the diffusion map, "auto" prefers
-    analytic.  The finite-difference mode re-evaluates at half step and
-    reports the relative disagreement.  A batch of states is corrected
-    path by path: each path has its own step and its own disagreement.
+    directional central differences of the diffusion map (step
+    ``FD_STEP_DA`` / (1 + |A^j(y)|)), "auto" prefers analytic.  The
+    finite-difference mode re-evaluates at half step and reports the
+    relative disagreement.  A batch of states is corrected path by path:
+    each path has its own step and its own disagreement.
     """
     if da_mode not in DA_MODES:
         raise ValueError(f"da_mode must be one of {'/'.join(DA_MODES)}, got {da_mode!r}")
@@ -318,7 +285,7 @@ def stratonovich_correction(
                 minus = model.diffusion(y - u * eps)[j]
                 return (plus - minus) * (0.5 / eps)
 
-            eps = h_fd / (1.0 + norm_u)
+            eps = FD_STEP_DA / (1.0 + norm_u)
             term = directional(eps)
             check = directional(0.5 * eps)
             denom = np.maximum(geo.norm_mid(term), 1e-30)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .hermite import SpectralState, top_band_ratio
 from .manifold import (
-    FD_STEP_JACOBIAN,
     DegenerateChartError,
     Parametrization,
     TangentFrame,
@@ -88,7 +87,8 @@ class SamplingSpec:
     """How to pick chart points: a lattice for m <= 2, Halton above that.
 
     ``margin_frac`` shrinks the box slightly so finite-difference stencils
-    stay interior.  Explicit ``points`` override everything else.
+    stay interior.  Explicit ``points``, one (m,) point or a finite (k, m)
+    array, override everything else.
     """
 
     points_per_axis: int = 11
@@ -115,12 +115,23 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 
 def sample_points(spec: SamplingSpec, domain: np.ndarray) -> np.ndarray:
-    if spec.points is not None:
-        pts = np.asarray(spec.points, dtype=float).reshape(-1, domain.shape[0])
-        if pts.shape[0] == 0:
-            raise InvalidSamplingError("explicit point list is empty")
-        return pts
     m = domain.shape[0]
+    if spec.points is not None:
+        try:
+            pts = np.asarray(spec.points, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise InvalidSamplingError(f"explicit points are not a numeric array: {err}") from err
+        if pts.size == 0:
+            raise InvalidSamplingError("explicit point list is empty")
+        pts = pts[None] if pts.shape == (m,) else pts
+        if pts.ndim != 2 or pts.shape[1] != m:
+            raise InvalidSamplingError(
+                f"explicit points must be one point of {m} coordinates or a (k, {m}) "
+                f"array, got shape {np.shape(spec.points)}"
+            )
+        if not np.isfinite(pts).all():
+            raise InvalidSamplingError("explicit points must be finite")
+        return pts
     if spec.points_per_axis < 1:
         raise InvalidSamplingError("points_per_axis must be at least 1")
     if not 0.0 <= spec.margin_frac < 0.5:
@@ -202,10 +213,10 @@ def _noise_coords(model, frame, state) -> np.ndarray:
     return a
 
 
-def _shifted_coords(model, param, x, jac_mode, h_fd):
+def _shifted_coords(model, param, x, jac_mode):
     """Noise coordinates at the rows of x (B, m) on frames of their own:
     NaN at a row whose frame degenerates, whose rank message is kept."""
-    kept, frame, dropped = block_frame(param, x, model.geometry, mode=jac_mode, h_fd=h_fd)
+    kept, frame, dropped = block_frame(param, x, model.geometry, mode=jac_mode)
     a = np.full((x.shape[0], model.n_noise, param.m), np.nan)
     if kept.size:
         a[kept] = _noise_coords(model, frame, param.eval(frame.x))
@@ -221,7 +232,6 @@ def check_drift_tangency(
     diffusion: DiffusionCheck | None = None,
     jac_mode: str = "auto",
     da_mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
 ) -> DriftCheck:
     """Residual of the corrected drift against the tangent frame.
 
@@ -229,7 +239,7 @@ def check_drift_tangency(
     the diffusion coordinates; "stratonovich" subtracts half the
     diffusion-derivative correction and recovers the same reduced drift
     through the chart-derivative decomposition, from frames built (with
-    ``jac_mode`` and ``h_fd``) at the shifted points x +- h e_k.  A frame
+    ``jac_mode``) at the shifted points x +- h e_k.  A frame
     at a (P, m) batch of points gives answers per point.
     """
     if diffusion is None:
@@ -241,7 +251,7 @@ def check_drift_tangency(
         spill = np.maximum(diffusion.spill, proj.spill)
         return DriftCheck(proj.coords, proj.rel_residual, spill, form)
     if form == "stratonovich":
-        corr = stratonovich_correction(model, state, da_mode=da_mode, h_fd=h_fd)
+        corr = stratonovich_correction(model, state, da_mode=da_mode)
         w = drift - corr.value * 0.5
         proj = frame.project(w)
         # recover the reduced drift: add back half of (Da^j a^j) per component
@@ -254,8 +264,8 @@ def check_drift_tangency(
             for k in range(param.m):
                 step = np.zeros(param.m)
                 step[k] = FD_STEP_CHART
-                plus, lost_plus = _shifted_coords(model, param, x + step, jac_mode, h_fd)
-                minus, lost_minus = _shifted_coords(model, param, x - step, jac_mode, h_fd)
+                plus, lost_plus = _shifted_coords(model, param, x + step, jac_mode)
+                minus, lost_minus = _shifted_coords(model, param, x - step, jac_mode)
                 degenerate = {**lost_minus, **lost_plus, **degenerate}  # first message wins
                 col = (plus - minus).reshape(diffusion.a.shape) * (0.5 / FD_STEP_CHART)
                 da_dot_a = da_dot_a + np.einsum("...jl,...j->...l", col, diffusion.a[..., k])
@@ -367,7 +377,6 @@ def sweep(
     form: str = "both",
     jac_mode: str = "auto",
     da_mode: str = "auto",
-    h_fd: float = FD_STEP_JACOBIAN,
     form_error_tol: float = 1e-2,
     metadata: dict | None = None,
 ) -> TangencyReport:
@@ -403,7 +412,7 @@ def sweep(
     notes = [[] for _ in range(s_count)]  # warnings per point, in check order
 
     for idx in row_blocks(np.arange(s_count), geo):
-        kept, frame, dropped = block_frame(param, pts[idx], geo, mode=jac_mode, h_fd=h_fd)
+        kept, frame, dropped = block_frame(param, pts[idx], geo, mode=jac_mode)
         for k, note in dropped.items():
             degenerate[idx[k]] = True
             notes[idx[k]].append(note)
@@ -434,10 +443,8 @@ def sweep(
             rho_drift[rows], beta[rows] = db.rho, db.beta
             block_spill = np.maximum(block_spill, db.spill)
         if strat:
-            ds = check_drift_tangency(
-                model, param, frame, "stratonovich", diffusion=diff,
-                jac_mode=jac_mode, da_mode=da_mode, h_fd=h_fd,
-            )
+            ds = check_drift_tangency(model, param, frame, "stratonovich", diffusion=diff,
+                                      jac_mode=jac_mode, da_mode=da_mode)
             rho_strat[rows], beta_strat[rows] = ds.rho, ds.beta
             if form == "stratonovich":
                 rho_drift[rows], beta[rows] = ds.rho, ds.beta

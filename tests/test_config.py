@@ -19,9 +19,7 @@ from spde_manifold import (
     sweep_config,
 )
 from spde_manifold.config import (
-    build_dual,
     build_sampling,
-    build_state,
     canonical_json,
     config_hash,
     manifold_hash,
@@ -381,36 +379,34 @@ def test_extra_field_coefficient_applied():
     cfg = load_config("ito_translation_d1_negative")
     spec = cfg["model"]["extra_fields"][0]
     assert spec["coef"] == 2.0
-    field = build_state(spec, "hermite")
-    assert field.coefficient([4]) == 2.0
+    field = build_model(cfg).extra_fields[0]
+    assert field.coeffs[4] == 2.0
+    assert field.coeffs.sum() == 2.0
 
 
 def test_coeffs_state_kind_round_trip():
-    cfg = load_config({
-        "preset": "ito_zero",
-        "model": {
-            "extra_fields": [
-                {"kind": "coeffs", "entries": [[[0], 0.5], [[3], -1.0]]}
-            ]
-        },
-    })
-    field = build_state(cfg["model"]["extra_fields"][0], "hermite")
-    assert field.coefficient([0]) == 0.5
-    assert field.coefficient([3]) == -1.0
+    coeffs = {"kind": "coeffs", "entries": [[[0], 0.5], [[3], -1.0]]}
+    cfg = load_config({"preset": "ito_zero", "model": {"extra_fields": [coeffs]}})
+    field = build_model(cfg).extra_fields[0]
+    assert (field.coeffs[0], field.coeffs[3]) == (0.5, -1.0)
+    assert field.coeffs.sum() == -0.5
+    bad = {"kind": "coeffs", "d": 1, "n": 2, "entries": [[[5], 1.0]]}
     with pytest.raises(ConfigError, match="out of range"):
-        build_state(
-            {"kind": "coeffs", "d": 1, "n": 2, "entries": [[[5], 1.0]]}, "hermite"
-        )
+        load_config({"preset": "ito_zero", "model": {"extra_fields": [bad]}})
 
 
 def test_dual_builders():
-    const = build_dual({"kind": "constant", "d": 1, "n": 4, "value": 2.0})
-    assert const.d == 1
-    dc = build_dual({"kind": "dual_coeffs", "d": 1, "n": 3,
-                     "entries": [[[1], 4.0]]})
-    assert dc.coeffs[1] == 4.0
+    model = build_model(load_config({
+        "preset": "ito_zero",
+        "model": {
+            "b": [{"kind": "constant", "n": 4, "value": 2.0}],
+            "sigma": [[{"kind": "dual_coeffs", "n": 3, "entries": [[[1], 4.0]]}]],
+        },
+    }))
+    assert (model.b[0].d, model.b[0].N) == (1, 4)
+    assert model.sigma[0][0].coeffs.tolist() == [0.0, 4.0, 0.0, 0.0]
     with pytest.raises(ConfigError, match="unknown dual kind"):
-        build_dual({"kind": "mystery"})
+        load_config({"preset": "ito_zero", "model": {"b": [{"kind": "mystery"}]}})
 
 
 def test_sim_config_seed_override():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from spde_manifold.geometry import GridGeometry
+from spde_manifold.geometry import GridGeometry, HermiteGeometry
 from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
+from spde_manifold.hermite import SpectralState
 
 
 def test_grid_state_properties():
@@ -96,12 +97,6 @@ def test_sine_mode_k_out_of_range():
         sine_mode(8, 9)
 
 
-def test_unnormalized_mode():
-    m, k = 9, 1
-    raw = sine_mode(m, k, normalize=False)
-    np.testing.assert_allclose(raw.values, np.sin(math.pi * raw.xs), atol=1e-14)
-
-
 def test_laplace_eigenvalue_closed_form():
     m, k = 31, 3
     h = 1.0 / (m + 1)
@@ -120,3 +115,25 @@ def test_grid_inner_is_trapezoid_free_h_weighted_dot():
     assert _inner(geo, a, b) == pytest.approx(0.25 * (4 + 10 + 18), rel=1e-15)
     assert geo.norm_mid(a) ** 2 == pytest.approx(0.25 * (1 + 4 + 9), rel=1e-15)
     assert geo.norm_diff(a, b) ** 2 == pytest.approx(0.25 * 27, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "geo, state",
+    [
+        (GridGeometry(4), GridState),
+        (HermiteGeometry(1, 3), lambda v: SpectralState(1, 3, v)),
+    ],
+    ids=["grid", "hermite"],
+)
+def test_norm_diff_is_the_norm_of_the_difference(rng, geo, state):
+    one = state(rng.standard_normal((1, 4)))
+    three = state(rng.standard_normal((3, 4)))
+    single = state(rng.standard_normal(4))
+    want = geo.norm_mid(three - single)
+    np.testing.assert_allclose(geo.norm_diff(three, single), want, rtol=1e-14)
+    np.testing.assert_allclose(geo.norm_diff(one, one), [0.0])
+    # a 1-path batch meets a 3-path batch in neither form, so it raises
+    with pytest.raises(ValueError, match="path count mismatch"):
+        geo.norm_mid(one - three)
+    with pytest.raises(ValueError, match="path count mismatch"):
+        geo.norm_diff(one, three)

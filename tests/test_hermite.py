@@ -43,9 +43,10 @@ def test_multi_index_order_and_validation():
 
 
 def test_state_reads_zero_outside_declared_indices():
-    s = basis([1], n=3)
-    assert s.coefficient([1]) == 1.0
-    assert s.coefficient([5]) == 0.0
+    np.testing.assert_array_equal(basis([1], n=3).coeffs, [0.0, 1.0, 0.0, 0.0])
+    # a d = 2 tensor keeps only the total orders |n| <= N
+    s = SpectralState(2, 2, np.ones((3, 3)))
+    np.testing.assert_array_equal(s.coeffs, [[1, 1, 1], [1, 1, 0], [1, 0, 0]])
 
 
 # -- norms ----------------------------------------------------------------------

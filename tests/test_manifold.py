@@ -12,6 +12,7 @@ from spde_manifold import (
     linear_span_chart,
     translation_chart,
 )
+from spde_manifold import manifold
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
 from spde_manifold.manifold import SHIFT_MEMO_ENTRIES, bracket, distance_to_manifold, jacobian
@@ -90,14 +91,15 @@ def test_fd_jacobian_close_to_analytic():
     assert gap < 1e-6
 
 
-def test_fd_jacobian_is_second_order():
+def test_fd_jacobian_is_second_order(monkeypatch):
     """Error against the analytic column should shrink ~4x per halving."""
     geo = HermiteGeometry(1, 16)
     chart = translation_chart(basis([0], 16), BOX1)
     exact = jacobian(chart, [0.25], geo, mode="analytic").columns[0].coeffs
     errs = []
     for h in (2e-2, 1e-2, 5e-3, 2.5e-3):
-        col = jacobian(chart, [0.25], geo, mode="fd", h_fd=h).columns[0].coeffs
+        monkeypatch.setattr(manifold, "FD_STEP_JACOBIAN", h)
+        col = jacobian(chart, [0.25], geo, mode="fd").columns[0].coeffs
         errs.append(float(np.linalg.norm(col - exact)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(o >= 1.8 for o in orders), orders

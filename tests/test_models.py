@@ -5,19 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from spde_manifold import models
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import DualField, SpectralState, derivative, pair, second_derivative
-from spde_manifold.models import (
-    ItoTypeModel,
-    PLaplaceModel,
-    ito_diffusion,
-    ito_diffusion_from_pairings,
-    ito_drift,
-    plaplace_drift,
-    sigma_pairings,
-    stratonovich_correction,
-)
+from spde_manifold.models import ItoTypeModel, PLaplaceModel, _pairings, stratonovich_correction
 from spde_manifold.tangency import FD_SENSITIVITY_TOL
 
 H0_AT_ZERO = math.pi ** (-0.25)
@@ -41,14 +33,14 @@ def transport_model(n=8, z=0.0):
 
 def test_drift_of_zero_model_vanishes():
     model = ItoTypeModel(d=1, J=0, N=8, b=(DualField.zero(1),), sigma=())
-    out = ito_drift(model, basis([3], 8))
+    out = model.drift(basis([3], 8))
     assert not out.coeffs.any()
 
 
 def test_drift_second_order_term():
     model = transport_model()
     y = basis([0], 8)
-    out = ito_drift(model, y)
+    out = model.drift(y)
     want = second_derivative(y) * (0.5 * H0_AT_ZERO**2)
     np.testing.assert_allclose(out.coeffs, want.coeffs, atol=1e-14)
 
@@ -58,7 +50,7 @@ def test_drift_transport_term():
         d=1, J=0, N=8, b=(DualField.dirac([0.0], n=8),), sigma=()
     )
     y = basis([0], 8) + basis([2], 8) * 0.4
-    out = ito_drift(model, y)
+    out = model.drift(y)
     want = derivative(y) * (-pair(model.b[0], y))
     np.testing.assert_allclose(out.coeffs, want.coeffs, atol=1e-14)
 
@@ -79,7 +71,7 @@ def test_drift_d2_covariance_terms():
         + second_derivative(y, (0, 1)) * (p1 * p2)
         + second_derivative(y, (1, 1)) * (0.5 * p2 * p2)
     )
-    out = ito_drift(model, y)
+    out = model.drift(y)
     np.testing.assert_allclose(out.coeffs, want.coeffs, atol=1e-13)
 
 
@@ -89,7 +81,7 @@ def test_drift_d2_covariance_terms():
 def test_diffusion_single_component():
     model = transport_model()
     y = basis([0], 8)
-    fields = ito_diffusion(model, y)
+    fields = model.diffusion(y)
     assert len(fields) == 1
     want = derivative(y) * (-H0_AT_ZERO)
     np.testing.assert_allclose(fields[0].coeffs, want.coeffs, atol=1e-14)
@@ -103,7 +95,7 @@ def test_diffusion_appends_constant_extras():
         sigma=((DualField.dirac([0.0], n=8),),),
         extra_fields=(extra,),
     )
-    fields = ito_diffusion(model, basis([0], 8))
+    fields = model.diffusion(basis([0], 8))
     assert model.n_noise == 2
     assert len(fields) == 2
     np.testing.assert_array_equal(fields[1].coeffs, extra.coeffs)
@@ -111,23 +103,11 @@ def test_diffusion_appends_constant_extras():
 
 def test_sigma_pairings_shape_and_values():
     model = transport_model(z=0.0)
-    s = sigma_pairings(model, basis([0], 8) * 3.0)
-    assert s.shape == (1, 1)
+    y = basis([0], 8) * 3.0
+    b, s = _pairings(model, y.coeffs, y.N)
+    assert (b.shape, s.shape) == ((1,), (1, 1))
+    assert b[0] == 0.0
     assert s[0, 0] == pytest.approx(3.0 * H0_AT_ZERO, rel=1e-14)
-
-
-def test_frozen_pairings_map_is_linear(rng):
-    model = transport_model(n=10)
-    y0 = basis([0], 10) + basis([1], 10) * 0.5
-    frozen = sigma_pairings(model, y0)
-    u = SpectralState(1, 10, rng.standard_normal(11))
-    v = SpectralState(1, 10, rng.standard_normal(11))
-    fu = ito_diffusion_from_pairings(model, frozen, u)[0]
-    fv = ito_diffusion_from_pairings(model, frozen, v)[0]
-    fw = ito_diffusion_from_pairings(model, frozen, u * 2.0 + v * (-3.0))[0]
-    np.testing.assert_allclose(
-        fw.coeffs, 2.0 * fu.coeffs - 3.0 * fv.coeffs, atol=1e-13
-    )
 
 
 def test_diffusion_derivative_matches_directional_difference(rng):
@@ -136,10 +116,33 @@ def test_diffusion_derivative_matches_directional_difference(rng):
     u = SpectralState(1, 10, rng.standard_normal(11) * 0.3)
     got = model.diffusion_derivative(y, u, 0)
     eps = 1e-6
-    plus = ito_diffusion(model, y + u * eps)[0]
-    minus = ito_diffusion(model, y - u * eps)[0]
+    plus = model.diffusion(y + u * eps)[0]
+    minus = model.diffusion(y - u * eps)[0]
     fd = (plus - minus) * (0.5 / eps)
     np.testing.assert_allclose(got.coeffs, fd.coeffs, atol=1e-8)
+
+
+def test_diffusion_derivative_d2_batch_matches_differences_and_rows(rng):
+    n, paths = 5, 3
+    model = ItoTypeModel(
+        d=2, J=2, N=n,
+        b=(DualField.zero(2), DualField.zero(2)),
+        sigma=(
+            (DualField.dirac([0.3, -0.2], n=n), DualField.dirac([0.0, 0.5], n=n + 2)),
+            (DualField.constant(2, n - 1, 0.5), DualField.dirac([-0.4, 0.1], n=n)),
+        ),
+    )
+    y = SpectralState(2, n, rng.standard_normal((paths, n + 1, n + 1)) * 0.3)
+    u = SpectralState(2, n + 1, rng.standard_normal((paths, n + 2, n + 2)) * 0.3)
+    eps = 1e-6
+    for j in range(model.J):
+        got = model.diffusion_derivative(y, u, j)
+        assert (got.N, got.batch) == (n + 2, (paths,))
+        fd = (model.diffusion(y + u * eps)[j] - model.diffusion(y - u * eps)[j]) * (0.5 / eps)
+        np.testing.assert_allclose((got - fd).coeffs, 0.0, atol=1e-8)
+        for k in range(paths):
+            one = model.diffusion_derivative(y.rows(k), u.rows(k), j)
+            np.testing.assert_allclose(got.rows(k).coeffs, one.coeffs, rtol=1e-13, atol=1e-15)
 
 
 def test_diffusion_derivative_of_constant_extra_is_zero():
@@ -149,6 +152,17 @@ def test_diffusion_derivative_of_constant_extra_is_zero():
     )
     out = model.diffusion_derivative(basis([0], 6), basis([1], 6), 0)
     assert not out.coeffs.any()
+
+
+def test_transport_model_rejects_a_state_of_another_dimension():
+    model = transport_model(n=4)
+    y = SpectralState.zero(2, 3)  # its (4, 4) tensor would read as four d = 1 states
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        model.drift(y)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        model.diffusion(y)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        model.diffusion_derivative(basis([0], 4), y, 0)
 
 
 def test_transport_model_validation():
@@ -209,11 +223,11 @@ def test_transport_kernels_with_duals_above_and_below_the_state_order(rng, d, pa
     shape = ((paths,) if paths else ()) + (n + 1,) * d
     y = SpectralState(d, n, rng.standard_normal(shape))
     s, drift, fields = _pairing_formula(model, y)
-    np.testing.assert_allclose(sigma_pairings(model, y), s, rtol=1e-13)
-    got = ito_drift(model, y)
+    np.testing.assert_allclose(_pairings(model, y.coeffs, n)[1], np.swapaxes(s, -1, -2), rtol=1e-13)
+    got = model.drift(y)
     assert (got.N, got.batch) == (n + 2, y.batch)
     np.testing.assert_allclose(got.coeffs, drift.coeffs, rtol=1e-12, atol=1e-13)
-    got_fields = ito_diffusion(model, y)
+    got_fields = model.diffusion(y)
     assert len(got_fields) == model.n_noise == 2
     for field, want in zip(got_fields, fields):
         assert (field.N, field.batch) == (n + 1, y.batch)
@@ -228,7 +242,7 @@ def test_plaplace_p2_reproduces_eigenpairs():
     model = PLaplaceModel(2.0, m)
     for k in (1, 3):
         mode = sine_mode(m, k)
-        out = plaplace_drift(model, mode)
+        out = model.drift(mode)
         np.testing.assert_allclose(
             out.values, laplace_eigenvalue(m, k) * mode.values, rtol=1e-12
         )
@@ -239,7 +253,7 @@ def test_plaplace_p4_hand_computed_hat():
     # face slopes (0, 4, -4, 0), cubed fluxes (0, 64, -64, 0),
     # divided differences (256, -512, 256)
     model = PLaplaceModel(4.0, 3)
-    out = plaplace_drift(model, GridState([0.0, 1.0, 0.0]))
+    out = model.drift(GridState([0.0, 1.0, 0.0]))
     np.testing.assert_allclose(out.values, [256.0, -512.0, 256.0], rtol=1e-13)
 
 
@@ -248,8 +262,8 @@ def test_plaplace_p2_is_linear(rng):
     model = PLaplaceModel(2.0, m)
     u = GridState(rng.standard_normal(m))
     v = GridState(rng.standard_normal(m))
-    lhs = plaplace_drift(model, u * 0.7 + v * (-1.1))
-    rhs = plaplace_drift(model, u) * 0.7 + plaplace_drift(model, v) * (-1.1)
+    lhs = model.drift(u * 0.7 + v * (-1.1))
+    rhs = model.drift(u) * 0.7 + model.drift(v) * (-1.1)
     np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-9)
 
 
@@ -262,7 +276,7 @@ def test_plaplace_validation():
         PLaplaceModel(2.0, 8, fields=(GridState(np.ones(5)),))
     model = PLaplaceModel(2.0, 8)
     with pytest.raises(ValueError):
-        plaplace_drift(model, GridState(np.ones(5)))
+        model.drift(GridState(np.ones(5)))
 
 
 def test_plaplace_noise_protocol():
@@ -333,8 +347,9 @@ class _CubicNoise:
         return [y * (y.coeffs**2).sum(-1)]
 
 
-def test_correction_warns_on_step_sensitive_difference():
-    out = stratonovich_correction(_CubicNoise(4), basis([0], 4), h_fd=0.5)
+def test_correction_warns_on_step_sensitive_difference(monkeypatch):
+    monkeypatch.setattr(models, "FD_STEP_DA", 0.5)
+    out = stratonovich_correction(_CubicNoise(4), basis([0], 4))
     assert out.mode == "fd"
     assert out.step_disagreement > FD_SENSITIVITY_TOL
 
@@ -364,19 +379,16 @@ def test_correction_of_a_batch_matches_its_rows():
         assert got.step_disagreement.shape == (3,)
         for k, row in enumerate(rows):
             one = stratonovich_correction(model, row, da_mode=mode)
-            n = max(one.value.N, got.value.N)
-            np.testing.assert_allclose(
-                got.value.padded(n).coeffs[k], one.value.padded(n).coeffs, atol=1e-12
-            )
+            np.testing.assert_allclose((got.value.rows(k) - one.value).coeffs, 0.0, atol=1e-12)
             assert got.step_disagreement[k] == pytest.approx(one.step_disagreement, abs=1e-12)
 
 
-def test_correction_warns_per_step_sensitive_row():
+def test_correction_warns_per_step_sensitive_row(monkeypatch):
+    monkeypatch.setattr(models, "FD_STEP_DA", 0.5)
     rows = [basis([0], 4), basis([0], 4) * 1e-3, basis([1], 4)]
-    got = stratonovich_correction(
-        _CubicNoise(4), SpectralState(1, 4, np.stack([r.coeffs for r in rows])), h_fd=0.5
-    )
-    want = [stratonovich_correction(_CubicNoise(4), row, h_fd=0.5).step_disagreement for row in rows]
+    batch = SpectralState(1, 4, np.stack([r.coeffs for r in rows]))
+    got = stratonovich_correction(_CubicNoise(4), batch)
+    want = [stratonovich_correction(_CubicNoise(4), row).step_disagreement for row in rows]
     np.testing.assert_allclose(got.step_disagreement, want, rtol=1e-12, atol=1e-15)
     # the small row is not step-sensitive
     np.testing.assert_array_equal(got.step_disagreement > FD_SENSITIVITY_TOL, [True, False, True])

@@ -34,6 +34,26 @@ def test_every_module_export_resolves():
         assert len(set(module.__all__)) == len(module.__all__), info.name
 
 
+def test_every_module_export_is_used_beyond_unit_tests():
+    """A module's exported name must be used by the package, the benchmark, the
+    README or the acceptance tests, not only by unit tests and its own definition."""
+    exports = re.compile(r"^__all__ = \[.*?^\]\n", re.MULTILINE | re.DOTALL)
+    package = ROOT / "src" / "spde_manifold"
+    sources = {p.stem: exports.sub("", p.read_text()) for p in sorted(package.glob("*.py"))}
+    others = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    others += [(ROOT / name).read_text() for name in ("README.md", "tests/test_acceptance.py")]
+    texts = [*sources.values(), *others]
+    unused = []
+    for info in pkgutil.iter_modules(spde_manifold.__path__):
+        for name in importlib.import_module(f"spde_manifold.{info.name}").__all__:
+            word = re.escape(name)
+            uses = sum(len(re.findall(rf"\b{word}\b", text)) for text in texts)
+            own = sources[info.name]
+            if uses <= len(re.findall(rf"^(?:(?:def|class) {word}\b|{word}\s*[:=])", own, re.M)):
+                unused.append(f"spde_manifold.{info.name}.{name}")
+    assert not unused
+
+
 def test_readme_library_use_lists_exactly_the_exports():
     names = _library_use_names()
     assert len(names) == len(set(names))

@@ -21,6 +21,7 @@ from spde_manifold import (
     sweep_config,
     translation_chart,
 )
+from spde_manifold import models
 from spde_manifold.cli import _write_csv, _write_json
 from spde_manifold.config import preset_names
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
@@ -87,6 +88,25 @@ def test_explicit_points_pass_through():
     np.testing.assert_array_equal(pts, [[0.2, 0.8]])
     with pytest.raises(InvalidSamplingError):
         sample_points(SamplingSpec(points=np.empty((0, 2))), dom)
+    # one point may come without its row axis
+    np.testing.assert_array_equal(sample_points(SamplingSpec(points=[0.2, 0.8]), dom), [[0.2, 0.8]])
+
+
+@pytest.mark.parametrize(
+    "points, m",
+    [
+        ([[0.1, 0.2]], 1),  # one point of two coordinates on a 1-coordinate chart
+        ([[0.1], [0.2]], 2),  # two points of one coordinate on a 2-coordinate chart
+        ([0.1, 0.2, 0.3], 2),
+        ([[[0.1, 0.2]]], 2),
+        ([[0.1, 0.2], [0.3]], 2),
+        ([[float("nan")]], 1),
+        ([[0.1, float("inf")]], 2),
+    ],
+)
+def test_explicit_points_must_match_the_chart(points, m):
+    with pytest.raises(InvalidSamplingError):
+        sample_points(SamplingSpec(points=points), np.array([[0.0, 1.0]] * m))
 
 
 def test_sampling_validation():
@@ -442,20 +462,20 @@ class CubicNoise:
         return [y * (y.coeffs**2).sum(-1)]
 
 
-def test_batched_sweep_keeps_per_point_warnings_in_order():
+def test_batched_sweep_keeps_per_point_warnings_in_order(monkeypatch):
     # a top-heavy profile warns at every point, and the coarse fd step on
     # the cubic noise makes the correction step-sensitive
+    monkeypatch.setattr(models, "FD_STEP_DA", 0.5)
     n = 8
     chart = translation_chart(basis([8], n), [[-2.0, 2.0]])
-    rep = assert_matches_pointwise(
-        CubicNoise(n), chart, SamplingSpec(points_per_axis=4), form="stratonovich", h_fd=0.5
-    )
+    sampling = SamplingSpec(points_per_axis=4)
+    rep = assert_matches_pointwise(CubicNoise(n), chart, sampling, form="stratonovich")
     # each point's warnings stay together, in check order
     assert [w.split(" ")[0] for w in rep.warnings] == ["chart", "directional"] * 4
     assert rep.max_step_disagreement > 1e-5
 
 
-def test_sweep_writes_the_frame_and_step_notes():
+def test_sweep_writes_the_frame_and_step_notes(monkeypatch):
     # frames and corrections return numbers; the sweep writes these texts
     n = 6
     v0 = basis([0], n)
@@ -467,9 +487,8 @@ def test_sweep_writes_the_frame_and_step_notes():
         "ill-conditioned tangent Gram matrix at x=[-0.5, 0.25]: cond=1.333e+16",
     ]
     chart = translation_chart(basis([0], 8), [[-2.0, 2.0]])
-    rep = sweep(
-        CubicNoise(8), chart, SamplingSpec(points=[[0.5], [-1.0]]), form="stratonovich", h_fd=0.5
-    )
+    monkeypatch.setattr(models, "FD_STEP_DA", 0.5)
+    rep = sweep(CubicNoise(8), chart, SamplingSpec(points=[[0.5], [-1.0]]), form="stratonovich")
     assert rep.warnings == [
         "directional difference is step-sensitive: halving the step moved "
         "the correction by a relative 1.368e-02",
