@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .tangency import (
     VERDICT_TANGENT,
     FormDisagreementError,
     InvalidSamplingError,
+    TangencyReport,
     sweep,
 )
 
@@ -59,14 +61,34 @@ def _out_root(arg) -> Path:
     return Path(env) if env else Path("runs")
 
 
-def _write_json(path: Path, obj, compact: bool = False) -> None:
-    layout = {"separators": (",", ":")} if compact else {"indent": 2}  # indent takes json's slow path
-    path.write_text(json.dumps(obj, sort_keys=True, **layout) + "\n")
+def _write_json(path: Path, obj) -> None:
+    """A report as its one compact line (``TangencyReport.to_json_text``), other data indented."""
+    if isinstance(obj, TangencyReport):
+        text = obj.to_json_text()
+    else:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """The str cells as ``csv.writer`` writes them: joined by hand when a count over the
+    joined text proves that its minimal quoting would quote no cell (no quote mark, no line
+    break inside a cell, exactly width - 1 commas per line), else through ``csv.writer``."""
+    lines = [header, *rows]
+    text = "\r\n".join(map(",".join, lines)) + "\r\n"
+    n, width = len(lines), len(header)
+    plain = (
+        width > 1  # a lone empty cell is quoted
+        and all(len(r) == width for r in rows)
+        and '"' not in text
+        and text.count("\r") == text.count("\n") == n
+        and text.count(",") == n * (width - 1)
+    )
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
+        if plain:
+            fh.write(text)
+        else:
+            csv.writer(fh).writerows(lines)
 
 
 def _manifest(command: str, cfg: dict, seed: int, outputs, summary) -> dict:
@@ -104,7 +126,7 @@ def _cmd_check(args) -> int:
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg), metadata={"config_hash": config_hash(cfg)})
     rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
-    _write_json(rundir / "report.json", report.to_json_dict(), compact=True)
+    _write_json(rundir / "report.json", report)
     header, rows = report.to_csv_rows()
     _write_csv(rundir / "report.csv", header, rows)
     summary = {
@@ -170,14 +192,22 @@ def _cmd_report(args) -> int:
     if not manifests:
         print(f"no run manifests under {root}", file=sys.stderr)
         return 1
-    header = ["run", "command", "config_hash", "seed", "verdict", "metric", "timestamp"]
+    header = [
+        "run", "command", "config_hash", "seed", "verdict", "metric",
+        "coupled_err_mean", "coupled_err_sem", "n_unconverged_distance", "timestamp",
+    ]
     rows = []
     for path in manifests:
         try:
             data = json.loads(path.read_text())
             summary = data.get("summary", {})
-            metric = summary.get("max_residual" if data.get("command") == "check" else "max_distance")
-            metric = "" if metric is None else f"{metric:.6e}"
+            check = data.get("command") == "check"
+            metric = summary.get("max_residual" if check else "max_distance")
+            coupled = {} if check else summary  # the coupled-gap spread, failed distance solves
+            values = (metric, coupled.get("coupled_err_mean"), coupled.get("coupled_err_sem"))
+            cells = ["" if v is None else f"{v:.6e}" for v in values]
+            unconverged = coupled.get("n_unconverged_distance")
+            cells.append("" if unconverged is None else str(int(unconverged)))
         except (ValueError, AttributeError, TypeError) as err:  # not JSON, not an object, no number
             print(f"error: {path} is not a run manifest: {err}", file=sys.stderr)
             return 1
@@ -188,7 +218,7 @@ def _cmd_report(args) -> int:
                 str(data.get("config_hash", ""))[:12],
                 str(data.get("seed", "")),
                 str(summary.get("verdict")),
-                metric,
+                *cells,
                 str(data.get("timestamp", "")),
             ]
         )
@@ -201,6 +231,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: building it lists the presets
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spde-manifold",

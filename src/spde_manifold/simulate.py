@@ -26,7 +26,14 @@ import numpy as np
 
 from .hermite import weighted_sum
 from .manifold import Parametrization, block_frame, distance_to_manifold, rank_deficient
-from .tangency import SamplingSpec, reduced_coefficients, repr_columns, row_blocks, sample_points
+from .tangency import (
+    SamplingSpec,
+    int_words,
+    reduced_coefficients,
+    repr_words,
+    row_blocks,
+    sample_points,
+)
 
 __all__ = [
     "SimConfig",
@@ -391,14 +398,16 @@ class TrajectoryRecord:
     table: Optional[ReducedTable] = None  # the reduced run's coefficient table
 
     def to_csv_rows(self):
-        """Header and one row per path and recorded step; floats as ``repr_columns`` text."""
+        """Header and one row per path and recorded step; floats as ``repr_words`` text."""
         recs = self.records
         m = recs[0].xs.shape[1]
         header = ["path", "step", "time", *(f"x_{k}" for k in range(m)), "dist", "coupled_err"]
         stacked = [np.column_stack([r.times, r.xs, r.dist, r.coupled_err]) for r in recs]
-        text = repr_columns(np.concatenate(stacked))
-        labels = [(str(r.path_index), str(k)) for r in recs for k in range(len(r.times))]
-        return header, [[*label, *cells] for label, *cells in zip(labels, *text)]
+        (cells,) = repr_words(np.concatenate(stacked))
+        counts = [len(r.times) for r in recs]
+        paths = np.repeat([str(r.path_index) for r in recs], counts).astype(object)
+        steps = np.concatenate([int_words(n) for n in counts])
+        return header, np.column_stack([paths, steps, cells]).tolist()
 
 
 def coupled_compare(

@@ -16,7 +16,9 @@ the sweep alone writes the report's notes from those numbers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,9 +68,45 @@ def row_blocks(rows: np.ndarray, geometry):
     return (rows[k : k + size] for k in range(0, rows.size, size))
 
 
-def repr_columns(*columns) -> list:
-    """Each column of the columns side by side as repr text, which round-trips exactly."""
-    return [list(map(repr, c)) for c in np.column_stack(columns).T.tolist()]
+def repr_words(*arrays) -> list:
+    """Each array's floats as repr text, which round-trips exactly, in str object arrays.
+
+    Each distinct float64 bit pattern over all the arrays is formatted once and
+    gathered back, so -0.0 stays apart from 0.0 and every NaN reads ``nan``.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    ends = np.cumsum([a.size for a in arrays])[:-1]
+    return [w.reshape(a.shape) for w, a in zip(np.split(words[where.ravel()], ends), arrays)]
+
+
+def int_words(count: int) -> np.ndarray:
+    """The str object array "0", "1", ..., of the first ``count`` integers."""
+    return np.arange(count).astype(str).astype(object)
+
+
+# json's text for the non-finite words of a NaN-cleaned array
+_JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_list(values: np.ndarray, words: np.ndarray) -> str:
+    """Compact JSON of ``values`` as nested lists, from their repr ``words`` (NaN as null)."""
+    if not words.size:
+        return json.dumps(values.tolist(), separators=(",", ":"))
+    words = words.copy()
+    odd = ~np.isfinite(values)
+    if odd.any():
+        words[odd] = [_JSON_SPECIAL[w] for w in words[odd]]
+    # each list opens at the first word of its block and closes at the last,
+    # so the words join with commas alone: "[[1", "2]", "[3", "4]]"
+    for axis in range(words.ndim):
+        lead = (slice(None),) * axis
+        first, last = lead + (0,) * (words.ndim - axis), lead + (-1,) * (words.ndim - axis)
+        words[first] = "[" + words[first]
+        words[last] = words[last] + "]"
+    return ",".join(words.ravel().tolist())
 
 
 class InvalidSamplingError(ValueError):
@@ -295,6 +333,13 @@ def reduced_coefficients(model, param: Parametrization, frame: TangentFrame):
 # -- chart sweep and report ---------------------------------------------------
 
 
+# the report's float array fields, in ``to_json_dict`` order
+_FLOAT_FIELDS = (
+    "points", "rho_diffusion", "a_coords", "beta", "rho_drift", "rho_drift_strat",
+    "beta_strat", "spill", "thresholds",
+)
+
+
 @dataclass
 class TangencyReport:
     points: np.ndarray
@@ -316,23 +361,20 @@ class TangencyReport:
     metadata: dict
     max_step_disagreement: float = 0.0  # largest fd step disagreement; 0 when analytic
 
-    def to_json_dict(self) -> dict:
-        def clean(arr):  # nested lists with NaN as None
-            if arr is None:
-                return None
-            nan = np.isnan(arr)
-            return np.where(nan, None, arr.astype(object)).tolist() if nan.any() else arr.tolist()
+    @cached_property
+    def _words(self) -> dict:
+        """repr words of every float array field, by name, from one ``repr_words`` pass.
 
+        Formatted on first use, which both artifacts share; a report's arrays
+        do not change after its sweep.
+        """
+        arrays = {name: getattr(self, name) for name in _FLOAT_FIELDS}
+        arrays = {name: a for name, a in arrays.items() if a is not None}
+        return dict(zip(arrays, repr_words(*arrays.values())))
+
+    def _json_fields(self) -> dict:
+        """The JSON fields other than the float arrays."""
         return {
-            "points": self.points.tolist(),
-            "rho_diffusion": clean(self.rho_diffusion),
-            "a_coords": clean(self.a_coords) if self.a_coords.size else [],
-            "beta": clean(self.beta),
-            "rho_drift": clean(self.rho_drift),
-            "rho_drift_strat": clean(self.rho_drift_strat),
-            "beta_strat": clean(self.beta_strat),
-            "spill": clean(self.spill),
-            "thresholds": clean(self.thresholds),
             "degenerate": self.degenerate.tolist(),
             "verdict": self.verdict,
             "max_residual": self.max_residual,
@@ -342,6 +384,28 @@ class TangencyReport:
             "warnings": list(self.warnings),
             "metadata": self.metadata,
         }
+
+    def to_json_dict(self) -> dict:
+        def clean(arr):  # nested lists with NaN as None
+            if arr is None:
+                return None
+            nan = np.isnan(arr)
+            return np.where(nan, None, arr.astype(object)).tolist() if nan.any() else arr.tolist()
+
+        doc = {name: clean(getattr(self, name)) for name in _FLOAT_FIELDS}
+        if not self.a_coords.size:
+            doc["a_coords"] = []
+        return {**doc, **self._json_fields()}
+
+    def to_json_text(self) -> str:
+        """``to_json_dict`` as compact JSON with sorted keys; its arrays joined from ``_words``."""
+        text = {name: "null" for name in _FLOAT_FIELDS}
+        text.update((name, _json_list(getattr(self, name), w)) for name, w in self._words.items())
+        if not self.a_coords.size:
+            text["a_coords"] = "[]"
+        for name, value in self._json_fields().items():
+            text[name] = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return "{" + ",".join(f"{json.dumps(k)}:{text[k]}" for k in sorted(text)) + "}"
 
     def to_csv_rows(self):
         """Header and one row per point and noise component (one per point without noise)."""
@@ -353,18 +417,22 @@ class TangencyReport:
             + ["rho_drift", *(f"beta_{k}" for k in range(m))]
             + ["rho_drift_strat", "spill", "threshold", "degenerate"]
         )
-        strat = [""] * s_count if self.rho_drift_strat is None else repr_columns(self.rho_drift_strat)[0]
-        xs = zip(*repr_columns(self.points))
-        shared = zip(*repr_columns(self.rho_drift, self.beta), strat,
-                     *repr_columns(self.spill, self.thresholds), map(str, self.degenerate.tolist()))
-        own = list(zip(*repr_columns(self.rho_diffusion.ravel(), self.a_coords.reshape(-1, m))))
-        rows = []
-        for s, (x, cells) in enumerate(zip(xs, shared)):
-            if n_noise == 0:
-                rows.append([str(s), *x, "", "", *[""] * m, *cells])
-            for j in range(n_noise):
-                rows.append([str(s), *x, str(j), *own[s * n_noise + j], *cells])
-        return header, rows
+        w = self._words
+        blank = np.full(s_count, "", dtype=object)
+        lead = np.column_stack([int_words(s_count), w["points"]])
+        tail = np.column_stack([
+            w["rho_drift"], w["beta"], w.get("rho_drift_strat", blank), w["spill"], w["thresholds"],
+            np.where(self.degenerate, "True", "False").astype(object),
+        ])
+        if n_noise:  # a point's own cells repeat on each of its noise-component rows
+            own = np.column_stack([
+                np.tile(int_words(n_noise), s_count), w["rho_diffusion"].ravel(),
+                w["a_coords"].reshape(-1, m),
+            ])
+            lead, tail = lead.repeat(n_noise, axis=0), tail.repeat(n_noise, axis=0)
+        else:
+            own = np.full((s_count, m + 2), "", dtype=object)
+        return header, np.concatenate([lead, own, tail], axis=1).tolist()
 
 
 def sweep(

@@ -1,8 +1,10 @@
 """End-to-end command line flows and their on-disk artifacts."""
 
 import csv
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from functools import partial
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from spde_manifold.cli import main
+from spde_manifold import cli
+from spde_manifold.cli import _write_csv, main
 from spde_manifold.config import config_hash, load_config
 
 MANIFEST_KEYS = {
@@ -340,14 +343,25 @@ def test_report_aggregates_runs(out_root, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     header, rows = read_csv(out_root / "summary.csv")
-    assert header == ["run", "command", "config_hash", "seed", "verdict",
-                      "metric", "timestamp"]
+    assert header == ["run", "command", "config_hash", "seed", "verdict", "metric",
+                      "coupled_err_mean", "coupled_err_sem", "n_unconverged_distance",
+                      "timestamp"]
     assert len(rows) == 2
-    by_command = {r[1]: r for r in rows}
+    by_command = {r[1]: dict(zip(header, r)) for r in rows}
     assert set(by_command) == {"check", "simulate"}
-    assert by_command["check"][4] == "tangent"
-    float(by_command["check"][5])  # max residual
-    float(by_command["simulate"][5])  # max distance
+    assert by_command["check"]["verdict"] == "tangent"
+    float(by_command["check"]["metric"])  # max residual
+    float(by_command["simulate"]["metric"])  # max distance
+    # the coupled-gap spread is the simulate summary's, and blank for a check run
+    check, sim = by_command["check"], by_command["simulate"]
+    assert check["coupled_err_mean"] == check["coupled_err_sem"] == ""
+    assert check["n_unconverged_distance"] == ""
+    summary = json.loads(
+        (out_root / sim["run"] / "manifest.json").read_text()
+    )["summary"]
+    assert sim["coupled_err_mean"] == f"{summary['coupled_err_mean']:.6e}"
+    assert sim["coupled_err_sem"] == f"{summary['coupled_err_sem']:.6e}"
+    assert sim["n_unconverged_distance"] == str(summary["n_unconverged_distance"])
     for row in rows:
         assert row[0] in captured.out
 
@@ -360,14 +374,65 @@ def test_check_then_report_in_one_process(out_root, capsys):
     assert [(r[1], r[4]) for r in rows] == [("check", "tangent")]
 
 
+def test_one_parser_serves_failing_and_passing_commands(out_root, capsys):
+    """main builds its parser once per process; a failed command leaves nothing in it."""
+    commands = [
+        ["check"],  # a usage error: argparse exits 2
+        ["check", "--config", "no_such_preset", "--out", str(out_root)],
+        ["check", "--config", "ito_zero", "--out", str(out_root)],
+        ["simulate", "--config", "ito_zero", "--out", str(out_root), "--seed", "3"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    parser = cli._build_parser()
+    assert [run(argv) for argv in commands] == fresh
+    assert cli._build_parser() is parser
+    assert [code for code, _, _ in fresh] == [2, 1, 0, 0]
+    assert "no_such_preset" in fresh[1][2] and "verdict: tangent" in fresh[2][1]
+
+
 def test_report_quotes_a_run_name_with_a_comma(out_root, capsys):
     assert main(["check", "--config", "ito_zero", "--out", str(out_root)]) == 0
-    run_dir_for(out_root, "check", "ito_zero", 1).rename(out_root / "run, copy")
+    run = run_dir_for(out_root, "check", "ito_zero", 1)
+    names = ["run, copy", 'run "copy"', "run\ncopy", "run\r\ncopy", "run-plain"]
+    for name in names:
+        shutil.copytree(run, out_root / name)
+    shutil.rmtree(run)
     assert main(["report", "--out", str(out_root)]) == 0
     capsys.readouterr()
     header, rows = read_csv(out_root / "summary.csv")
-    assert [r[:2] for r in rows] == [["run, copy", "check"]]
+    assert [r[:2] for r in rows] == [[name, "check"] for name in sorted(names)]
     assert all(len(r) == len(header) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["a", "b"], [["1", "2"], ["", ""]]),  # nothing to quote
+        (["a", "b"], [["1,5", "2"]]),
+        (["a", "b"], [['say "x"', "2"]]),
+        (["a", "b"], [["line\nbreak", "2"], ["carriage\rreturn", "3"], ["both\r\n", ""]]),
+        (["a"], [["1"], [""]]),  # a lone empty cell is quoted
+        (["a", "b"], [["1", "2", "3"], ["4"]]),  # ragged rows
+    ],
+)
+def test_write_csv_writes_the_csv_writers_bytes(tmp_path, header, rows):
+    path = tmp_path / "out.csv"
+    _write_csv(path, header, rows)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_report_empty_root_exit_one(out_root, capsys):

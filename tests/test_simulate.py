@@ -1,6 +1,8 @@
 """Noise streams, Euler paths in both spaces, and the coupled comparison."""
 
+import csv
 import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,7 @@ from spde_manifold import (
     load_config,
     translation_chart,
 )
+from spde_manifold.cli import _write_csv
 from spde_manifold.geometry import GridGeometry, HermiteGeometry
 from spde_manifold.grid import laplace_eigenvalue, sine_mode
 from spde_manifold.hermite import (
@@ -880,3 +883,26 @@ def test_full_run_builds_states_only_at_the_protocol_edge(monkeypatch):
         assert len(path.states) == n_steps + 1
         counts.append(built[0])
     assert counts[0] == counts[1]  # the states built do not grow with the steps
+
+
+@pytest.mark.parametrize("record_distance", [True, False])
+def test_trajectory_csv_is_the_csv_writers_bytes(record_distance, tmp_path):
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=4e-3, dt=1e-3, paths=3, seed=12, record_distance=record_distance)
+    rec = coupled_compare(model, chart, [0.2], cfg)
+    first, last = rec.records[0], rec.records[-1]
+    first.coupled_err[1], last.coupled_err[1] = -0.0, 0.0  # signed zeros in one column
+    first.dist[-1], last.dist[-1] = np.inf, -np.inf
+    header, rows = rec.to_csv_rows()
+    want = [
+        [str(r.path_index), str(k), *map(repr, values)]
+        for r in rec.records
+        for k, values in enumerate(np.column_stack([r.times, r.xs, r.dist, r.coupled_err]).tolist())
+    ]
+    assert rows == want
+    assert rows[1][-1] == "-0.0" and rows[-4][-1] == "0.0"
+    assert ("nan" in rows[1]) != record_distance
+    _write_csv(tmp_path / "trajectory.csv", header, rows)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    assert (tmp_path / "trajectory.csv").read_bytes() == buf.getvalue().encode()

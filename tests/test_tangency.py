@@ -1,6 +1,8 @@
 """Tangency residuals, drift forms, and the chart sweep report."""
 
 import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -563,7 +565,7 @@ def written_report(rep, root):
     """The report written as `check` writes it, and read back: JSON document and CSV rows."""
     header, rows = rep.to_csv_rows()
     _write_csv(root / "report.csv", header, rows)
-    _write_json(root / "report.json", rep.to_json_dict(), compact=True)
+    _write_json(root / "report.json", rep)
     with (root / "report.csv").open(newline="") as fh:
         read = list(csv.reader(fh))
     assert read == [header, *rows]
@@ -667,3 +669,116 @@ def test_report_artifacts_round_trip_with_a_degenerate_row(tmp_path):
     doc, header, rows = written_report(rep, tmp_path)
     assert doc["rho_drift"][1] is None and doc["a_coords"][1] == [[None], [None]]
     assert rows[2][header.index("rho_diffusion")] == "nan"
+
+
+# -- report artifacts against the stdlib writers ---------------------------------------------
+
+
+def reference_csv_rows(rep):
+    """The report's CSV rows with every float formatted on its own by repr."""
+    s_count, m = rep.points.shape
+    n_noise = rep.rho_diffusion.shape[1]
+    rows = []
+    for s in range(s_count):
+        strat = "" if rep.rho_drift_strat is None else repr(float(rep.rho_drift_strat[s]))
+        tail = [repr(float(rep.rho_drift[s])), *map(repr, rep.beta[s].tolist()), strat,
+                repr(float(rep.spill[s])), repr(float(rep.thresholds[s])),
+                str(bool(rep.degenerate[s]))]
+        lead = [str(s), *map(repr, rep.points[s].tolist())]
+        if not n_noise:
+            rows.append([*lead, "", "", *[""] * m, *tail])
+        for j in range(n_noise):
+            own = [repr(float(rep.rho_diffusion[s, j])), *map(repr, rep.a_coords[s, j].tolist())]
+            rows.append([*lead, str(j), *own, *tail])
+    return rows
+
+
+def assert_stdlib_bytes(rep, root):
+    """report.csv is what csv.writer writes of repr cells, report.json what json.dumps writes."""
+    header, rows = rep.to_csv_rows()
+    assert rows == reference_csv_rows(rep)
+    _write_csv(root / "report.csv", header, rows)
+    _write_json(root / "report.json", rep)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    assert (root / "report.csv").read_bytes() == buf.getvalue().encode()
+    text = json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert (root / "report.json").read_bytes() == text.encode()
+    return text
+
+
+def with_signed_zeros_and_infinities(rep):
+    """The report with -0.0 beside 0.0 in one column, and +-inf in others."""
+    beta = rep.beta.copy()
+    beta[0], beta[-1] = -0.0, 0.0
+    spill, rho_drift = rep.spill.copy(), rep.rho_drift.copy()
+    spill[0], rho_drift[-1] = np.inf, -np.inf
+    a_coords = rep.a_coords.copy()
+    if a_coords.size:
+        a_coords[0, 0] = -0.0
+        a_coords[-1, -1] = 0.0
+    return dataclasses.replace(rep, beta=beta, spill=spill, rho_drift=rho_drift, a_coords=a_coords)
+
+
+def nan_rows_report():
+    m = 8
+    v = sine_mode(m, 1)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
+    model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1), sine_mode(m, 2)))
+    return sweep(model, chart, SamplingSpec(points_per_axis=3), form="both")
+
+
+def no_noise_nan_rows_report():
+    n = 6
+    v = basis([1], n)
+    chart = Parametrization(m=1, domain=[[-1.0, 1.0]], eval=lambda x: v * x[..., 0] ** 2)
+    model = ItoTypeModel(d=1, J=0, N=n, b=(DualField.zero(1),), sigma=())
+    return sweep(model, chart, SamplingSpec(points_per_axis=3), metadata={"label": "probe, \"q\""})
+
+
+def plane_report():
+    m = 16
+    mixed = sine_mode(m, 1) * 0.6 + sine_mode(m, 3) * 0.8
+    model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1), mixed))
+    chart = linear_span_chart([sine_mode(m, 1), sine_mode(m, 2)], [[-2.0, 2.0]] * 2)
+    return sweep(model, chart, SamplingSpec(points_per_axis=4), form="both")
+
+
+def test_report_files_are_the_stdlib_writers_bytes_with_nan_rows(tmp_path):
+    rep = nan_rows_report()
+    assert rep.degenerate.any() and rep.rho_diffusion.shape[1] == 2
+    assert "null" in assert_stdlib_bytes(rep, tmp_path)
+
+
+def test_report_files_are_the_stdlib_writers_bytes_with_signed_zeros_and_infinities(tmp_path):
+    rep = with_signed_zeros_and_infinities(nan_rows_report())
+    text = assert_stdlib_bytes(rep, tmp_path)
+    assert "Infinity" in text and "-Infinity" in text and "-0.0" in text
+    header, rows = rep.to_csv_rows()
+    beta = [r[header.index("beta_0")] for r in rows]
+    assert beta[0] == "-0.0" and beta[-1] == "0.0"
+    assert rows[0][header.index("spill")] == "inf"
+
+
+def test_report_files_are_the_stdlib_writers_bytes_without_noise(tmp_path):
+    for k, rep in enumerate([no_noise_nan_rows_report(),
+                             with_signed_zeros_and_infinities(no_noise_nan_rows_report())]):
+        root = tmp_path / str(k)
+        root.mkdir()
+        assert rep.a_coords.size == 0
+        assert '"a_coords":[]' in assert_stdlib_bytes(rep, root)
+
+
+def test_report_files_are_the_stdlib_writers_bytes_on_a_plane(tmp_path):
+    for k, rep in enumerate([plane_report(), with_signed_zeros_and_infinities(plane_report())]):
+        root = tmp_path / str(k)
+        root.mkdir()
+        assert rep.points.shape == (16, 2)
+        assert_stdlib_bytes(rep, root)
+
+
+def test_report_files_are_the_stdlib_writers_bytes_for_a_bracket_only_sweep(tmp_path):
+    model, chart = transport_setup(16)
+    rep = sweep(model, chart, SamplingSpec(points_per_axis=5), form="bracket")
+    assert rep.rho_drift_strat is None and rep.beta_strat is None
+    assert '"beta_strat":null' in assert_stdlib_bytes(rep, tmp_path)
