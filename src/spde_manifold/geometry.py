@@ -39,6 +39,12 @@ def _sqrt(total):
     return float(root) if np.ndim(root) == 0 else root
 
 
+def spill_ratios(out, total):
+    """Relative mid-norm mass beyond the working order, from the weighted-square
+    sums beyond it and in all; a zero state has none."""
+    return np.sqrt(out / np.where(total == 0.0, 1.0, total))
+
+
 @lru_cache(maxsize=None)
 def _outband(d: int, order: int, work_order: int):
     """The flat indices above the working order: a suffix slice at d = 1, a mask otherwise."""
@@ -92,30 +98,32 @@ class HermiteGeometry:
         if state.N <= self.work_order:
             return np.zeros(state.batch) if state.batch else 0.0
         f = self.flat(state)
-        ratio = self._spill(self.weight_vector(state.N) * f * f, state.N)
+        ratio = spill_ratios(*self._spill_sums(self.weight_vector(state.N) * f * f, state.N))
         return ratio if state.batch else float(ratio)
 
-    def _spill(self, wff: np.ndarray, order: int) -> np.ndarray:
-        """Per row, sqrt of the share of the weighted squares ``wff`` (flat at
-        ``order`` > work_order) that lies beyond the working order."""
-        total = wff.sum(-1)
-        out = wff[..., _outband(self.d, order, self.work_order)].sum(-1)
-        # a zero state has no mass beyond the working order either
-        return np.sqrt(out / np.where(total == 0.0, 1.0, total))
+    def _spill_sums(self, wff: np.ndarray, order: int):
+        """Per row, the part beyond the working order of the weighted squares
+        ``wff`` (flat at ``order`` > work_order), and their total."""
+        add = np.add.reduce
+        return add(wff[..., _outband(self.d, order, self.work_order)], -1), add(wff, -1)
 
     def truncate_to_work(self, state: SpectralState) -> SpectralState:
         return state.truncated(self.work_order)
 
     def truncate_rows(self, c: np.ndarray):
         """Coefficient tensors projected onto the working order, as ``truncate_to_work``,
-        flat, with one value per row of the spill ratio (the relative mid-norm
-        mass cut off) and of the mid norm of what is kept."""
+        flat, with the mid norm of what is kept per row and, where c reaches above
+        the working order, the (beyond, total) weighted-square sums per row that
+        ``spill_ratios`` turns into the relative mass cut off (else None)."""
         order, lead = c.shape[-1] - 1, c.shape[: c.ndim - self.d]
         f = c.reshape(lead + (-1,))
         wff = self.weight_vector(order) * f * f
         if order <= self.work_order:
-            return f, np.zeros(lead), _sqrt(wff.sum(-1))
-        spill = self._spill(wff, order)
+            return f, _sqrt(wff.sum(-1)), None
+        if self.d == 1:  # the kept part is a prefix, the rest lies beyond the working order
+            keep, add = self.work_order + 1, np.add.reduce
+            return f[..., :keep], _sqrt(add(wff[..., :keep], -1)), (add(wff[..., keep:], -1), add(wff, -1))
+        sums = self._spill_sums(wff, order)
         keep = (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
 
         def cut(a):  # the working-order part, masked as a state at that order is
@@ -123,7 +131,7 @@ class HermiteGeometry:
             return _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
 
         # a weight depends on the total order alone: the kept part of wff is w f f of the kept f
-        return cut(f), spill, _sqrt(cut(wff).sum(-1))
+        return cut(f), _sqrt(cut(wff).sum(-1)), sums
 
     def tensor(self, f: np.ndarray, order: int) -> np.ndarray:
         """Flat coefficient rows at ``order`` as the states' arrays (a view)."""
@@ -170,8 +178,8 @@ class GridGeometry:
         return state
 
     def truncate_rows(self, v: np.ndarray):
-        """The rows as they are, no spill, and their norm."""
-        return v, np.zeros(v.shape[:-1]), _sqrt(self.h * np.sum(v * v, axis=-1))
+        """The rows as they are, their norm, and no spill."""
+        return v, _sqrt(self.h * np.sum(v * v, axis=-1)), None
 
     def tensor(self, v: np.ndarray, order=None) -> np.ndarray:
         return v

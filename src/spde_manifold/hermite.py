@@ -38,6 +38,7 @@ __all__ = [
     "second_derivative",
     "derivative_coeffs",
     "second_derivative_coeffs",
+    "add_block",
     "weighted_sum",
     "translate",
     "check_embedding",
@@ -108,23 +109,32 @@ def _per_row(scalar, trailing: int):
     return s.reshape(s.shape + (1,) * trailing)
 
 
+def add_block(acc: np.ndarray, c: np.ndarray, core_ndim: int) -> np.ndarray:
+    """acc + c with ``core_ndim`` axes per state, added into the array ``acc``
+    (which the caller owns), grown first where c has a larger order or a path
+    axis that acc lacks: arrays of different orders meet in the leading block
+    of the largest, as they would zero padded.  A state's axes all have one
+    length (its order + 1), so the last axis tells the order."""
+    if c.shape == acc.shape:
+        return np.add(acc, c, out=acc)
+    k, size = core_ndim, c.shape[-1]
+    if c.ndim > acc.ndim or size > acc.shape[-1]:
+        lead = (c if c.ndim > acc.ndim else acc).shape[:-k]
+        grown = np.zeros(lead + (max(size, acc.shape[-1]),) * k)
+        grown[(Ellipsis,) + (slice(0, acc.shape[-1]),) * k] = acc
+        acc = grown
+    block = acc[(Ellipsis,) + (slice(0, size),) * k]
+    np.add(block, c, out=block)
+    return acc
+
+
 def weighted_sum(terms, core_ndim: int) -> np.ndarray:
     """``ArrayState.combine`` on arrays: the sum of array * weight over (array,
-    weight) pairs, in order, with ``core_ndim`` axes per state.  Arrays of
-    different orders meet in the leading blocks of the largest, as they
-    would zero padded."""
-    k, acc = core_ndim, None
+    weight) pairs, in order, with ``core_ndim`` axes per state, by ``add_block``."""
+    acc = None
     for c, weight in terms:
-        c = c * _per_row(weight, k)
-        if acc is None or c.shape == acc.shape:
-            acc = c if acc is None else np.add(acc, c, out=acc)
-            continue
-        if c.ndim > acc.ndim or any(map(int.__lt__, acc.shape[-k:], c.shape[-k:])):
-            lead = (c if c.ndim > acc.ndim else acc).shape[:-k]
-            grown = np.zeros(lead + tuple(map(max, acc.shape[-k:], c.shape[-k:])))
-            grown[(Ellipsis, *map(slice, acc.shape[-k:]))] = acc
-            acc = grown
-        acc[(Ellipsis, *map(slice, c.shape[-k:]))] += c
+        c = c * _per_row(weight, core_ndim)
+        acc = c if acc is None else add_block(acc, c, core_ndim)
     return acc
 
 

@@ -2,11 +2,12 @@
 
 Two families share one small protocol (``geometry``, ``n_noise``,
 ``drift``, ``diffusion``, optional ``diffusion_derivative`` and
-``drift_and_diffusion``).  Each callable takes one state or a batch of
-states (one row per path) and returns states with the same leading path
-axis, or single states that hold on every path (constant noise fields).
-``drift_and_diffusion`` is the array form of the first two, coefficient
-arrays in and out.  The families:
+``euler_sum``).  Each callable takes one state or a batch of states (one
+row per path) and returns states with the same leading path axis, or
+single states that hold on every path (constant noise fields).
+``euler_sum`` is the array kernel the full-space Euler loop calls: the
+live paths' coefficient arrays and increments in, the step's sum
+y + drift dt + sum_j A^j dW^j out, written into one buffer.  The families:
 
 * transport models whose coefficients are dual pairings against the
   state, with quadratic transport drift and linear transport noise;
@@ -14,9 +15,11 @@ arrays in and out.  The families:
   interval (p == 2 reduces exactly to the second-difference operator).
 
 Each family computes on arrays once, in its kernel pieces (the
-transport model's stacked pairings and paired fields over ladder
+transport model's stacked pairings, drift and paired fields over ladder
 derivatives, the grid model's flux differences); its state methods only
-wrap arrays into states at the edge.
+wrap arrays into states at the edge, and ``euler_sum`` adds the same
+terms into its buffer (the d = 1 transport step writes them out in place,
+with the same roundings).
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -37,6 +40,7 @@ from .hermite import (
     NormScale,
     SpectralState,
     _pad_tensor,
+    add_block,
     derivative_coeffs,
     second_derivative_coeffs,
     weighted_sum,
@@ -110,35 +114,41 @@ class ItoTypeModel:
         return y.coeffs
 
     def drift(self, y: SpectralState) -> SpectralState:
-        return _state(self.d, self.drift_and_diffusion(self._coeffs(y))[0])
+        c = self._coeffs(y)
+        return _state(self.d, _drift(self, c, _pairings(self, c, y.N))[0])
 
-    def drift_and_diffusion(self, c: np.ndarray):
-        """``drift`` and ``diffusion`` on arrays: the coefficient tensor of one
-        state, or a batch, to the drift's and every noise field's, each at its
-        own order.  The drift is half the pairing covariance against second
-        derivatives minus the paired first-order transport term; a term whose
-        weight vanishes on every path is skipped."""
-        d, n = self.d, c.shape[-1] - 1
-        b, s = _pairings(self, c, n)
-        cov = s.swapaxes(-1, -2) @ s  # (..., d, d)
-        partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
-        terms = []
-        for i in range(d):
-            for j in range(i, d):
-                w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
-                if np.count_nonzero(w):
-                    terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
-        for i in range(d):
-            if np.count_nonzero(b[..., i]) or not terms:
-                terms.append((partials[i], -b[..., i]))
-        fields = _paired_fields(partials, s, d)
-        return weighted_sum(terms, d), fields + [f.coeffs for f in self.extra_fields]
+    def euler_sum(self, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+        """One Euler step on arrays: c + drift dt + sum_j A^j dW^j for the order-n
+        coefficient tensors c of P paths and their increments dw, shape
+        (P, n_noise), written into one buffer at the largest order of its terms
+        in this order: drift dt, then c, then each noise field times its
+        increment.  A noise term is skipped where its increments or its field
+        vanish on every path."""
+        if self.d == 1:
+            return _euler_sum_d1(self, c, dt, dw)
+        d = self.d
+        p = _pairings(self, c, c.shape[-1] - 1)
+        acc, partials = _drift(self, c, p)
+        acc *= dt
+        acc = add_block(acc, c, d)
+        for j in range(self.n_noise):
+            w = dw[:, j]
+            if not np.count_nonzero(w):
+                continue
+            if j < self.J:
+                field = _paired_field(partials, p[d + j * d : d + j * d + d])
+            else:
+                field = self.extra_fields[j - self.J].coeffs
+            if np.count_nonzero(field):
+                acc = add_block(acc, field * _rows(w, d), d)
+        return acc
 
     def diffusion(self, y: SpectralState) -> list:
         """Every noise field at y: the paired transport fields, then the constants."""
         d, n, c = self.d, y.N, self._coeffs(y)
         partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
-        fields = _paired_fields(partials, _pairings(self, c, n)[1], d)
+        p = _pairings(self, c, n)
+        fields = [_paired_field(partials, p[d + j * d : d + j * d + d]) for j in range(self.J)]
         return [_state(d, f) for f in fields] + list(self.extra_fields)
 
     def diffusion_derivative(self, y: SpectralState, u: SpectralState, j: int) -> SpectralState:
@@ -148,16 +158,18 @@ class ItoTypeModel:
             return SpectralState.zero(self.d, 0)  # constant extras
         d, terms = self.d, []
         cy, cu = self._coeffs(y), self._coeffs(u)
-        sy, su = (_pairings(self, c, c.shape[-1] - 1)[1][..., j, :] for c in (cy, cu))
+        row = d + j * d  # sigma[j][0]'s pairing
+        sy, su = (_pairings(self, c, c.shape[-1] - 1)[row : row + d] for c in (cy, cu))
         for i in range(d):
-            terms.append((derivative_coeffs(cy, d, y.N, i), -su[..., i]))
-            terms.append((derivative_coeffs(cu, d, u.N, i), -sy[..., i]))
+            terms.append((derivative_coeffs(cy, d, y.N, i), -su[i]))
+            terms.append((derivative_coeffs(cu, d, u.N, i), -sy[i]))
         return _state(d, weighted_sum(terms, d))
 
 
-def _pairings(model: ItoTypeModel, c: np.ndarray, n: int):
-    """Pairings of the order-n coefficient tensors c (one or a batch) with b,
-    shape (..., d), and with sigma, shape (..., J, d): row j pairs sigma[j].
+def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
+    """Pairings of the order-n coefficient tensors c (one or a batch) with
+    b[0..d-1], then sigma[j][i] j-major: shape (d + J d,) + c's path shape, one
+    row per dual.
 
     One product against the stacked duals, at the order of the state or
     of the longest dual; it makes one matrix-vector product per dual, so
@@ -171,16 +183,85 @@ def _pairings(model: ItoTypeModel, c: np.ndarray, n: int):
         got = model._dual_stacks[n] = (top, np.stack(rows))
     top, stack = got
     c = _pad_tensor(c, d, n, top)
-    p = np.matmul(c.reshape(c.shape[: c.ndim - d] + (-1,)), stack)[..., 0].T
-    return p[..., :d], p[..., d:].reshape(p.shape[:-1] + (model.J, d))
+    if d > 1:  # flat coefficient rows
+        c = c.reshape(c.shape[: c.ndim - d] + (-1,))
+    return np.matmul(c, stack)[..., 0]
 
 
-def _paired_fields(partials: list, s: np.ndarray, d: int) -> list:
-    """Noise field j = -sum_i s[..., j, i] d_i y, from the first derivatives d_i y."""
-    return [
-        weighted_sum([(p, -s[..., j, i]) for i, p in enumerate(partials)], d)
-        for j in range(s.shape[-2])
-    ]
+def _rows(w, d: int):
+    """A per-path weight (P,), or a scalar, shaped to scale d-axis tensors."""
+    return w.reshape(w.shape + (1,) * d)
+
+
+def _covariance(model: ItoTypeModel, p: np.ndarray) -> np.ndarray:
+    """The sigma pairings' covariance sum_j <sigma[j][i], y> <sigma[j][k], y>,
+    shape (..., d, d), from the pairings p."""
+    d = model.d
+    s_t = p[d:].reshape((model.J, d) + p.shape[1:]).T  # (..., d, J): s_t[..., i, j] pairs sigma[j][i]
+    return s_t @ s_t.swapaxes(-1, -2)
+
+
+def _drift(model: ItoTypeModel, c: np.ndarray, p: np.ndarray):
+    """The transport drift of the order-n tensors c from their pairings p, in a
+    new array, and the first derivatives it used.  Half the pairing covariance
+    against second derivatives minus the paired first-order transport term; a
+    term whose weight vanishes on every path is skipped."""
+    d, n = model.d, c.shape[-1] - 1
+    cov = _covariance(model, p)
+    partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
+    acc = None
+    for i in range(d):
+        for j in range(i, d):
+            w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
+            if np.count_nonzero(w):
+                term = second_derivative_coeffs(c, d, n, (i, j)) * _rows(w, d)
+                acc = term if acc is None else add_block(acc, term, d)
+    for i in range(d):
+        if np.count_nonzero(p[i]) or acc is None:
+            term = partials[i] * _rows(-p[i], d)
+            acc = term if acc is None else add_block(acc, term, d)
+    return acc, partials
+
+
+def _euler_sum_d1(model: ItoTypeModel, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """``euler_sum`` at d = 1, where every transport term is a per-path weight
+    times c or one of its two ladder derivatives: the terms, skips and roundings
+    of ``_drift`` and ``_paired_field``, added straight into the buffer."""
+    n = c.shape[-1] - 1
+    p = _pairings(model, c, n)
+    b, s = p[0], p[1:]
+    # one noise row: its pairing squared, the one product the covariance's matrix product rounds
+    w = 0.5 * (s[0] * s[0] if model.J == 1 else _covariance(model, p)[..., 0, 0])
+    partial = derivative_coeffs(c, 1, n, 0)
+    acc = second_derivative_coeffs(c, 1, n, (0, 0)) * w[:, None] if np.count_nonzero(w) else None
+    if np.count_nonzero(b) or acc is None:
+        term = partial * (-b)[:, None]
+        if acc is None:
+            acc = term
+        else:
+            block = acc[:, : n + 2]
+            block += term
+    acc *= dt
+    block = acc[:, : n + 1]
+    block += c
+    for j in range(model.n_noise):
+        w = dw[:, j]
+        if not np.count_nonzero(w):
+            continue
+        field = partial * (-s[j])[:, None] if j < model.J else model.extra_fields[j - model.J].coeffs
+        if np.count_nonzero(field):
+            acc = add_block(acc, field * w[:, None], 1)
+    return acc
+
+
+def _paired_field(partials: list, s: np.ndarray) -> np.ndarray:
+    """The noise field -sum_i s[i] d_i y of one sigma row, from the first
+    derivatives d_i y and that row's pairings s[i]."""
+    d = len(partials)
+    field = partials[0] * _rows(-s[0], d)
+    for i in range(1, d):
+        field += partials[i] * _rows(-s[i], d)
+    return field
 
 
 def _state(d: int, c: np.ndarray) -> SpectralState:
@@ -224,9 +305,17 @@ class PLaplaceModel:
             raise ValueError("grid size mismatch")
         return GridState(_plaplace(self, y.values))
 
-    def drift_and_diffusion(self, v: np.ndarray):
-        """``drift`` and ``diffusion`` on arrays: grid values, one state or a batch."""
-        return _plaplace(self, v), [f.values for f in self.fields]
+    def euler_sum(self, v: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+        """One Euler step on arrays, as ``ItoTypeModel.euler_sum``: v + drift dt +
+        sum_j field_j dW^j for the grid values v of P paths, in one buffer."""
+        acc = _plaplace(self, v)
+        acc *= dt
+        acc += v
+        for j, f in enumerate(self.fields):
+            w = dw[:, j]
+            if np.count_nonzero(w) and np.count_nonzero(f.values):
+                acc += f.values * w[:, None]
+        return acc
 
     def diffusion(self, y: GridState) -> list:
         return list(self.fields)

@@ -5,9 +5,14 @@ keyed by seed and indexed by path/step/component), so a full-space path
 and its reduced counterpart can be driven by identical increments.  Given
 a sequence of path indices, each integrator steps that whole ensemble at
 once: the live paths form one batch, so every drift, diffusion, frame and
-distance evaluation covers all of them.  The reduced run tabulates its
-coefficients, which depend on the chart coordinate alone, once per run on
-the chart box.  The coupled comparison advances both, measures the
+distance evaluation covers all of them.  A full step is one call of the
+model's array kernel, which writes the step's sum into one buffer; the
+spill it cuts off is taken from sums recorded per step once the run ends.
+The reduced run tabulates its coefficients, which depend on the chart
+coordinate alone, once per run on the chart box, and certifies there when
+it can that no frame degenerates, so that a certified step reads a and
+beta alone; exits are settled from the recorded steps every
+``SETTLE_STEPS`` steps.  The coupled comparison advances both, measures the
 distance from the full state to the chart at every recorded step with one
 damped Newton solve per row, started from the reduced coordinate or from
 the nearest of a fixed set of chart images, and summarizes the ensemble.
@@ -15,6 +20,7 @@ the nearest of a fixed set of chart images, and summarizes the ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -24,8 +30,15 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import spill_ratios
 from .hermite import weighted_sum
-from .manifold import Parametrization, block_frame, distance_to_manifold, rank_deficient
+from .manifold import (
+    RANK_FLOOR,
+    Parametrization,
+    block_frame,
+    distance_to_manifold,
+    rank_deficient,
+)
 from .tangency import (
     SamplingSpec,
     int_words,
@@ -71,9 +84,14 @@ class SimConfig:
             raise ValueError(f"horizon shorter than one step: {self.horizon!r} < dt {self.dt!r}")
         if not self.explosion_ceiling > 0:
             raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
+        # a bool is an Integral, and a float seed would key the stream of its integer part
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**128:  # the Philox key range
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
-        if not (isinstance(self.paths, numbers.Integral) and self.paths >= 1):
+        if isinstance(self.paths, bool) or not (
+            isinstance(self.paths, numbers.Integral) and self.paths >= 1
+        ):
             raise ValueError(f"paths must be an integer of at least 1, got {self.paths!r}")
 
     @property
@@ -164,54 +182,53 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
 
     A sequence of path indices steps that ensemble at once from y0 (one
     state for every path, or a batch).  The trajectory is one array, flat
-    at the working order; each step takes the live paths' drift and noise
-    fields as arrays, from ``model.drift_and_diffusion`` or else from one
-    batch state passed to ``drift`` and ``diffusion``, and does the update,
-    the truncation back to the working order and the explosion test on
-    the arrays.  The discarded relative mass is tracked as ``max_spill``.
-    A state whose norm passes the ceiling marks its path exploded and
-    freezes it there.
+    at the working order.  Each step is one call of ``model.euler_sum``
+    (or, for a model without it, of ``drift`` and ``diffusion`` on one
+    batch state), which writes the live paths' y + drift dt + sum_j A^j dW^j
+    into one buffer, then the truncation back to the working order and the
+    explosion test on that buffer.  The weighted-square sums that give the
+    discarded relative mass are recorded per step; ``max_spill`` is taken
+    from them once the loop ends.  A state whose norm passes the ceiling
+    marks its path exploded and freezes it there.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
     paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
-    kernel = getattr(model, "drift_and_diffusion", None)
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
+    step_sum = getattr(model, "euler_sum", None) or functools.partial(_state_sum, model, order)
     flat = geo.flat(y, order)
     ys = np.empty((n_steps + 1, paths.size) + flat.shape[-1:])
     ys[0] = flat
+    tensors = geo.tensor(ys, order)  # the same memory, as the kernels' arrays
+    # per step and path, the weighted squares beyond the working order and in all;
+    # zero where nothing was recorded, which reads as no spill
+    beyond, total = np.zeros((2, n_steps, paths.size))
+    spilled = False
     exploded = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
-    max_spill = np.zeros(paths.size)
     live = np.arange(paths.size)
-    done = 0
+    done, dt, ceiling = 0, cfg.dt, cfg.explosion_ceiling
     for step in range(n_steps):
         if not live.size:
             break
         rows = slice(None) if live.size == paths.size else live  # no gather while all live
-        f, dw = ys[step, rows], noise[step, rows]
-        c = geo.tensor(f, order)
-        if kernel is None:
-            y = geo.state_from_flat(f, order)
-            drift, fields = model.drift(y).array, [a.array for a in model.diffusion(y)]
-        else:
-            drift, fields = kernel(c)
-        terms = [(drift, cfg.dt), (c, 1.0)]  # drift dt + y is y + drift dt: one addition commutes
-        for j, a_field in enumerate(fields):
-            if np.count_nonzero(dw[:, j]) and np.count_nonzero(a_field):
-                terms.append((a_field, dw[:, j]))
-        y_next, spill, size = geo.truncate_rows(weighted_sum(terms, c.ndim - 1))
-        max_spill[rows] = np.maximum(max_spill[rows], spill)
+        y_next, size, sums = geo.truncate_rows(step_sum(tensors[step, rows], dt, noise[step, rows]))
+        if sums is not None:
+            beyond[step, rows], total[step, rows] = sums
+            spilled = True
         if live.size < paths.size:
             ys[step + 1] = ys[step]  # exploded paths stay frozen
         ys[step + 1, rows] = y_next
         done = step + 1
-        blown = ~(size <= cfg.explosion_ceiling)  # NaN sizes too
-        if np.count_nonzero(blown):
-            for k in live[blown]:
+        kept = size <= ceiling  # not NaN sizes either
+        if np.count_nonzero(kept) < live.size:
+            for k in live[~kept]:
                 exploded[k], exit_step[k] = True, step + 1
-            live = live[~blown]
+            live = live[kept]
+    max_spill = np.zeros(paths.size)
+    if spilled:
+        max_spill = np.maximum(max_spill, spill_ratios(beyond[:done], total[:done]).max(axis=0))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
     ys = ys[: done + 1]
     if np.ndim(path_index):
@@ -220,12 +237,25 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     return FullPath(times, ys[:, 0], *single, geo, order)
 
 
+def _state_sum(model, order, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """``euler_sum`` for a model with only ``drift`` and ``diffusion``: both called
+    on one batch state of the rows c, their terms summed in the kernels' order."""
+    y = model.geometry.state_from_flat(c.reshape(c.shape[:1] + (-1,)), order)
+    terms = [(model.drift(y).array, dt), (c, 1.0)]
+    for j, a_field in enumerate(model.diffusion(y)):
+        if np.count_nonzero(dw[:, j]) and np.count_nonzero(a_field.array):
+            terms.append((a_field.array, dw[:, j]))
+    return weighted_sum(terms, c.ndim - 1)
+
+
 # The reduced run reads (a, beta) and the frame columns from a Chebyshev tensor interpolant on
 # the chart box: K first-kind nodes per axis, doubled until each group's last two coefficient
 # layers fall to TABLE_TAIL_TOL of its largest value (Trefethen, ATAP, 2013, ch. 8)
 TABLE_FIRST_NODES = 8
 TABLE_TAIL_TOL = 1e-13
-TABLE_NODE_BUDGET = 4096  # tensor nodes of the largest table tried
+# tensor nodes of the largest table tried, and points of the largest lattice certifying one
+TABLE_NODE_BUDGET = 4096
+SETTLE_STEPS = 32  # steps between the reduced run's settlements of exits
 
 
 class ReducedTableError(RuntimeError):
@@ -234,32 +264,97 @@ class ReducedTableError(RuntimeError):
 
 @dataclass
 class ReducedTable:
-    """Chebyshev coefficients (K,) * m + (F,) of a, beta and the weighted frame columns."""
+    """Chebyshev coefficients (K,) * m + (F,) of a, beta and the weighted frame
+    columns; ``certified`` when no point of the box can fail ``rank_deficient``
+    on the interpolated columns (``_certified``)."""
 
     domain: np.ndarray
     coeffs: np.ndarray
     n_noise: int
     nodes: int
+    certified: bool = False
+
+    def __post_init__(self):
+        m = self.domain.shape[0]
+        # the a and beta outputs, contiguous, for ``coefficients``; at least two, since
+        # einsum sums a lone output's products in another order than those of several
+        self._ab = np.ascontiguousarray(self.coeffs[..., : max((self.n_noise + 1) * m, 2)])
+        self._orders = np.arange(self.coeffs.shape[0])
+        self._lo, self._hi = self.domain.T
+        self._width = self._hi - self._lo
+        axes = "ABCDEFGHIJKL"[:m]
+        self._spec = ",".join("p" + c for c in axes) + f",{axes}f->pf"
+
+    def _values(self, x, coeffs):
+        """The outputs of ``coeffs`` at a (P, m) batch of points."""
+        # the clip absorbs rounding at the box edge, and holds a path that has left the
+        # box, stepped on until its exit is settled, at the edge
+        u = np.minimum(np.maximum((2.0 * x - self._lo - self._hi) / self._width, -1.0), 1.0)
+        t = np.cos(np.arccos(u)[..., None] * self._orders)
+        # einsum without optimize: a row's rounding does not depend on the row count,
+        # nor, among two outputs or more, on the others
+        return np.einsum(self._spec, *t.swapaxes(0, 1), coeffs)
 
     def __call__(self, x):
         """(a, beta, columns) at a (P, m) batch of points in the box."""
         (p, m), i = x.shape, self.n_noise * x.shape[1]
-        lo, hi = self.domain.T  # the clip absorbs rounding at the box edge only
-        u = np.minimum(np.maximum((2.0 * x - lo - hi) / (hi - lo), -1.0), 1.0)
-        t = np.cos(np.arccos(u)[..., None] * np.arange(self.coeffs.shape[0]))
-        axes = "ABCDEFGHIJKL"[:m]
-        spec = ",".join("p" + c for c in axes) + f",{axes}f->pf"
-        # einsum without optimize: a row's rounding does not depend on the row count
-        v = np.einsum(spec, *t.swapaxes(0, 1), self.coeffs)
+        v = self._values(x, self.coeffs)
         a, beta, cols = v[:, :i], v[:, i : i + m], v[:, i + m :]
         return a.reshape(p, self.n_noise, m), beta, cols.reshape(p, cols.shape[1] // m, m)
+
+    def coefficients(self, x):
+        """(a, beta) at a (P, m) batch of points, the values ``__call__`` gives,
+        from their coefficients alone."""
+        (p, m), i = x.shape, self.n_noise * x.shape[1]
+        v = self._values(x, self._ab)
+        return v[:, :i].reshape(p, self.n_noise, m), v[:, i : i + m]
+
+
+def _singular_values(cols: np.ndarray) -> np.ndarray:
+    """Singular values of (..., n, m) columns, largest first; one column's is its norm."""
+    if cols.shape[-1] == 1:
+        return np.sqrt((cols * cols).sum(-2))
+    return np.linalg.svd(cols, compute_uv=False)
+
+
+def _certified(cols: np.ndarray) -> bool:
+    """Whether no point of the box can fail ``rank_deficient`` on the columns
+    interpolated from their Chebyshev coefficients ``cols``, (K,) * m + (n, m).
+
+    With C_k the coefficient matrix of multi-index k, sum_k |C_k|_F bounds every
+    column matrix's largest singular value (|T_k| <= 1), and Markov's inequality
+    |T_k'| <= k^2 (Trefethen, ATAP, 2013) bounds its change along axis a
+    by L_a = sum_k k_a^2 |C_k|_F per unit of u_a.  By Weyl's inequality the
+    smallest singular value then moves by at most sum_a L_a / (q - 1) from the
+    nearest point of a lattice of q points per axis on [-1, 1]^m.  The lattice
+    starts at K per axis and doubles within ``TABLE_NODE_BUDGET`` points while
+    that slack alone keeps it from certifying.  The bound must clear twice the
+    rank floor, which covers the rounding of evaluating the table."""
+    m, k = cols.ndim - 2, cols.shape[0]
+    size = np.sqrt((cols * cols).sum(axis=(-2, -1)))
+    lip = sum((np.indices(size.shape)[a] ** 2 * size).sum() for a in range(m))
+    floor = 2.0 * RANK_FLOOR * max(1.0, size.sum())
+    q = k
+    while q**m <= TABLE_NODE_BUDGET:
+        t = np.cos(np.arccos(np.linspace(-1.0, 1.0, q))[:, None] * np.arange(k))
+        v = cols
+        for _ in range(m):  # contract the leading coefficient axis; its lattice axis goes last
+            v = np.tensordot(v, t, axes=([0], [1]))
+        v = np.moveaxis(v, (0, 1), (-2, -1)).reshape((-1,) + cols.shape[-2:])
+        smallest = _singular_values(v)[:, -1].min()
+        if smallest - lip / (q - 1) > floor:
+            return True
+        if smallest <= floor:
+            return False
+        q *= 2
+    return False
 
 
 def reduced_table(model, param: Parametrization) -> ReducedTable:
     """Tabulate (a, beta) and the frame columns over the chart box, from one
-    ``reduced_coefficients`` call per row block of nodes.  A node whose frame
-    degenerates, or a tail that does not decay within the node budget,
-    raises ReducedTableError."""
+    ``reduced_coefficients`` call per row block of nodes, and certify the
+    columns' rank over the box.  A node whose frame degenerates, or a tail that
+    does not decay within the node budget, raises ReducedTableError."""
     geo, m, (lo, hi) = model.geometry, param.m, param.domain.T
     n_a, k = model.n_noise * m, TABLE_FIRST_NODES
     while k > 4 and k**m > TABLE_NODE_BUDGET:  # 4 per axis still resolve a linear field
@@ -294,8 +389,9 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
         groups = (slice(0, n_a), slice(n_a, n_a + m), slice(n_a + m, None))
         tails = [(tail[g].max(initial=0.0), scale[g].max(initial=0.0)) for g in groups]
         if all(t <= TABLE_TAIL_TOL * s for t, s in tails):
+            certified = _certified(coeffs[..., n_a + m :].reshape(coeffs.shape[:-1] + (-1, m)))
             # .real is a strided view; every reduced step's einsum reads a contiguous copy faster
-            return ReducedTable(param.domain, np.ascontiguousarray(coeffs), model.n_noise, k**m)
+            return ReducedTable(param.domain, np.ascontiguousarray(coeffs), model.n_noise, k**m, certified)
         k *= 2
     raise ReducedTableError(
         f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes ({k // 2} per axis) resolves the "
@@ -321,47 +417,62 @@ def simulate_reduced(
 ) -> ReducedPath:
     """Euler path of the chart-coordinate equation dX = beta dt + a dW.
 
-    Every live path reads its coefficients and frame columns from the table
-    ``reduced_table`` builds once for the run.  A path stops, flagged as
-    exited, where it leaves the chart domain or where the relative smallest
-    singular value of its columns is at most ``RANK_FLOOR``, as in ``jacobian``.
-    A start ``x0`` outside the chart box raises ValueError.
+    Every live path reads its coefficients from the table ``reduced_table``
+    builds once for the run.  A path stops, flagged as exited, where it leaves
+    the chart domain or where the relative smallest singular value of its
+    columns is at most ``RANK_FLOOR``, as in ``jacobian``; on a certified table
+    no point can do the latter, so the run reads only a and beta.  The live
+    paths take ``SETTLE_STEPS`` steps at a time, with the rank flags recorded
+    per step where the table is not certified; then each path's first event
+    in those steps, a degenerate frame before a step or a position outside
+    the box after it, is settled, and the path is frozen there as if it had
+    stopped at once.  The run ends when no path is left.  A start ``x0``
+    outside the chart box raises ValueError.
     """
     n_steps, m = cfg.n_steps, param.m
     paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
-    xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, m)))
-    if not param.contains(xs).all():
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, m)))
+    if not param.contains(x).all():
         raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
     table = reduced_table(model, param)
-    traj = np.empty((n_steps + 1,) + xs.shape)
-    traj[0] = xs
-    exited = np.zeros(paths.size, dtype=bool)
+    traj = np.empty((n_steps + 1,) + x.shape)
+    traj[0] = x
     degenerate = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
-    live = np.arange(paths.size)
-    done = 0
-    for step in range(n_steps):
+    live, dt = np.arange(paths.size), cfg.dt
+    for start in range(0, n_steps, SETTLE_STEPS):
+        stop = min(start + SETTLE_STEPS, n_steps)
         rows = slice(None) if live.size == paths.size else live  # no gather while all live
-        a, beta, cols = table(xs[rows])
-        # one column's only singular value is its norm, as in ``jacobian``
-        sv = np.sqrt((cols * cols).sum(-2)) if m == 1 else np.linalg.svd(cols, compute_uv=False)
-        bad = rank_deficient(sv)
-        if np.count_nonzero(bad):
-            for k in live[bad]:
-                exited[k], degenerate[k], exit_step[k] = True, True, step
-            a, beta, live = a[~bad], beta[~bad], live[~bad]
-            rows = live
+        bad = None if table.certified else np.zeros((stop - start, live.size), dtype=bool)
+        for step in range(start, stop):
+            if bad is None:
+                a, beta = table.coefficients(x)
+            else:
+                a, beta, cols = table(x)
+                bad[step - start] = rank_deficient(_singular_values(cols))
+            dw = noise[step, rows]
+            x = x + beta * dt + (dw[:, None, :] @ a)[:, 0, :]
+            traj[step + 1, rows] = x
+        # the first event of each path in these steps: a degenerate frame at a step
+        # comes before that step's exit
+        out = ~param.contains(traj[start + 1 : stop + 1, rows])
+        hit = out.any(0) if bad is None else out.any(0) | bad.any(0)
+        if not np.count_nonzero(hit):
+            continue
+        for i in np.flatnonzero(hit):
+            first_out = out[:, i].argmax() if out[:, i].any() else stop - start
+            first_bad = bad[:, i].argmax() if bad is not None and bad[:, i].any() else stop - start
+            k = live[i]
+            degenerate[k] = first_bad <= first_out
+            exit_step[k] = start + (int(first_bad) if degenerate[k] else int(first_out) + 1)
+        x, live = x[~hit], live[~hit]
         if not live.size:
             break
-        dw = noise[step, rows]
-        xs[rows] = xs[rows] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
-        traj[step + 1] = xs
-        done = step + 1
-        out = ~param.contains(xs[rows])
-        if np.count_nonzero(out):
-            for k in live[out]:
-                exited[k], exit_step[k] = True, step + 1
-            live = live[~out]
+    done = max(n_steps if e is None else e for e in exit_step)
+    for k, e in enumerate(exit_step):
+        if e is not None:
+            traj[e + 1 : done + 1, k] = traj[e, k]  # a path stays where it stopped
+    exited = np.array([e is not None for e in exit_step])
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
     traj = traj[: done + 1]
     if np.ndim(path_index):
@@ -513,6 +624,7 @@ def coupled_compare(
         "n_degenerate_frame": int(np.sum(reduced.degenerate)),
         "n_exploded": sum(r.exploded for r in records),
         "reduced_table_nodes": reduced.table.nodes,
+        "reduced_table_certified": reduced.table.certified,
         "verdict": verdict,
     }
     return TrajectoryRecord(records, verdict, summary, reduced.table)

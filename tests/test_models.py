@@ -104,10 +104,10 @@ def test_diffusion_appends_constant_extras():
 def test_sigma_pairings_shape_and_values():
     model = transport_model(z=0.0)
     y = basis([0], 8) * 3.0
-    b, s = _pairings(model, y.coeffs, y.N)
-    assert (b.shape, s.shape) == ((1,), (1, 1))
-    assert b[0] == 0.0
-    assert s[0, 0] == pytest.approx(3.0 * H0_AT_ZERO, rel=1e-14)
+    p = _pairings(model, y.coeffs, y.N)
+    assert p.shape == (2,)  # b[0], then sigma[0][0]
+    assert p[0] == 0.0
+    assert p[1] == pytest.approx(3.0 * H0_AT_ZERO, rel=1e-14)
 
 
 def test_diffusion_derivative_matches_directional_difference(rng):
@@ -223,7 +223,8 @@ def test_transport_kernels_with_duals_above_and_below_the_state_order(rng, d, pa
     shape = ((paths,) if paths else ()) + (n + 1,) * d
     y = SpectralState(d, n, rng.standard_normal(shape))
     s, drift, fields = _pairing_formula(model, y)
-    np.testing.assert_allclose(_pairings(model, y.coeffs, n)[1], np.swapaxes(s, -1, -2), rtol=1e-13)
+    sigma = _pairings(model, y.coeffs, n)[d:].reshape((model.J, d) + y.batch)
+    np.testing.assert_allclose(np.moveaxis(sigma, (0, 1), (-2, -1)), np.swapaxes(s, -1, -2), rtol=1e-13)
     got = model.drift(y)
     assert (got.N, got.batch) == (n + 2, y.batch)
     np.testing.assert_allclose(got.coeffs, drift.coeffs, rtol=1e-12, atol=1e-13)

@@ -29,10 +29,11 @@ from spde_manifold.hermite import (
     pair,
     second_derivative,
 )
-from spde_manifold.manifold import distance_to_manifold, jacobian
+from spde_manifold.manifold import distance_to_manifold, jacobian, rank_deficient
 from spde_manifold.models import ItoTypeModel, PLaplaceModel
 from spde_manifold.simulate import (
     DIST_SEED_POINTS,
+    SETTLE_STEPS,
     TABLE_FIRST_NODES,
     ReducedTableError,
     reduced_table,
@@ -116,11 +117,19 @@ def test_config_rejects_non_positive_explosion_ceiling(ceiling):
         SimConfig(explosion_ceiling=ceiling)
 
 
-@pytest.mark.parametrize("paths", [0, -1, 2.5, "4"])
+@pytest.mark.parametrize("paths", [0, -1, 2.5, "4", True])
 def test_config_rejects_a_path_count_that_is_not_a_positive_integer(paths):
     with pytest.raises(ValueError, match="^paths must be an integer of at least 1"):
         SimConfig(horizon=0.01, dt=1e-3, paths=paths)
     assert SimConfig(paths=np.int64(3)).paths == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), True, "4"])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 would key the Philox stream of seed 1, True that of seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        SimConfig(horizon=0.01, dt=1e-3, seed=seed)
+    assert SimConfig(seed=np.int64(3)).seed == 3
 
 
 def test_coupled_compare_rejects_zero_paths_before_simulating():
@@ -234,6 +243,7 @@ def test_reduced_path_stops_where_its_frame_degenerates():
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0)
     both = simulate_reduced(model, chart, [[0.5], [0.0]], cfg, [0, 1])
     alone = simulate_reduced(model, chart, [0.5], cfg, 0)
+    assert not both.table.certified  # the rank test runs at every step
     assert list(both.exited) == [False, True]
     assert both.exit_step == [None, 0]
     np.testing.assert_array_equal(both.xs[:, 0], alone.xs)
@@ -350,6 +360,7 @@ def test_summary_counts_degenerate_frame_exits_apart():
     rec = coupled_compare(PLaplaceModel(2.0, m), chart, [0.0], cfg)
     assert rec.summary["n_degenerate_frame"] == rec.summary["n_exited"] == 2
     assert all(r.exit_step == 0 for r in rec.records)
+    assert rec.summary["reduced_table_certified"] is False
 
     # a path that leaves the box exits without a degenerate frame
     chart = linear_span_chart([sine_mode(16, 1)], [[0.9, 2.0]])
@@ -357,6 +368,171 @@ def test_summary_counts_degenerate_frame_exits_apart():
     rec = coupled_compare(PLaplaceModel(2.0, 16), chart, [1.0], cfg)
     assert rec.summary["n_exited"] == 1 and rec.summary["n_degenerate_frame"] == 0
     assert rec.summary["reduced_table_nodes"] == TABLE_FIRST_NODES
+    assert rec.summary["reduced_table_certified"] is True
+
+
+def _box_chart(box, n=24):
+    """The transport model of ``transport_setup`` on a translation chart of the box [-box, box]."""
+    model, _ = transport_setup(n)
+    return model, translation_chart(SpectralState.basis([0], n), [[-box, box]])
+
+
+def test_certified_and_uncertified_tables_step_the_same_ensemble(monkeypatch):
+    from spde_manifold import simulate
+
+    model, chart = _box_chart(0.3)
+    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=3)
+    paths = np.arange(cfg.paths)
+    certified = simulate_reduced(model, chart, [0.2], cfg, paths)
+    monkeypatch.setattr(simulate, "_certified", lambda cols: False)
+    checked = simulate_reduced(model, chart, [0.2], cfg, paths)
+    assert certified.table.certified and not checked.table.certified
+    for got, want in zip(
+        (certified.times, certified.xs, certified.exited, certified.degenerate),
+        (checked.times, checked.xs, checked.exited, checked.degenerate),
+    ):
+        np.testing.assert_array_equal(got, want)
+    assert certified.exit_step == checked.exit_step
+    exits = [k for k in certified.exit_step if k is not None]
+    assert 1 < len(exits) < cfg.paths and len(set(exits)) > 2  # several box exits, some finish
+    assert not certified.degenerate.any()
+
+
+def _square_chart(m, domain=(-1.0, 1.0)):
+    v = sine_mode(m, 1)
+    return Parametrization(m=1, domain=[domain], eval=lambda x: v * x[..., 0] ** 2)
+
+
+@pytest.mark.parametrize("case, certified", [("span", True), ("translation", True), ("square", False)])
+def test_a_certified_table_has_no_rank_deficient_point_in_its_box(case, certified):
+    if case == "translation":
+        model, chart = _box_chart(0.3)
+    else:
+        model = PLaplaceModel(2.0, 8)
+        chart = linear_span_chart([sine_mode(8, 1)], [[-1.0, 1.0]]) if case == "span" else _square_chart(8)
+    table = reduced_table(model, chart)
+    assert table.certified == certified
+    x = np.linspace(*chart.domain[0], 20001)[:, None]
+    cols = table(x)[2]
+    # the certificate holds on a dense sample; the x^2 chart's column vanishes at the origin
+    assert rank_deficient(np.sqrt((cols * cols).sum(-2))).any() != certified
+
+
+@pytest.mark.parametrize("preset", ["heat_equation", "ito_translation_d1", "ito_translation_d1_negative"])
+def test_table_coefficients_are_the_full_tables_values(preset):
+    # heat_equation has no noise: its a-and-beta outputs are a single column
+    cfg = load_config(preset)
+    model, chart = build_model(cfg), build_manifold(cfg)
+    table = reduced_table(model, chart)
+    for rows in (1, 3, 64):
+        x = np.linspace(*chart.domain[0], rows)[:, None]
+        a, beta, _ = table(x)
+        got_a, got_beta = table.coefficients(x)
+        np.testing.assert_array_equal(got_a, a)
+        np.testing.assert_array_equal(got_beta, beta)
+
+
+def _reference_reduced(model, chart, x0, cfg, incr):
+    """The reduced Euler loop one step at a time: the rank test and the box test
+    on every live path at every step, the live paths gathered at every step."""
+    table = reduced_table(model, chart)
+    n_steps, m = cfg.n_steps, chart.m
+    noise = np.swapaxes(incr, 0, 1)
+    n_paths = incr.shape[0]
+    xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, m)))
+    traj = np.empty((n_steps + 1,) + xs.shape)
+    traj[0] = xs
+    exited = np.zeros(n_paths, dtype=bool)
+    degenerate = np.zeros(n_paths, dtype=bool)
+    exit_step = [None] * n_paths
+    live = np.arange(n_paths)
+    done = 0
+    for step in range(n_steps):
+        a, beta, cols = table(xs[live])
+        sv = np.sqrt((cols * cols).sum(-2)) if m == 1 else np.linalg.svd(cols, compute_uv=False)
+        bad = rank_deficient(sv)
+        for k in live[bad]:
+            exited[k], degenerate[k], exit_step[k] = True, True, step
+        a, beta, live = a[~bad], beta[~bad], live[~bad]
+        if not live.size:
+            break
+        dw = noise[step, live]
+        xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
+        traj[step + 1] = xs
+        done = step + 1
+        out = ~chart.contains(xs[live])
+        for k in live[out]:
+            exited[k], exit_step[k] = True, step + 1
+        live = live[~out]
+    times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
+    return times, traj[: done + 1], exited, exit_step, degenerate
+
+
+def _reduced_mix(case):
+    """(model, chart, x0 per path, cfg) of ensembles whose 3 paths stop in different ways."""
+    m = 8
+    v, w = sine_mode(m, 1), sine_mode(m, 2)
+    lam = laplace_eigenvalue(m, 1)
+    if case == "certified":
+        # decay with noise on the span of one mode: one path leaves the box in the third
+        # settling chunk, two run to the end
+        model = PLaplaceModel(2.0, 16, fields=(sine_mode(16, 1) * 0.5,))
+        chart = linear_span_chart([sine_mode(16, 1)], [[0.3, 2.0]])
+        return model, chart, [[1.0]] * 3, SimConfig(horizon=0.1, dt=1e-3, paths=3, seed=0)
+    if case == "square":
+        # x -> x^2 v with reduced drift lambda x / 2 at a step that multiplies x by -1.05:
+        # a box exit after the first chunk, a degenerate frame at the origin, a path that finishes
+        dt = 2.0 * 2.05 / -lam
+        cfg = SimConfig(horizon=40 * dt, dt=dt, paths=3, seed=0)
+        return PLaplaceModel(2.0, m), _square_chart(m), [[0.2], [0.0], [0.02]], cfg
+    if case == "edge":
+        # on [0, 1] the table's beta at the origin is a rounding error below zero: the
+        # path started there has a degenerate frame, and stepped anyway it would leave
+        # the box at the same step; the frame comes first
+        cfg = SimConfig(horizon=0.04, dt=1e-3, paths=3, seed=0)
+        return PLaplaceModel(2.0, m), _square_chart(m, (0.0, 1.0)), [[0.0], [0.5], [0.9]], cfg
+    # x -> x^2 v + x^3 w at a step that draws paths to within 1e-10 of the origin, where
+    # the frame degenerates: at step 0, late in the first settling chunk, and at the first
+    # step of the second
+    chart = Parametrization(
+        m=1,
+        domain=[[-1.0, 1.0]],
+        eval=lambda x: v * x[..., 0] ** 2 + w * x[..., 0] ** 3,
+        jac=lambda x: [v * (2.0 * x[..., 0]) + w * (3.0 * x[..., 0] ** 2)],
+    )
+    dt = -1.0 / lam
+    return PLaplaceModel(2.0, m), chart, [[0.3], [0.0], [0.9]], SimConfig(horizon=70 * dt, dt=dt, paths=3, seed=0)
+
+
+@pytest.mark.parametrize("case", ["certified", "square", "edge", "cubic"])
+def test_reduced_run_matches_the_per_step_reference_loop(case):
+    model, chart, x0, cfg = _reduced_mix(case)
+    paths = np.arange(cfg.paths)
+    incr = wiener_increments(cfg.seed, paths, cfg.n_steps, model.n_noise, cfg.dt)
+    got = simulate_reduced(model, chart, x0, cfg, paths, incr)
+    times, xs, exited, exit_step, degenerate = _reference_reduced(model, chart, x0, cfg, incr)
+    assert got.table.certified == (case == "certified")
+    np.testing.assert_array_equal(got.times, times)
+    np.testing.assert_array_equal(got.xs, xs)
+    np.testing.assert_array_equal(got.exited, exited)
+    np.testing.assert_array_equal(got.degenerate, degenerate)
+    assert got.exit_step == exit_step
+    assert cfg.n_steps > SETTLE_STEPS
+    stops = {
+        "certified": [None, 78, None],
+        "square": [33, 0, None],
+        "edge": [0, None, None],
+        "cubic": [32, 0, 29],
+    }[case]
+    assert exit_step == stops
+    for p in paths:  # each path alone
+        one = simulate_reduced(model, chart, x0[p], cfg, int(p), incr[p])
+        times, xs, exited, exit_step, degenerate = _reference_reduced(
+            model, chart, x0[p], cfg, incr[p : p + 1]
+        )
+        np.testing.assert_array_equal(one.times, times)
+        np.testing.assert_array_equal(one.xs, xs[:, 0])
+        assert (one.exited, one.exit_step, one.degenerate) == (exited[0], exit_step[0], degenerate[0])
 
 
 # -- coupled comparison -------------------------------------------------------------------
@@ -800,6 +976,45 @@ def test_array_step_matches_state_step_in_two_dimensions(rng):
     cfg = SimConfig(horizon=0.02, dt=1e-3, paths=3, seed=8)
     path = _assert_full_matches_reference(model, y0, cfg)
     assert (path.max_spill > 0.0).all()
+
+
+class _StateMethodsOnly:
+    """A model seen through its state methods alone, which the full run sums term by term."""
+
+    def __init__(self, model):
+        self.geometry, self.n_noise = model.geometry, model.n_noise
+        self.drift, self.diffusion = model.drift, model.diffusion
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_array_kernel_matches_the_state_methods_with_two_noise_rows(rng, d):
+    # duals above and below the state order, and a constant field above the order
+    # of every other term, which grows the step's buffer
+    n = 6
+    z = [0.2, -0.1][:d]
+    model = ItoTypeModel(
+        d=d, J=2, N=n,
+        b=tuple(DualField.dirac(z, n=n + 3) for _ in range(d)),
+        sigma=(
+            tuple(DualField.dirac(z[::-1], n=n - 2) for _ in range(d)),
+            tuple(DualField.constant(d, n + 1, 0.5) for _ in range(d)),
+        ),
+        extra_fields=(SpectralState(d, n + 4, rng.standard_normal((n + 5,) * d) * 0.1),),
+    )
+    y0 = SpectralState(d, n, rng.standard_normal((n + 1,) * d) * 0.2)
+    cfg = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=6)
+    paths = np.arange(cfg.paths)
+    path = simulate_full(model, y0, cfg, paths)
+    summed = simulate_full(_StateMethodsOnly(model), y0, cfg, paths)
+    np.testing.assert_array_equal(path.ys, summed.ys)
+    np.testing.assert_array_equal(path.max_spill, summed.max_spill)
+    assert model.n_noise == 3 and (path.max_spill > 0.0).all()
+    # the reference pairs each dual alone and multiplies its own covariance,
+    # which rounds the sum over two noise rows apart
+    incr = wiener_increments(cfg.seed, paths, cfg.n_steps, model.n_noise, cfg.dt)
+    rows, _, _, max_spill = _reference_full(model, y0, cfg, incr)
+    np.testing.assert_allclose(path.ys, rows, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(path.max_spill, max_spill, rtol=1e-12)
 
 
 def test_array_step_matches_state_step_on_the_grid_with_explosions():
