@@ -120,9 +120,6 @@ class HermiteGeometry:
         wff = self.weight_vector(order) * f * f
         if order <= self.work_order:
             return f, _sqrt(wff.sum(-1)), None
-        if self.d == 1:  # the kept part is a prefix, the rest lies beyond the working order
-            keep, add = self.work_order + 1, np.add.reduce
-            return f[..., :keep], _sqrt(add(wff[..., :keep], -1)), (add(wff[..., keep:], -1), add(wff, -1))
         sums = self._spill_sums(wff, order)
         keep = (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
 

@@ -18,8 +18,7 @@ Each family computes on arrays once, in its kernel pieces (the
 transport model's stacked pairings, drift and paired fields over ladder
 derivatives, the grid model's flux differences); its state methods only
 wrap arrays into states at the edge, and ``euler_sum`` adds the same
-terms into its buffer (the d = 1 transport step writes them out in place,
-with the same roundings).
+terms into its buffer, with the same roundings.
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -124,8 +123,6 @@ class ItoTypeModel:
         in this order: drift dt, then c, then each noise field times its
         increment.  A noise term is skipped where its increments or its field
         vanish on every path."""
-        if self.d == 1:
-            return _euler_sum_d1(self, c, dt, dw)
         d = self.d
         p = _pairings(self, c, c.shape[-1] - 1)
         acc, partials = _drift(self, c, p)
@@ -221,37 +218,6 @@ def _drift(model: ItoTypeModel, c: np.ndarray, p: np.ndarray):
             term = partials[i] * _rows(-p[i], d)
             acc = term if acc is None else add_block(acc, term, d)
     return acc, partials
-
-
-def _euler_sum_d1(model: ItoTypeModel, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    """``euler_sum`` at d = 1, where every transport term is a per-path weight
-    times c or one of its two ladder derivatives: the terms, skips and roundings
-    of ``_drift`` and ``_paired_field``, added straight into the buffer."""
-    n = c.shape[-1] - 1
-    p = _pairings(model, c, n)
-    b, s = p[0], p[1:]
-    # one noise row: its pairing squared, the one product the covariance's matrix product rounds
-    w = 0.5 * (s[0] * s[0] if model.J == 1 else _covariance(model, p)[..., 0, 0])
-    partial = derivative_coeffs(c, 1, n, 0)
-    acc = second_derivative_coeffs(c, 1, n, (0, 0)) * w[:, None] if np.count_nonzero(w) else None
-    if np.count_nonzero(b) or acc is None:
-        term = partial * (-b)[:, None]
-        if acc is None:
-            acc = term
-        else:
-            block = acc[:, : n + 2]
-            block += term
-    acc *= dt
-    block = acc[:, : n + 1]
-    block += c
-    for j in range(model.n_noise):
-        w = dw[:, j]
-        if not np.count_nonzero(w):
-            continue
-        field = partial * (-s[j])[:, None] if j < model.J else model.extra_fields[j - model.J].coeffs
-        if np.count_nonzero(field):
-            acc = add_block(acc, field * w[:, None], 1)
-    return acc
 
 
 def _paired_field(partials: list, s: np.ndarray) -> np.ndarray:

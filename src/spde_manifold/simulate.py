@@ -201,10 +201,9 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     ys = np.empty((n_steps + 1, paths.size) + flat.shape[-1:])
     ys[0] = flat
     tensors = geo.tensor(ys, order)  # the same memory, as the kernels' arrays
-    # per step and path, the weighted squares beyond the working order and in all;
-    # zero where nothing was recorded, which reads as no spill
-    beyond, total = np.zeros((2, n_steps, paths.size))
-    spilled = False
+    # per step and path, the weighted squares beyond the working order and in all, from
+    # the first step that cuts any; zero where nothing was recorded, which reads as no spill
+    beyond = total = None
     exploded = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
     live = np.arange(paths.size)
@@ -215,8 +214,9 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
         rows = slice(None) if live.size == paths.size else live  # no gather while all live
         y_next, size, sums = geo.truncate_rows(step_sum(tensors[step, rows], dt, noise[step, rows]))
         if sums is not None:
+            if beyond is None:
+                beyond, total = np.zeros((2, n_steps, paths.size))
             beyond[step, rows], total[step, rows] = sums
-            spilled = True
         if live.size < paths.size:
             ys[step + 1] = ys[step]  # exploded paths stay frozen
         ys[step + 1, rows] = y_next
@@ -227,7 +227,7 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
                 exploded[k], exit_step[k] = True, step + 1
             live = live[kept]
     max_spill = np.zeros(paths.size)
-    if spilled:
+    if beyond is not None:
         max_spill = np.maximum(max_spill, spill_ratios(beyond[:done], total[:done]).max(axis=0))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
     ys = ys[: done + 1]
@@ -255,7 +255,9 @@ TABLE_FIRST_NODES = 8
 TABLE_TAIL_TOL = 1e-13
 # tensor nodes of the largest table tried, and points of the largest lattice certifying one
 TABLE_NODE_BUDGET = 4096
-SETTLE_STEPS = 32  # steps between the reduced run's settlements of exits
+# steps between the reduced run's settlements of exits: against a box test at every step,
+# 16 to 128 save alike, about a fifth of a reduced step at 4 and 64 paths (BENCH_25.json)
+SETTLE_STEPS = 32
 
 
 class ReducedTableError(RuntimeError):
