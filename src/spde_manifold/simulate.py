@@ -256,7 +256,7 @@ TABLE_TAIL_TOL = 1e-13
 # tensor nodes of the largest table tried, and points of the largest lattice certifying one
 TABLE_NODE_BUDGET = 4096
 # steps between the reduced run's settlements of exits: against a box test at every step,
-# 16 to 128 save alike, about a fifth of a reduced step at 4 and 64 paths (BENCH_25.json)
+# 16 to 128 save alike, a fifth of a reduced step at 4 paths and less at more (BENCH_25.json)
 SETTLE_STEPS = 32
 
 

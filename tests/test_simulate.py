@@ -3,7 +3,7 @@
 import csv
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -961,6 +961,9 @@ def test_array_step_matches_state_step_off_chart_transport():
     cfg = SimConfig(horizon=0.03, dt=1e-3, paths=4, seed=5)
     path = _assert_full_matches_reference(model, chart.eval(np.array([0.2])), cfg)
     assert model.n_noise == 2 and (path.max_spill > 0.0).all()
+    # one step: the spill of the first step alone
+    one = _assert_full_matches_reference(model, chart.eval(np.array([0.2])), replace(cfg, horizon=cfg.dt))
+    assert len(one.times) == 2 and (one.max_spill > 0.0).all()
 
 
 def test_array_step_matches_state_step_in_two_dimensions(rng):
