@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_report(args)
-    except (ConfigError, InvalidSamplingError, FormDisagreementError, DegenerateChartError) as err:
+    except (ConfigError, InvalidSamplingError, FormDisagreementError, DegenerateChartError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ReducedTableError as err:

@@ -315,15 +315,15 @@ def bracket(
 
 @dataclass
 class DistanceResult:
-    """Closest chart point and distance; per-path arrays for a batch.
+    """Closest chart points ``x`` (P, m) and distances (P,) of a batch of P states.
 
-    ``converged`` is true when every path converged, ``path_converged`` holds
-    the per-path flags, and ``iterations``, ``newton_steps`` (iterations on the
+    ``path_converged`` holds the per-path flags and ``converged`` is true when
+    every path converged; ``iterations``, ``newton_steps`` (iterations on the
     Newton step) and ``backtracks`` (step halvings) are summed over paths.
     """
 
     x: np.ndarray
-    distance: float
+    distance: np.ndarray
     converged: bool
     iterations: int
     path_converged: np.ndarray
@@ -349,21 +349,19 @@ def distance_to_manifold(
     max_iter: int = 50,
     step_tol: float = 1e-10,
 ) -> DistanceResult:
-    """Mid-norm distance from a state to the chart image.
+    """Mid-norm distance from each state of a batch ``y`` to the chart image.
 
     Deterministic damped iteration: full step, halved until the cost
     decreases, capped backtracking.  The step is Newton's, -(J'WJ + S)^-1 J'Wr
     with S_kl = <d_kl phi, r>_W from the chart Hessian, on each row where S is
     nonzero and J'WJ + S exceeds ``NEWTON_FLOOR`` times J'WJ, and Gauss-Newton's
     elsewhere.  Hitting the iteration cap without meeting the step tolerance is
-    reported as non-converged.  A batched ``y`` (or a (P, m) start) solves every
-    path at once: each path keeps its own iterate, step halving and stopping
+    reported as non-converged.  All paths are solved at once, from (P, m) starts
+    or one start for all: each keeps its own iterate, step halving and stopping
     decision, and a path whose frame degenerates stops there, not converged.
     """
-    x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim < 2 and not y.batch
-    paths = y.batch[0] if y.batch else (1 if x0.ndim < 2 else x0.shape[0])
-    x = np.array(np.broadcast_to(x0.reshape(-1, param.m), (paths, param.m)))
+    (paths,) = y.batch  # one state alone, with no path axis, raises ValueError here
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths, param.m)))
     y_work = geometry.flat(geometry.truncate_to_work(y), geometry.work_order)
 
     def cost_at(xp, target):
@@ -385,7 +383,7 @@ def distance_to_manifold(
         x_act = x[act]
         y_act = y if act.size == paths else y.rows(act)
         fit = geometry.flat(geometry.truncate_to_work(param.eval(x_act)), geometry.work_order)
-        resid = frame.sqrt_w * (fit - (y_work[act] if y.batch else y_work))
+        resid = frame.sqrt_w * (fit - y_work[act])
         grad = _vecmat(resid, frame.q)  # R^-T J'Wr
         step = -_solve(frame.r, grad)
         if param.hess is not None:
@@ -426,8 +424,6 @@ def distance_to_manifold(
         act = act[~(small | stalled)]
         if not act.size:
             break
-    if single:
-        x, dist = x[0], float(dist[0])
     done = bool(converged.all())
     return DistanceResult(x, dist, done, int(iterations.sum()), converged, newton_steps, backtracks)
 

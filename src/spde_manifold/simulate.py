@@ -99,18 +99,23 @@ class SimConfig:
         return int(round(self.horizon / self.dt))
 
 
-def wiener_increments(seed: int, path_index, n_steps: int, n_noise: int, dt: float) -> np.ndarray:
-    """Deterministic increment table.
+def _path_indices(paths) -> np.ndarray:
+    """``paths`` as an array: each keys a Philox counter, so [1.5] or [True] would alias [1]."""
+    arr = np.asarray(paths)
+    bools = arr.ndim == 1 and any(isinstance(p, (bool, np.bool_)) for p in paths)  # [0, True] is int
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or (arr < 0).any() or bools:
+        raise ValueError(f"paths must be a 1-D sequence of non-negative integers, got {paths!r}")
+    return arr
 
-    Shape (n_steps, n_noise) for one path index, (P, n_steps, n_noise) for
-    a sequence of P path indices.  Entry (path, step, j) is the first
-    normal draw of the Philox stream keyed by ``seed`` at counter
-    [0, path, step, j] (counter-based generation, Salmon et al., SC'11),
-    so extending the run in steps, components or paths never perturbs
-    previously drawn values.  One bit generator serves every entry; its
-    counter is reset before each draw.
-    """
-    paths = np.atleast_1d(path_index)
+
+def wiener_increments(seed: int, paths, n_steps: int, n_noise: int, dt: float) -> np.ndarray:
+    """Deterministic increment table (P, n_steps, n_noise) of the path indices ``paths``.
+
+    Entry (p, step, j) is the first normal draw of the Philox stream keyed
+    by ``seed`` at counter [0, paths[p], step, j] (Salmon et al., SC'11), so
+    extending the run in steps, components or paths never perturbs values
+    drawn before; one bit generator, reset before each draw, serves them all."""
+    paths = _path_indices(paths)
     bits = np.random.Philox(key=seed)
     normal = np.random.Generator(bits).standard_normal
     state = bits.state
@@ -123,16 +128,17 @@ def wiener_increments(seed: int, path_index, n_steps: int, n_noise: int, dt: flo
                 bits.state = state
                 out[p, step, j] = normal()
     out *= np.sqrt(dt)
-    return out if np.ndim(path_index) else out[0]
+    return out
 
 
-def _ensemble(path_index, cfg: SimConfig, n_noise: int, increments):
-    """Path indices as an array, and the increments step-major: (n_steps, P, n_noise)."""
-    paths = np.atleast_1d(path_index)
+def _ensemble(paths, cfg: SimConfig, n_noise: int, increments):
+    """Checked path indices, and the increments, drawn or checked, step-major: (n_steps, P, n_noise)."""
+    paths = _path_indices(paths)
+    shape = (paths.size, cfg.n_steps, n_noise)
     if increments is None:
         increments = wiener_increments(cfg.seed, paths, cfg.n_steps, n_noise, cfg.dt)
-    elif not np.ndim(path_index):
-        increments = np.asarray(increments)[None]
+    elif np.shape(increments) != shape:
+        raise ValueError(f"increments must have shape {shape}, got {np.shape(increments)}")
     return paths, np.ascontiguousarray(np.swapaxes(increments, 0, 1))
 
 
@@ -157,18 +163,15 @@ class _RecordedStates(Sequence):
 
 @dataclass
 class FullPath:
-    """One path, or an ensemble: then the flags, exit steps and spills are per path.
-
-    ``ys`` is the trajectory, flat at the working order ``order``:
-    (steps + 1, P, n) for an ensemble, (steps + 1, n) for one path;
-    ``states`` reads one (batched) state per recorded step from it.
-    """
+    """P full paths: the trajectory ``ys`` (steps + 1, P, n), flat at the working order
+    ``order``, and per path the flags, exit steps (None: ran to the end) and spills;
+    ``states`` reads one batch state per recorded step from ``ys``."""
 
     times: np.ndarray
     ys: np.ndarray
-    exploded: bool
-    exit_step: Optional[int]
-    max_spill: float
+    exploded: np.ndarray
+    exit_step: list
+    max_spill: np.ndarray
     geometry: object
     order: Optional[int]
 
@@ -177,23 +180,24 @@ class FullPath:
         return _RecordedStates(self)
 
 
-def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> FullPath:
-    """Explicit Euler path of dY = L(Y) dt + sum_j A^j(Y) dW^j in the ambient space.
+def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath:
+    """Explicit Euler paths of dY = L(Y) dt + sum_j A^j(Y) dW^j in the ambient space.
 
-    A sequence of path indices steps that ensemble at once from y0 (one
-    state for every path, or a batch).  The trajectory is one array, flat
-    at the working order.  Each step is one call of ``model.euler_sum``
-    (or, for a model without it, of ``drift`` and ``diffusion`` on one
-    batch state), which writes the live paths' y + drift dt + sum_j A^j dW^j
-    into one buffer, then the truncation back to the working order and the
-    explosion test on that buffer.  The weighted-square sums that give the
-    discarded relative mass are recorded per step; ``max_spill`` is taken
-    from them once the loop ends.  A state whose norm passes the ceiling
-    marks its path exploded and freezes it there.
+    The 1-D path indices ``paths`` are stepped at once from y0 (one state for
+    every path, or a batch), on the given (P, n_steps, n_noise) increments or
+    on ``wiener_increments``.  The trajectory is one array, flat at the working
+    order.  Each step is one call of ``model.euler_sum`` (or, for a model
+    without it, of ``drift`` and ``diffusion`` on one batch state), which
+    writes the live paths' y + drift dt + sum_j A^j dW^j into one buffer, then
+    the truncation back to the working order and the explosion test on that
+    buffer.  The weighted-square sums that give the discarded relative mass
+    are recorded per step; ``max_spill`` is taken from them once the loop
+    ends.  A state whose norm passes the ceiling marks its path exploded and
+    freezes it there.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
-    paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
+    paths, noise = _ensemble(paths, cfg, model.n_noise, increments)
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
     step_sum = getattr(model, "euler_sum", None) or functools.partial(_state_sum, model, order)
@@ -230,11 +234,7 @@ def simulate_full(model, y0, cfg: SimConfig, path_index=0, increments=None) -> F
     if beyond is not None:
         max_spill = np.maximum(max_spill, spill_ratios(beyond[:done], total[:done]).max(axis=0))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
-    ys = ys[: done + 1]
-    if np.ndim(path_index):
-        return FullPath(times, ys, exploded, exit_step, max_spill, geo, order)
-    single = (bool(exploded[0]), exit_step[0], float(max_spill[0]))
-    return FullPath(times, ys[:, 0], *single, geo, order)
+    return FullPath(times, ys[: done + 1], exploded, exit_step, max_spill, geo, order)
 
 
 def _state_sum(model, order, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
@@ -403,27 +403,29 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
 
 @dataclass
 class ReducedPath:
-    """One path, or an ensemble: then ``xs`` has shape (steps + 1, P, m) and the
-    flags (``degenerate``: stopped at a degenerate frame) and exit steps are per path."""
+    """P reduced paths: ``xs`` (steps + 1, P, m), and per path the flags (``degenerate``:
+    stopped at a degenerate frame) and exit steps (None: ran to the end)."""
 
     times: np.ndarray
     xs: np.ndarray
-    exited: bool
-    exit_step: Optional[int]
-    degenerate: bool
+    exited: np.ndarray
+    exit_step: list
+    degenerate: np.ndarray
     table: ReducedTable
 
 
 def simulate_reduced(
-    model, param: Parametrization, x0, cfg: SimConfig, path_index=0, increments=None
+    model, param: Parametrization, x0, cfg: SimConfig, paths, increments=None
 ) -> ReducedPath:
-    """Euler path of the chart-coordinate equation dX = beta dt + a dW.
+    """Euler paths of the chart-coordinate equation dX = beta dt + a dW.
 
-    Every live path reads its coefficients from the table ``reduced_table``
-    builds once for the run.  A path stops, flagged as exited, where it leaves
-    the chart domain or where the relative smallest singular value of its
-    columns is at most ``RANK_FLOOR``, as in ``jacobian``; on a certified table
-    no point can do the latter, so the run reads only a and beta.  The live
+    The paths are stepped at once from x0 (one start for every path, or (P, m)
+    starts), on increments as in ``simulate_full``.  Every live path reads its
+    coefficients from the table ``reduced_table`` builds once for the run.  A
+    path stops, flagged as exited, where it leaves the chart domain or where
+    the relative smallest singular value of its columns is at most
+    ``RANK_FLOOR``, as in ``jacobian``; on a certified table no point can do
+    the latter, so the run reads only a and beta.  The live
     paths take ``SETTLE_STEPS`` steps at a time, with the rank flags recorded
     per step where the table is not certified; then each path's first event
     in those steps, a degenerate frame before a step or a position outside
@@ -432,7 +434,7 @@ def simulate_reduced(
     outside the chart box raises ValueError.
     """
     n_steps, m = cfg.n_steps, param.m
-    paths, noise = _ensemble(path_index, cfg, model.n_noise, increments)
+    paths, noise = _ensemble(paths, cfg, model.n_noise, increments)
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths.size, m)))
     if not param.contains(x).all():
         raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
@@ -476,10 +478,7 @@ def simulate_reduced(
             traj[e + 1 : done + 1, k] = traj[e, k]  # a path stays where it stopped
     exited = np.array([e is not None for e in exit_step])
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
-    traj = traj[: done + 1]
-    if np.ndim(path_index):
-        return ReducedPath(times, traj, exited, exit_step, degenerate, table)
-    return ReducedPath(times, traj[:, 0], bool(exited[0]), exit_step[0], bool(degenerate[0]), table)
+    return ReducedPath(times, traj[: done + 1], exited, exit_step, degenerate, table)
 
 
 # step tolerance of the recorded distances' solve: the distance error

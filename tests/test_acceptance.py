@@ -112,11 +112,11 @@ def test_criterion_5():
     def normalized_error(dt):
         run = SimConfig(horizon=cfg["sim"]["horizon"], dt=dt, paths=1,
                         seed=cfg["sim"]["seed"])
-        path = simulate_full(model, y0, run)
-        assert not path.exploded
+        path = simulate_full(model, y0, run, [0])
+        assert not path.exploded[0]
         peak = max(abs(math.exp(lam * t)) for t in path.times)
         gap = max(
-            geo.norm_diff(state, mode * math.exp(lam * t))
+            geo.norm_diff(state.rows(0), mode * math.exp(lam * t))
             for state, t in zip(path.states, path.times)
         )
         return gap / peak

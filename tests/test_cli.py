@@ -165,6 +165,17 @@ def test_config_its_sim_config_rejects_exit_one(command, out_root, tmp_path, cap
     assert not any(out_root.iterdir())
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_unwritable_output_root_exit_one(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a regular file cannot hold the output root
+    rc = main([command, "--config", "heat_equation", "--out", str(blocker / "x")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert str(blocker / "x") in captured.err
+
+
 def test_threads_option_is_gone(out_root, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", "ito_zero", "--threads", "2", "--out", str(out_root)])

@@ -306,24 +306,31 @@ def test_bracket_mixed_terms_d2():
 def test_distance_zero_on_manifold():
     geo = HermiteGeometry(1, 20)
     chart = translation_chart(basis([0], 20), BOX1)
-    y = chart.eval(np.array([0.45]))
+    y = chart.eval(np.array([[0.45]]))
     res = distance_to_manifold(chart, y, [0.2], geo)
     assert res.converged
-    assert res.distance < 1e-10
-    assert res.x[0] == pytest.approx(0.45, abs=1e-8)
+    assert res.distance[0] < 1e-10
+    assert res.x[0, 0] == pytest.approx(0.45, abs=1e-8)
+
+
+def test_distance_takes_only_a_batch_of_states():
+    geo = HermiteGeometry(1, 20)
+    chart = translation_chart(basis([0], 20), BOX1)
+    with pytest.raises(ValueError):
+        distance_to_manifold(chart, chart.eval(np.array([0.45])), [0.2], geo)
 
 
 def test_distance_to_span_equals_normal_component():
     geo = HermiteGeometry(1, 8)
     chart = linear_span_chart([basis([0], 8)], BOX1)
     eps = 1e-3
-    y = basis([0], 8) * 1.2 + basis([5], 8) * eps
+    y = (basis([0], 8) * 1.2 + basis([5], 8) * eps) * np.ones(1)  # a one-row batch
     res = distance_to_manifold(chart, y, [0.0], geo)
     assert res.converged
     assert res.newton_steps == 0  # a linear chart's Hessian is zero: Gauss-Newton steps
     # mid norm of eps * h_5 under the default half-step scale
-    assert res.distance == pytest.approx(eps * math.sqrt(11.0), rel=1e-10)
-    assert res.x[0] == pytest.approx(1.2, abs=1e-10)
+    assert res.distance[0] == pytest.approx(eps * math.sqrt(11.0), rel=1e-10)
+    assert res.x[0, 0] == pytest.approx(1.2, abs=1e-10)
 
 
 def test_distance_matches_grid_search():
@@ -331,13 +338,13 @@ def test_distance_matches_grid_search():
     profile = basis([0], 30)
     chart = translation_chart(profile, BOX1)
     y = translate(profile, 0.31) + basis([1], 30) * 0.05
-    res = distance_to_manifold(chart, y, [0.0], geo)
+    res = distance_to_manifold(chart, y * np.ones(1), [0.0], geo)  # y as a one-row batch
     assert res.converged
 
     shifts = np.linspace(0.2, 0.4, 2001)
     grid_best = min(geo.norm_diff(translate(profile, s), y) for s in shifts)
-    assert res.distance <= grid_best + 1e-12
-    assert abs(res.distance - grid_best) < 1e-6
+    assert res.distance[0] <= grid_best + 1e-12
+    assert abs(res.distance[0] - grid_best) < 1e-6
 
 
 def test_distance_stops_only_the_path_whose_frame_degenerates():
@@ -346,9 +353,9 @@ def test_distance_stops_only_the_path_whose_frame_degenerates():
     chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2)
     y = chart.eval(np.array([[0.6], [0.5]]))
     res = distance_to_manifold(chart, y, [[0.5], [0.0]], geo)
-    alone = distance_to_manifold(chart, chart.eval(np.array([0.6])), [0.5], geo)
+    alone = distance_to_manifold(chart, chart.eval(np.array([[0.6]])), [0.5], geo)
     assert list(res.path_converged) == [True, False]
-    assert res.x[0, 0] == alone.x[0] and res.distance[0] == alone.distance
+    assert res.x[0, 0] == alone.x[0, 0] and res.distance[0] == alone.distance[0]
     # the degenerate start is kept, with its distance to the target
     assert res.x[1, 0] == 0.0
     assert res.distance[1] == pytest.approx(geo.norm_mid(v * 0.25), rel=1e-14)
@@ -374,13 +381,13 @@ def test_distance_backtracking_rows_solve_as_alone():
     assert first.x[0, 0] == pytest.approx(0.1 + 0.25 * (full[0] - 0.1), rel=0.0, abs=1e-12)
     assert first.backtracks == 2 and first.newton_steps == 0  # no chart Hessian
     alone = [
-        distance_to_manifold(chart, chart.eval(np.array([e])), [s], geo)
+        distance_to_manifold(chart, chart.eval(np.array([[e]])), [s], geo)
         for e, s in zip(ends, starts)
     ]
     assert list(res.path_converged) == [True, True, False]
     assert res.x[0, 0] == pytest.approx(0.6, abs=1e-10)
     for r, solo in enumerate(alone):
-        assert res.x[r, 0] == solo.x[0] and res.distance[r] == solo.distance
+        assert res.x[r, 0] == solo.x[0, 0] and res.distance[r] == solo.distance[0]
         assert res.path_converged[r] == solo.converged
     assert res.iterations == sum(solo.iterations for solo in alone)
     # a row's own count is the smallest iteration cap at which it converges
@@ -398,16 +405,16 @@ def test_distance_takes_newton_steps_off_a_curved_chart():
     geo = HermiteGeometry(1, 20)
     chart = translation_chart(basis([0], 20), BOX1)
     gauss_newton = dataclasses.replace(chart, hess=None)
-    y = chart.eval(np.array([0.3])) + basis([2], 20)
+    y = chart.eval(np.array([[0.3]])) + basis([2], 20)
     res = distance_to_manifold(chart, y, [0.0], geo)
     ref = distance_to_manifold(gauss_newton, y, [0.0], geo)
     assert res.converged and ref.converged
     assert res.newton_steps > 0 and ref.newton_steps == 0
     assert res.iterations < ref.iterations
-    assert res.x[0] == pytest.approx(ref.x[0], abs=1e-8)
-    assert res.distance == pytest.approx(ref.distance, rel=1e-12)
+    assert res.x[0, 0] == pytest.approx(ref.x[0, 0], abs=1e-8)
+    assert res.distance[0] == pytest.approx(ref.distance[0], rel=1e-12)
     # where J'WJ + S is not safely positive definite the step stays Gauss-Newton's
-    y = chart.eval(np.array([0.3])) + basis([3], 20)
+    y = chart.eval(np.array([[0.3]])) + basis([3], 20)
     res = distance_to_manifold(chart, y, [0.0], geo)
     assert res.converged and 0 < res.newton_steps < res.iterations
 
@@ -415,7 +422,7 @@ def test_distance_takes_newton_steps_off_a_curved_chart():
 def test_distance_iteration_cap_reports_nonconverged():
     geo = HermiteGeometry(1, 20)
     chart = translation_chart(basis([0], 20), BOX1)
-    y = chart.eval(np.array([0.3]))
+    y = chart.eval(np.array([[0.3]]))
     res = distance_to_manifold(chart, y, [0.0], geo, max_iter=1)
     assert not res.converged
     assert res.iterations == 1
@@ -424,8 +431,8 @@ def test_distance_iteration_cap_reports_nonconverged():
 def test_distance_warm_start_refines():
     geo = HermiteGeometry(1, 20)
     chart = translation_chart(basis([0], 20), BOX1)
-    y = chart.eval(np.array([0.45]))
+    y = chart.eval(np.array([[0.45]]))
     first = distance_to_manifold(chart, y, [0.0], geo, step_tol=1e-5)
     second = distance_to_manifold(chart, y, first.x, geo, step_tol=1e-12)
-    assert second.distance <= first.distance + 1e-15
-    assert second.distance < 1e-12
+    assert second.distance[0] <= first.distance[0] + 1e-15
+    assert second.distance[0] < 1e-12

@@ -60,12 +60,16 @@ def test_readme_library_use_lists_exactly_the_exports():
     assert sorted(names) == sorted(spde_manifold.__all__)
 
 
-def test_bench_tracer_finds_every_target():
+def _bench_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
+    return tracer_module.Tracer()
+
+
+def test_bench_tracer_finds_every_target():
     original = spde_manifold.manifold.distance_to_manifold
-    tracer = tracer_module.Tracer()
+    tracer = _bench_tracer()
     try:
         tracer.install()  # raises TraceTargetError when a traced name is gone
         assert spde_manifold.manifold.distance_to_manifold is not original
@@ -73,3 +77,22 @@ def test_bench_tracer_finds_every_target():
         tracer.uninstall()
     assert spde_manifold.manifold.distance_to_manifold is original
     assert spde_manifold.simulate.distance_to_manifold is original
+
+
+def test_bench_tracer_observes_one_coupled_run():
+    """The observers read the results of the functions they wrap, so run them once."""
+    tracer = _bench_tracer()
+    try:
+        tracer.install()
+        cfg = spde_manifold.load_config("ito_translation_d1")
+        model, chart = spde_manifold.build_model(cfg), spde_manifold.build_manifold(cfg)
+        dt = cfg["sim"]["dt"]
+        sim = spde_manifold.SimConfig(horizon=5 * dt, dt=dt, paths=2, seed=cfg["sim"]["seed"])
+        spde_manifold.coupled_compare(model, chart, cfg["sim"]["x0"], sim)
+        counts, _ = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["simulate.simulate_full.steps"] == 5
+    assert tracer.counts["simulate.simulate_reduced.steps"] == 5
+    assert counts["simulate.wiener_increments.entries"] == 2 * 5 * model.n_noise
+    assert counts["manifold.distance.calls"] > 0

@@ -3,6 +3,7 @@
 import csv
 import functools
 import io
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,34 +67,90 @@ def zero_noise_setup(n=16):
 
 
 def test_increments_deterministic():
-    a = wiener_increments(42, 3, 6, 2, 1e-3)
-    b = wiener_increments(42, 3, 6, 2, 1e-3)
+    a = wiener_increments(42, [3], 6, 2, 1e-3)[0]
+    b = wiener_increments(42, [3], 6, 2, 1e-3)[0]
     np.testing.assert_array_equal(a, b)
     assert a.shape == (6, 2)
 
 
 def test_increments_distinct_across_seeds_and_paths():
-    base = wiener_increments(42, 0, 6, 1, 1e-3)
-    assert not np.array_equal(base, wiener_increments(43, 0, 6, 1, 1e-3))
-    assert not np.array_equal(base, wiener_increments(42, 1, 6, 1, 1e-3))
+    base = wiener_increments(42, [0], 6, 1, 1e-3)[0]
+    assert not np.array_equal(base, wiener_increments(43, [0], 6, 1, 1e-3)[0])
+    assert not np.array_equal(base, wiener_increments(42, [1], 6, 1, 1e-3)[0])
 
 
 def test_increments_stable_under_horizon_extension():
-    short = wiener_increments(7, 0, 5, 2, 1e-3)
-    long = wiener_increments(7, 0, 10, 2, 1e-3)
+    short = wiener_increments(7, [0], 5, 2, 1e-3)[0]
+    long = wiener_increments(7, [0], 10, 2, 1e-3)[0]
     np.testing.assert_array_equal(long[:5], short)
 
 
 def test_increments_stable_under_component_extension():
-    few = wiener_increments(7, 0, 5, 2, 1e-3)
-    more = wiener_increments(7, 0, 5, 3, 1e-3)
+    few = wiener_increments(7, [0], 5, 2, 1e-3)[0]
+    more = wiener_increments(7, [0], 5, 3, 1e-3)[0]
     np.testing.assert_array_equal(more[:, :2], few)
 
 
 def test_increment_variance_scales_with_dt():
     dt = 1e-3
-    w = wiener_increments(7, 0, 2000, 2, dt)
+    w = wiener_increments(7, [0], 2000, 2, dt)[0]
     assert (w**2).mean() / dt == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [1, np.int64(1), [[0, 1]], [True], np.array([1, 0], dtype=bool), [0, True], [1.5], [1.0], [-1], []],
+    ids=["scalar", "numpy scalar", "2-D", "bool", "bool array", "bool among ints", "float",
+         "whole float", "negative", "empty"],
+)
+def test_path_indices_other_than_non_negative_integers_are_rejected(paths):
+    # an index keys the Philox counter: 1.5 and True would key the stream of path 1
+    model, chart = zero_noise_setup()
+    cfg = SimConfig(horizon=2e-3, dt=1e-3, seed=42)
+    incr = np.zeros((np.size(paths), cfg.n_steps, model.n_noise))
+    for run in (
+        lambda: wiener_increments(42, paths, 2, 1, 1e-3),
+        lambda: simulate_full(model, chart.eval(np.array([0.0])), cfg, paths),
+        lambda: simulate_reduced(model, chart, [0.0], cfg, paths),
+        lambda: simulate_reduced(model, chart, [0.0], cfg, paths, incr),
+    ):
+        with pytest.raises(ValueError, match="^paths must be a 1-D sequence of non-negative integers"):
+            run()
+    # the indices that remain key their own streams, in any integer type
+    path_1 = wiener_increments(42, [1], 2, 1, 1e-3)
+    as_uint8 = wiener_increments(42, np.array([1], dtype=np.uint8), 2, 1, 1e-3)
+    np.testing.assert_array_equal(as_uint8, path_1)
+    assert not np.array_equal(wiener_increments(42, [0], 2, 1, 1e-3), path_1)
+
+
+@pytest.mark.parametrize(
+    "case, shape",
+    [
+        ("more paths", (3, 5, 1)),
+        ("too short", (2, 4, 1)),
+        ("too long", (2, 6, 1)),
+        ("more noise", (2, 5, 2)),
+    ],
+)
+def test_runs_reject_an_increment_table_of_another_shape_before_any_work(case, shape, monkeypatch):
+    from spde_manifold import simulate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before checking its increments")
+
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=4)
+    incr = wiener_increments(cfg.seed, np.arange(shape[0]), shape[1], shape[2], cfg.dt)
+    monkeypatch.setattr(simulate, "reduced_table", no_work)
+    monkeypatch.setattr(ItoTypeModel, "euler_sum", no_work)
+    y0 = chart.eval(np.array([0.2]))
+    for run in (
+        lambda: simulate_full(model, y0, cfg, [0, 1], incr),
+        lambda: simulate_reduced(model, chart, [0.2], cfg, [0, 1], incr),
+    ):
+        want = re.escape(f"increments must have shape (2, 5, 1), got {shape}")
+        with pytest.raises(ValueError, match="^" + want):
+            run()
 
 
 def test_config_rejects_subsize_horizon():
@@ -145,12 +202,12 @@ def test_full_path_constant_without_dynamics():
     model, _ = zero_noise_setup()
     y0 = SpectralState.basis([0], 16) * 0.3
     cfg = SimConfig(horizon=0.01, dt=1e-3, seed=1)
-    path = simulate_full(model, y0, cfg)
+    path = simulate_full(model, y0, cfg, [0])
     assert len(path.states) == 11
-    assert not path.exploded and path.exit_step is None
+    assert not path.exploded[0] and path.exit_step[0] is None
     for st in path.states:
-        np.testing.assert_array_equal(st.coeffs, y0.coeffs)
-    assert path.max_spill == 0.0
+        np.testing.assert_array_equal(st.rows(0).coeffs, y0.coeffs)
+    assert path.max_spill[0] == 0.0
 
 
 def test_full_path_single_step_hand_check():
@@ -158,13 +215,13 @@ def test_full_path_single_step_hand_check():
     model = PLaplaceModel(2.0, m, fields=(sine_mode(m, 1),))
     y0 = sine_mode(m, 2) * 0.5
     cfg = SimConfig(horizon=1e-3, dt=1e-3, seed=3)
-    dw = wiener_increments(3, 0, 1, 1, 1e-3)[0, 0]
-    path = simulate_full(model, y0, cfg)
+    dw = wiener_increments(3, [0], 1, 1, 1e-3)[0, 0, 0]
+    path = simulate_full(model, y0, cfg, [0])
     want = (
         y0.values * (1.0 + laplace_eigenvalue(m, 2) * 1e-3)
         + sine_mode(m, 1).values * dw
     )
-    np.testing.assert_allclose(path.states[1].values, want, rtol=1e-14)
+    np.testing.assert_allclose(path.states[1].rows(0).values, want, rtol=1e-14)
 
 
 def test_full_path_geometric_decay_on_eigenvector():
@@ -173,9 +230,9 @@ def test_full_path_geometric_decay_on_eigenvector():
     y0 = sine_mode(m, 1)
     steps = 10
     cfg = SimConfig(horizon=steps * 1e-3, dt=1e-3, seed=0)
-    path = simulate_full(model, y0, cfg)
+    path = simulate_full(model, y0, cfg, [0])
     factor = (1.0 + laplace_eigenvalue(m, 1) * 1e-3) ** steps
-    np.testing.assert_allclose(path.states[-1].values, factor * y0.values, rtol=1e-12)
+    np.testing.assert_allclose(path.states[-1].rows(0).values, factor * y0.values, rtol=1e-12)
 
 
 def test_full_path_explosion_freezes_trajectory():
@@ -183,7 +240,7 @@ def test_full_path_explosion_freezes_trajectory():
     model = PLaplaceModel(2.0, m)
     y0 = sine_mode(m, m) * 1e-8
     cfg = SimConfig(horizon=0.03, dt=1e-3, seed=0)
-    path = simulate_full(model, y0, cfg)
+    path = simulate_full(model, y0, cfg, [0])
 
     # pure stiff-mode growth rate is exact, so the exit step is predictable
     amp = abs(1.0 + laplace_eigenvalue(m, m) * cfg.dt)
@@ -192,8 +249,8 @@ def test_full_path_explosion_freezes_trajectory():
         norm *= amp
         expected_exit += 1
 
-    assert path.exploded
-    assert path.exit_step == expected_exit
+    assert path.exploded[0]
+    assert path.exit_step[0] == expected_exit
     assert len(path.states) == expected_exit + 1
     assert len(path.times) == expected_exit + 1
 
@@ -206,11 +263,11 @@ def test_reduced_path_single_step_hand_check():
     x0 = np.array([0.2])
     cfg = SimConfig(horizon=1e-3, dt=1e-3, seed=9)
     a, beta = reduced_coefficients(model, chart, jacobian(chart, x0, model.geometry))
-    dw = wiener_increments(9, 0, 1, 1, 1e-3)[0]
-    path = simulate_reduced(model, chart, x0, cfg)
+    dw = wiener_increments(9, [0], 1, 1, 1e-3)[0, 0]
+    path = simulate_reduced(model, chart, x0, cfg, [0])
     want = x0 + beta * 1e-3 + a.T @ dw
-    np.testing.assert_allclose(path.xs[1], want, atol=1e-14)
-    assert not path.exited
+    np.testing.assert_allclose(path.xs[1, 0], want, atol=1e-14)
+    assert not path.exited[0]
 
 
 def test_reduced_path_exits_chart_domain():
@@ -218,7 +275,7 @@ def test_reduced_path_exits_chart_domain():
     model = PLaplaceModel(2.0, m)
     chart = linear_span_chart([sine_mode(m, 1)], [[0.9, 2.0]])
     cfg = SimConfig(horizon=0.05, dt=1e-3, seed=0)
-    path = simulate_reduced(model, chart, [1.0], cfg)
+    path = simulate_reduced(model, chart, [1.0], cfg, [0])
 
     lam = laplace_eigenvalue(m, 1)
     x, expected_exit = 1.0, 0
@@ -226,11 +283,11 @@ def test_reduced_path_exits_chart_domain():
         x *= 1.0 + lam * cfg.dt
         expected_exit += 1
 
-    assert path.exited
-    assert path.exit_step == expected_exit
+    assert path.exited[0]
+    assert path.exit_step[0] == expected_exit
     assert len(path.xs) == expected_exit + 1
     assert len(path.times) == len(path.xs)
-    assert path.xs[-1, 0] < 0.9 <= path.xs[-2, 0]
+    assert path.xs[-1, 0, 0] < 0.9 <= path.xs[-2, 0, 0]
 
 
 def test_reduced_path_stops_where_its_frame_degenerates():
@@ -242,12 +299,12 @@ def test_reduced_path_stops_where_its_frame_degenerates():
     model = PLaplaceModel(2.0, m)
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0)
     both = simulate_reduced(model, chart, [[0.5], [0.0]], cfg, [0, 1])
-    alone = simulate_reduced(model, chart, [0.5], cfg, 0)
+    alone = simulate_reduced(model, chart, [0.5], cfg, [0])
     assert not both.table.certified  # the rank test runs at every step
     assert list(both.exited) == [False, True]
     assert both.exit_step == [None, 0]
-    np.testing.assert_array_equal(both.xs[:, 0], alone.xs)
-    assert not alone.exited
+    np.testing.assert_array_equal(both.xs[:, 0], alone.xs[:, 0])
+    assert not alone.exited[0]
 
 
 # -- the reduced coefficient table -----------------------------------------------------
@@ -526,13 +583,14 @@ def test_reduced_run_matches_the_per_step_reference_loop(case):
     }[case]
     assert exit_step == stops
     for p in paths:  # each path alone
-        one = simulate_reduced(model, chart, x0[p], cfg, int(p), incr[p])
+        one = simulate_reduced(model, chart, x0[p], cfg, [p], incr[p : p + 1])
         times, xs, exited, exit_step, degenerate = _reference_reduced(
             model, chart, x0[p], cfg, incr[p : p + 1]
         )
         np.testing.assert_array_equal(one.times, times)
-        np.testing.assert_array_equal(one.xs, xs[:, 0])
-        assert (one.exited, one.exit_step, one.degenerate) == (exited[0], exit_step[0], degenerate[0])
+        np.testing.assert_array_equal(one.xs[:, 0], xs[:, 0])
+        flags = (one.exited[0], one.exit_step[0], one.degenerate[0])
+        assert flags == (exited[0], exit_step[0], degenerate[0])
 
 
 # -- coupled comparison -------------------------------------------------------------------
@@ -614,10 +672,11 @@ def test_trajectory_csv_cells_parse_back_to_the_record(record_distance):
 
 
 def _per_path(model, chart, x0, cfg, p):
-    """One path of the coupled comparison, run through the single-path calls."""
-    incr = wiener_increments(cfg.seed, p, cfg.n_steps, model.n_noise, cfg.dt)
-    reduced = simulate_reduced(model, chart, x0, cfg, p, incr)
-    full = simulate_full(model, chart.eval(np.asarray(x0, dtype=float)), cfg, p, incr)
+    """One path of the coupled comparison, run as an ensemble of that path alone
+    with one distance solve per recorded step."""
+    incr = wiener_increments(cfg.seed, [p], cfg.n_steps, model.n_noise, cfg.dt)
+    reduced = simulate_reduced(model, chart, x0, cfg, [p], incr)
+    full = simulate_full(model, chart.eval(np.asarray(x0, dtype=float)), cfg, [p], incr)
     geo = model.geometry
     n_rec = min(len(reduced.times), len(full.times))
     err = np.zeros(n_rec)
@@ -627,19 +686,19 @@ def _per_path(model, chart, x0, cfg, p):
     seeds = sample_points(SamplingSpec(per_axis, margin_frac=0.0), chart.domain)
     images = chart.eval(seeds)
     for step in range(n_rec):
-        y = full.states[step]
-        err[step] = geo.norm_diff(y, chart.eval(reduced.xs[step]))
+        y = full.states[step]  # a one-row batch
+        err[step] = geo.norm_diff(y, chart.eval(reduced.xs[step]))[0]
         if cfg.record_distance:
             # start from the nearest seed image when it is closer than the reduced coordinate's
-            gaps = geo.norm_diff(y, images)
+            gaps = geo.norm_diff(y.rows(0), images)
             near = int(np.argmin(gaps))
-            start = seeds[near] if gaps[near] < err[step] else reduced.xs[step]
+            start = seeds[near] if gaps[near] < err[step] else reduced.xs[step, 0]
             res = distance_to_manifold(chart, y, start, geo, step_tol=1e-5)
-            dist[step] = res.distance
+            dist[step] = res.distance[0]
             unconverged[step] = not res.converged
-    exit_step = reduced.exit_step if reduced.exited else full.exit_step
-    flags = (reduced.exited, full.exploded, exit_step)
-    return reduced.xs[:n_rec], err, dist, unconverged, flags
+    exit_step = reduced.exit_step[0] if reduced.exited[0] else full.exit_step[0]
+    flags = (reduced.exited[0], full.exploded[0], exit_step)
+    return reduced.xs[:n_rec, 0], err, dist, unconverged, flags
 
 
 def _assert_matches_per_path(model, chart, x0, cfg, dist_atol=1e-12):
@@ -755,11 +814,11 @@ def test_ensemble_increments_are_the_per_path_tables():
     table = wiener_increments(42, [0, 3, 5], 6, 2, 1e-3)
     assert table.shape == (3, 6, 2)
     for row, p in zip(table, (0, 3, 5)):
-        np.testing.assert_array_equal(row, wiener_increments(42, p, 6, 2, 1e-3))
+        np.testing.assert_array_equal(row, wiener_increments(42, [p], 6, 2, 1e-3)[0])
 
 
 def test_increments_match_a_fresh_generator_per_entry():
-    table = wiener_increments(2024, 3, 4, 2, 1e-3)
+    table = wiener_increments(2024, [3], 4, 2, 1e-3)[0]
     for step in range(4):
         for j in range(2):
             bits = np.random.Philox(key=2024, counter=[0, 3, step, j])
@@ -844,7 +903,7 @@ def test_summary_reports_the_ensemble_spill():
     cfg = SimConfig(horizon=0.01, dt=1e-3, paths=2, seed=12)
     rec = coupled_compare(model, chart, [0.2], cfg)
     y0 = chart.eval(np.array([0.2]))
-    spills = [simulate_full(model, y0, cfg, p).max_spill for p in range(2)]
+    spills = [simulate_full(model, y0, cfg, [p]).max_spill[0] for p in range(2)]
     assert rec.summary["max_spill"] == pytest.approx(max(spills), rel=1e-12)
     assert rec.summary["max_spill"] > 0.0
 
