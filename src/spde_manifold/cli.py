@@ -106,9 +106,17 @@ def _manifest(command: str, cfg: dict, seed: int, outputs, summary) -> dict:
     }
 
 
+def _made_root(arg) -> Path:
+    """The output root, made before any work, so that one that cannot be made
+    fails first; the run directory under it is made only once the work is done."""
+    root = _out_root(arg)
+    root.mkdir(parents=True, exist_ok=True)
+    return root
+
+
 def _run_dir(root: Path, command: str, cfg: dict, seed: int) -> Path:
     path = root / f"{command}-{config_hash(cfg)[:12]}-seed{seed}"
-    path.mkdir(parents=True, exist_ok=True)
+    path.mkdir(exist_ok=True)
     return path
 
 
@@ -123,9 +131,10 @@ def _sim_config(cfg, seed):
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     seed = _sim_config(cfg, args.seed).seed
+    root = _made_root(args.out)
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg), metadata={"config_hash": config_hash(cfg)})
-    rundir = _run_dir(_out_root(args.out), "check", cfg, seed)
+    rundir = _run_dir(root, "check", cfg, seed)
     _write_json(rundir / "report.json", report)
     header, rows = report.to_csv_rows()
     _write_csv(rundir / "report.csv", header, rows)
@@ -157,6 +166,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     sim_cfg = _sim_config(cfg, args.seed)
     seed = sim_cfg.seed
+    root = _made_root(args.out)
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg))
     record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
@@ -168,7 +178,7 @@ def _cmd_simulate(args) -> int:
     summary["reduced_table_error"] = None if cfg["check"]["jac_mode"] == "fd" else max(
         float(np.nanmax(abs(g), initial=0.0)) for g in gaps
     )
-    rundir = _run_dir(_out_root(args.out), "simulate", cfg, seed)
+    rundir = _run_dir(root, "simulate", cfg, seed)
     header, rows = record.to_csv_rows()
     _write_csv(rundir / "trajectory.csv", header, rows)
     manifest = _manifest("simulate", cfg, seed, ["trajectory.csv", "manifest.json"], summary)

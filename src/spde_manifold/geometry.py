@@ -55,6 +55,17 @@ def _outband(d: int, order: int, work_order: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _mass_split(d: int, order: int, work_order: int, q: float) -> np.ndarray:
+    """Flat (order + 1)^d by 2: the norm weights of the indices kept at the working
+    order in the first column, of those beyond it in the second."""
+    w = hermite_weights(d, order, q).ravel()
+    beyond = (order_grid(d, order) > work_order).ravel()
+    out = np.stack([np.where(beyond, 0.0, w), np.where(beyond, w, 0.0)], axis=1)
+    out.setflags(write=False)
+    return out
+
+
 class HermiteGeometry:
     """Spectral states of dimension d at working order N under the mid norm.
 
@@ -98,14 +109,9 @@ class HermiteGeometry:
         if state.N <= self.work_order:
             return np.zeros(state.batch) if state.batch else 0.0
         f = self.flat(state)
-        ratio = spill_ratios(*self._spill_sums(self.weight_vector(state.N) * f * f, state.N))
+        wff, add = self.weight_vector(state.N) * f * f, np.add.reduce
+        ratio = spill_ratios(add(wff[..., _outband(self.d, state.N, self.work_order)], -1), add(wff, -1))
         return ratio if state.batch else float(ratio)
-
-    def _spill_sums(self, wff: np.ndarray, order: int):
-        """Per row, the part beyond the working order of the weighted squares
-        ``wff`` (flat at ``order`` > work_order), and their total."""
-        add = np.add.reduce
-        return add(wff[..., _outband(self.d, order, self.work_order)], -1), add(wff, -1)
 
     def truncate_to_work(self, state: SpectralState) -> SpectralState:
         return state.truncated(self.work_order)
@@ -113,22 +119,20 @@ class HermiteGeometry:
     def truncate_rows(self, c: np.ndarray):
         """Coefficient tensors projected onto the working order, as ``truncate_to_work``,
         flat, with the mid norm of what is kept per row and, where c reaches above
-        the working order, the (beyond, total) weighted-square sums per row that
-        ``spill_ratios`` turns into the relative mass cut off (else None)."""
+        the working order, the weighted-square sums per row (P, 2), kept and beyond
+        it, from one product (else None); ``spill_ratios`` of the second over their
+        total is the relative mass cut off."""
         order, lead = c.shape[-1] - 1, c.shape[: c.ndim - self.d]
         f = c.reshape(lead + (-1,))
-        wff = self.weight_vector(order) * f * f
         if order <= self.work_order:
-            return f, _sqrt(wff.sum(-1)), None
-        sums = self._spill_sums(wff, order)
-        keep = (Ellipsis,) + (slice(0, self.work_order + 1),) * self.d
-
-        def cut(a):  # the working-order part, masked as a state at that order is
-            kept = a.reshape(c.shape)[keep]
-            return _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
-
-        # a weight depends on the total order alone: the kept part of wff is w f f of the kept f
-        return cut(f), _sqrt(cut(wff).sum(-1)), sums
+            return f, _sqrt((self.weight_vector(order) * f * f).sum(-1)), None
+        masses = (f * f) @ _mass_split(self.d, order, self.work_order, self.scale.q_mid)
+        if self.d == 1:
+            kept = f[..., : self.work_order + 1]
+        else:  # the working-order block, masked as a state at that order is
+            kept = c[(Ellipsis,) + (slice(0, self.work_order + 1),) * self.d]
+            kept = _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
+        return kept, np.sqrt(masses[..., 0]), masses
 
     def tensor(self, f: np.ndarray, order: int) -> np.ndarray:
         """Flat coefficient rows at ``order`` as the states' arrays (a view)."""

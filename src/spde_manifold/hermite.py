@@ -38,6 +38,8 @@ __all__ = [
     "second_derivative",
     "derivative_coeffs",
     "second_derivative_coeffs",
+    "ladder_stack",
+    "derivative_stack",
     "add_block",
     "weighted_sum",
     "translate",
@@ -482,6 +484,32 @@ def second_derivative_coeffs(c: np.ndarray, d: int, n: int, axes) -> np.ndarray:
         return c @ ladder_matrix(n, 2).T
     i, j = sorted(int(a) for a in axes)
     return derivative_coeffs(derivative_coeffs(c, d, n, i), d, n + 1, j)
+
+
+@lru_cache(maxsize=None)
+def ladder_stack(n: int) -> np.ndarray:
+    """The d=1 identity, first and second derivatives from order n to n + 2, side
+    by side: c @ this is [c, D c, D^2 c], each at order n + 2, for rows c.  Shape
+    (n + 1, 3 (n + 3)); built on first use and cached per n."""
+    out = np.zeros((3, n + 3, n + 1))
+    out[0, : n + 1] = np.eye(n + 1)
+    out[1, : n + 2] = ladder_matrix(n, 1)
+    out[2] = ladder_matrix(n, 2)
+    out = out.reshape(-1, n + 1).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+def derivative_stack(c: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The batch of order-n tensors c, its first derivatives d_i c, then its second
+    derivatives d_i d_l c for i <= l (lexicographic), each flat at order n + 2:
+    shape (P, 1 + d + d (d + 1) / 2, (n + 3)^d), by the ladder recurrence.  At d = 1
+    it is c @ ``ladder_stack`` (n), up to rounding."""
+    rows = c.shape[0]
+    firsts = [derivative_coeffs(c, d, n, i) for i in range(d)]
+    seconds = [derivative_coeffs(firsts[i], d, n + 1, l) for i in range(d) for l in range(i, d)]
+    terms = [_pad_tensor(c, d, n, n + 2)] + [_pad_tensor(t, d, n + 1, n + 2) for t in firsts] + seconds
+    return np.stack([t.reshape(rows, -1) for t in terms], axis=1)
 
 
 def second_derivative(state: SpectralState, axes=(0, 0)) -> SpectralState:

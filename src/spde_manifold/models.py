@@ -2,23 +2,28 @@
 
 Two families share one small protocol (``geometry``, ``n_noise``,
 ``drift``, ``diffusion``, optional ``diffusion_derivative`` and
-``euler_sum``).  Each callable takes one state or a batch of states (one
+``step_sum``).  Each callable takes one state or a batch of states (one
 row per path) and returns states with the same leading path axis, or
 single states that hold on every path (constant noise fields).
-``euler_sum`` is the array kernel the full-space Euler loop calls: the
-live paths' coefficient arrays and increments in, the step's sum
-y + drift dt + sum_j A^j dW^j out, written into one buffer.  The families:
+``step_sum`` is the array kernel the full-space loop calls: the live
+paths' coefficient arrays and increments in, the commutative-form
+Milstein step y + drift dt + sum_j A^j dW^j
++ 1/2 sum_jk DA^k(y)[A^j(y)] (dW^j dW^k - delta_jk dt) out, in one buffer.
+The families:
 
 * transport models whose coefficients are dual pairings against the
-  state, with quadratic transport drift and linear transport noise;
+  state, with quadratic transport drift and linear transport noise; their
+  step is one weighted sum of the state's first and second derivatives and
+  of the constant fields and their first derivatives, with per-row weights
+  from one pairing product;
 * a divergence-form grid model with exponent p >= 2 on the unit
-  interval (p == 2 reduces exactly to the second-difference operator).
+  interval (p == 2 reduces exactly to the second-difference operator),
+  whose additive noise has no Milstein term.
 
 Each family computes on arrays once, in its kernel pieces (the
 transport model's stacked pairings, drift and paired fields over ladder
 derivatives, the grid model's flux differences); its state methods only
-wrap arrays into states at the edge, and ``euler_sum`` adds the same
-terms into its buffer, with the same roundings.
+wrap arrays into states at the edge.
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -41,6 +46,9 @@ from .hermite import (
     _pad_tensor,
     add_block,
     derivative_coeffs,
+    derivative_stack,
+    ladder_stack,
+    pair,
     second_derivative_coeffs,
     weighted_sum,
 )
@@ -116,28 +124,45 @@ class ItoTypeModel:
         c = self._coeffs(y)
         return _state(self.d, _drift(self, c, _pairings(self, c, y.N))[0])
 
-    def euler_sum(self, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-        """One Euler step on arrays: c + drift dt + sum_j A^j dW^j for the order-n
-        coefficient tensors c of P paths and their increments dw, shape
-        (P, n_noise), written into one buffer at the largest order of its terms
-        in this order: drift dt, then c, then each noise field times its
-        increment.  A noise term is skipped where its increments or its field
-        vanish on every path."""
-        d = self.d
-        p = _pairings(self, c, c.shape[-1] - 1)
-        acc, partials = _drift(self, c, p)
-        acc *= dt
-        acc = add_block(acc, c, d)
-        for j in range(self.n_noise):
-            w = dw[:, j]
-            if not np.count_nonzero(w):
-                continue
-            if j < self.J:
-                field = _paired_field(partials, p[d + j * d : d + j * d + d])
-            else:
-                field = self.extra_fields[j - self.J].coeffs
-            if np.count_nonzero(field):
-                acc = add_block(acc, field * _rows(w, d), d)
+    @cached_property
+    def _step_tables(self) -> dict:
+        """(state order, step) -> ``_StepTables`` of the Milstein step, built on first use."""
+        return {}
+
+    def step_sum(self, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+        """One Milstein step on arrays for the order-n coefficient tensors c of P
+        paths and their increments dw, shape (P, n_noise), in one new buffer at
+        the largest order of its terms:
+
+            c + sum_i alpha_i d_i c + sum_{i<=l} gamma_il d_i d_l c
+              + sum_e (dW_e f_e + sum_i eps_ie d_i f_e),
+
+        f_e the constant fields.  With s_ji = <sigma[j][i], y>, S_i = sum_j
+        s_ji dW_j, q_kil = <sigma[k][i], d_l y> and H_jk = dW_j dW_k - delta_jk dt:
+        alpha_i = -<b_i, y> dt - S_i + 1/2 sum_jkl s_jl q_kil H_jk
+        - 1/2 sum_ke <sigma[k][i], f_e> dW_k dW_e, gamma the products S_i S_l / 2
+        (summed over both orders off the diagonal), and eps_ie = -S_i dW_e / 2.
+        Every weight is a quadratic form in the products v (x) pp of
+        v = (dW, 1) and pp = (1, pairings): per row the product of v (x) pp with
+        a fixed tensor, contracted with v (x) pp again.  The sum is one weighted
+        contraction of c and its derivatives (``derivative_stack``), plus the
+        forcing by the constant fields.  At d = 1 the pairings and the
+        derivatives come from one product."""
+        d, n, rows = self.d, c.shape[-1] - 1, c.shape[0]
+        tables = self._step_tables.get((n, dt))
+        if tables is None:
+            tables = self._step_tables[n, dt] = _StepTables.build(self, n, dt)
+        n_noise = dw.shape[1]
+        prod = c.reshape(rows, -1) @ tables.matrix
+        u = np.concatenate((dw, np.ones((rows, 1)), prod[:, : tables.n_pairs]), axis=1)
+        vp = (u[:, : n_noise + 1, None] * u[:, None, n_noise:]).reshape(rows, 1, -1)  # v (x) pp
+        w = vp @ (vp[:, 0] @ tables.weights).reshape(rows, vp.shape[-1], -1)  # (P, 1, terms)
+        terms = tables.n_derivs
+        x = prod[:, tables.n_pairs :].reshape(rows, terms, -1) if d == 1 else derivative_stack(c, d, n)
+        acc = (w[..., :terms] @ x).reshape((rows,) + (n + 3,) * d)
+        if tables.fields is not None:
+            forced = (w[:, 0, terms:] @ tables.fields).reshape((rows,) + tables.field_shape)
+            acc = add_block(acc, forced, d)
         return acc
 
     def diffusion(self, y: SpectralState) -> list:
@@ -234,6 +259,92 @@ def _state(d: int, c: np.ndarray) -> SpectralState:
     return SpectralState(d, c.shape[-1] - 1, c)
 
 
+def _to_order(c: np.ndarray, d: int, n_from: int, n_to: int) -> np.ndarray:
+    """The order-n_from tensor c cut or zero padded to order n_to."""
+    if n_from >= n_to:
+        return c[(Ellipsis,) + (slice(0, n_to + 1),) * d]
+    return _pad_tensor(c, d, n_from, n_to)
+
+
+@dataclass(frozen=True)
+class _StepTables:
+    """The fixed arrays of ``ItoTypeModel.step_sum`` at one state order and step.
+
+    The first ``n_pairs`` columns of ``matrix`` (flat coefficients by
+    columns) pair an order-n state with b_i, then sigma[j][i] (j-major), then
+    -d_l sigma[k][i] ((k, i, l)-major), whose pairing is <sigma[k][i], d_l y>;
+    each dual is cut or padded to order n, since the state has no coefficient
+    above it.  At d = 1 ``ladder_stack`` follows, so that one product gives
+    the pairings and ``derivative_stack``.  ``weights`` holds, for each pair
+    of products v_f pp_a and v_g pp_b (flat f-major, by rows and then by
+    blocks of columns), the coefficient of v_f pp_a v_g pp_b in the weight
+    of each term: the ``n_derivs`` arrays of ``derivative_stack``, then the
+    constant fields f_e and their first derivatives d_i f_e (i-major), whose
+    flat coefficients ``fields`` holds (None without constant fields).  Here
+    v is the increments and 1, and pp is 1 and the pairings."""
+
+    matrix: np.ndarray
+    n_pairs: int
+    weights: np.ndarray
+    n_derivs: int
+    fields: np.ndarray | None
+    field_shape: tuple
+
+    @classmethod
+    def build(cls, model: ItoTypeModel, n: int, dt: float) -> "_StepTables":
+        d, J, fixed = model.d, model.J, model.extra_fields
+        E, n_noise = len(fixed), model.n_noise
+        sigma = [dual for row in model.sigma for dual in row]
+        columns = [_to_order(g.coeffs, d, g.N, n) for g in model.b + tuple(sigma)]
+        for g in sigma:
+            columns += [_to_order(-derivative_coeffs(g.coeffs, d, g.N, l), d, g.N + 1, n) for l in range(d)]
+        duals = np.stack([col.reshape(-1) for col in columns], axis=1)
+        matrix = np.ascontiguousarray(np.hstack([duals, ladder_stack(n)]) if d == 1 else duals)
+
+        n_pairs, one = duals.shape[1], n_noise  # the v index of the constant 1
+        pairs = [(i, l) for i in range(d) for l in range(i, d)]
+        n_derivs = 1 + d + len(pairs)
+        w = np.zeros(((n_noise + 1) * (n_pairs + 1),) * 2 + (n_derivs + E + d * E,))
+
+        def add(left, right, term, value):
+            """Add value to the coefficient of the monomial v_f pp_a v_g pp_b, left = (f, a)
+            and right = (g, b), in the weight of the term."""
+            w[left[0] * (n_pairs + 1) + left[1], right[0] * (n_pairs + 1) + right[1], term] += value
+
+        def s(j, i):  # the pp index of <sigma[j][i], y>
+            return 1 + d + j * d + i
+
+        def q(k, i, l):  # the pp index of <sigma[k][i], d_l y>
+            return 1 + d + J * d + (k * d + i) * d + l
+
+        add((one, 0), (one, 0), 0, 1.0)  # c itself
+        for i in range(d):  # alpha_i, the weight of d_i c
+            add((one, 0), (one, 1 + i), 1 + i, -dt)
+            for j in range(J):
+                add((j, s(j, i)), (one, 0), 1 + i, -1.0)
+                for k in range(J):
+                    for l in range(d):
+                        add((j, s(j, l)), (k, q(k, i, l)), 1 + i, 0.5)
+                        if j == k:
+                            add((one, s(j, l)), (one, q(k, i, l)), 1 + i, -0.5 * dt)
+                for e, f in enumerate(fixed):
+                    add((j, 0), (J + e, 0), 1 + i, -0.5 * pair(model.sigma[j][i], f))
+                    add((j, s(j, i)), (J + e, 0), n_derivs + E + i * E + e, -0.5)
+        for col, (i, l) in enumerate(pairs, start=1 + d):
+            for j in range(J):
+                for k in range(J):
+                    add((j, s(j, i)), (k, s(k, l)), col, 0.5 if i == l else 1.0)
+        for e in range(E):
+            add((J + e, 0), (one, 0), n_derivs + e, 1.0)
+        fields, top = None, max([f.N + 1 for f in fixed], default=0)
+        if fixed:
+            forced = [f.coeffs for f in fixed] + [
+                derivative_coeffs(f.coeffs, d, f.N, i) for i in range(d) for f in fixed
+            ]
+            fields = np.stack([_pad_tensor(t, d, t.shape[-1] - 1, top).reshape(-1) for t in forced])
+        return cls(matrix, n_pairs, w.reshape(w.shape[0], -1), n_derivs, fields, (top + 1,) * d)
+
+
 # -- divergence-form grid model ----------------------------------------------
 
 
@@ -271,9 +382,10 @@ class PLaplaceModel:
             raise ValueError("grid size mismatch")
         return GridState(_plaplace(self, y.values))
 
-    def euler_sum(self, v: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-        """One Euler step on arrays, as ``ItoTypeModel.euler_sum``: v + drift dt +
-        sum_j field_j dW^j for the grid values v of P paths, in one buffer."""
+    def step_sum(self, v: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+        """One step on arrays, as ``ItoTypeModel.step_sum``: v + drift dt +
+        sum_j field_j dW^j for the grid values v of P paths, in one buffer; the
+        fields are constant, so the Milstein term vanishes."""
         acc = _plaplace(self, v)
         acc *= dt
         acc += v

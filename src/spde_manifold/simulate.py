@@ -1,17 +1,22 @@
-"""Euler-Maruyama simulation, full-space and chart-reduced, plus coupling.
+"""Milstein simulation, full-space and chart-reduced, plus coupling.
 
-Both integrators consume the same counter-based noise stream (Philox,
-keyed by seed and indexed by path/step/component), so a full-space path
-and its reduced counterpart can be driven by identical increments.  Given
-a sequence of path indices, each integrator steps that whole ensemble at
-once: the live paths form one batch, so every drift, diffusion, frame and
-distance evaluation covers all of them.  A full step is one call of the
-model's array kernel, which writes the step's sum into one buffer; the
-spill it cuts off is taken from sums recorded per step once the run ends.
-The reduced run tabulates its coefficients, which depend on the chart
-coordinate alone, once per run on the chart box, and certifies there when
-it can that no frame degenerates, so that a certified step reads a and
-beta alone; exits are settled from the recorded steps every
+Both integrators take the same scheme: the commutative-form Milstein step
+(Kloeden & Platen, 1992, section 10.3), or Euler-Maruyama for a custom
+model that has neither ``step_sum`` nor ``diffusion_derivative``; the
+scheme is of strong order 1 where the noise commutes, and of order 1/2
+otherwise (no Levy areas are drawn).  Both consume the same counter-based
+noise table (Philox, one stream per seed, path and component), so a
+full-space path and its reduced counterpart can be driven by identical
+increments.  Given a sequence of path indices, each integrator steps that
+whole ensemble at once: the live paths form one batch, so every drift,
+diffusion, frame and distance evaluation covers all of them.  A full step
+is one call of the model's array kernel, which writes the step's sum into
+one buffer; the spill it cuts off is taken from sums recorded per step
+once the run ends.  The reduced run tabulates its step's outputs, which
+depend on the chart coordinate alone, once per run on the chart box, and
+certifies there when it can that no frame degenerates, so that a
+certified step is one contraction of the Chebyshev basis against the
+step's increment monomials; exits are settled from the recorded steps every
 ``SETTLE_STEPS`` steps.  The coupled comparison advances both, measures the
 distance from the full state to the chart at every recorded step with one
 damped Newton solve per row, started from the reduced coordinate or from
@@ -111,24 +116,26 @@ def _path_indices(paths) -> np.ndarray:
 def wiener_increments(seed: int, paths, n_steps: int, n_noise: int, dt: float) -> np.ndarray:
     """Deterministic increment table (P, n_steps, n_noise) of the path indices ``paths``.
 
-    Entry (p, step, j) is the first normal draw of the Philox stream keyed
-    by ``seed`` at counter [0, paths[p], step, j] (Salmon et al., SC'11), so
-    extending the run in steps, components or paths never perturbs values
-    drawn before; one bit generator, reset before each draw, serves them all."""
+    Entry (p, step, j) is normal draw ``step`` of the Philox stream keyed by
+    ``seed`` from counter [0, paths[p], j, 0] (Salmon et al., SC'11): one
+    stream per path and component, drawn in one call, so extending the run in
+    steps, components or paths never perturbs values drawn before."""
     paths = _path_indices(paths)
-    bits = np.random.Philox(key=seed)
-    normal = np.random.Generator(bits).standard_normal
-    state = bits.state
-    counter = state["state"]["counter"]
     out = np.empty((paths.size, n_steps, n_noise))
     for p, path in enumerate(paths):
-        for step in range(n_steps):
-            for j in range(n_noise):
-                counter[1:] = (path, step, j)
-                bits.state = state
-                out[p, step, j] = normal()
+        for j in range(n_noise):
+            bits = np.random.Philox(key=seed, counter=[0, path, j, 0])
+            out[p, :, j] = np.random.Generator(bits).standard_normal(n_steps)
     out *= np.sqrt(dt)
     return out
+
+
+def _scheme(model) -> str:
+    """The scheme both runs of ``model`` take: "milstein" where the model has a
+    ``step_sum`` (the Milstein step of its own family) or the derivative of its
+    noise fields, ``diffusion_derivative``; "euler" otherwise."""
+    milstein = hasattr(model, "step_sum") or hasattr(model, "diffusion_derivative")
+    return "milstein" if milstein else "euler"
 
 
 def _ensemble(paths, cfg: SimConfig, n_noise: int, increments):
@@ -181,33 +188,34 @@ class FullPath:
 
 
 def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath:
-    """Explicit Euler paths of dY = L(Y) dt + sum_j A^j(Y) dW^j in the ambient space.
+    """Milstein paths of dY = L(Y) dt + sum_j A^j(Y) dW^j in the ambient space.
 
     The 1-D path indices ``paths`` are stepped at once from y0 (one state for
     every path, or a batch), on the given (P, n_steps, n_noise) increments or
     on ``wiener_increments``.  The trajectory is one array, flat at the working
-    order.  Each step is one call of ``model.euler_sum`` (or, for a model
-    without it, of ``drift`` and ``diffusion`` on one batch state), which
-    writes the live paths' y + drift dt + sum_j A^j dW^j into one buffer, then
-    the truncation back to the working order and the explosion test on that
-    buffer.  The weighted-square sums that give the discarded relative mass
-    are recorded per step; ``max_spill`` is taken from them once the loop
-    ends.  A state whose norm passes the ceiling marks its path exploded and
-    freezes it there.
+    order.  Each step is one call of ``model.step_sum`` (or, for a model
+    without it, of the state methods on one batch state, ``_state_sum``),
+    which writes the live paths' step into one buffer, then the truncation
+    back to the working order and the explosion test on that buffer.  The
+    weighted-square sums that give the discarded relative mass are recorded
+    per step; ``max_spill`` is taken from them once the loop ends.  A state
+    whose norm passes the ceiling marks its path exploded and freezes it there.
     """
     geo = model.geometry
     n_steps = cfg.n_steps
     paths, noise = _ensemble(paths, cfg, model.n_noise, increments)
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
-    step_sum = getattr(model, "euler_sum", None) or functools.partial(_state_sum, model, order)
+    step_sum = getattr(model, "step_sum", None) or functools.partial(
+        _state_sum, model, order, _scheme(model) == "milstein"
+    )
     flat = geo.flat(y, order)
     ys = np.empty((n_steps + 1, paths.size) + flat.shape[-1:])
     ys[0] = flat
     tensors = geo.tensor(ys, order)  # the same memory, as the kernels' arrays
-    # per step and path, the weighted squares beyond the working order and in all, from
-    # the first step that cuts any; zero where nothing was recorded, which reads as no spill
-    beyond = total = None
+    # per step and path, the weighted squares kept at the working order and beyond it,
+    # from the first step that cuts any; zero where nothing was recorded: no spill
+    masses = None
     exploded = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
     live = np.arange(paths.size)
@@ -216,11 +224,11 @@ def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath
         if not live.size:
             break
         rows = slice(None) if live.size == paths.size else live  # no gather while all live
-        y_next, size, sums = geo.truncate_rows(step_sum(tensors[step, rows], dt, noise[step, rows]))
-        if sums is not None:
-            if beyond is None:
-                beyond, total = np.zeros((2, n_steps, paths.size))
-            beyond[step, rows], total[step, rows] = sums
+        y_next, size, cut = geo.truncate_rows(step_sum(tensors[step, rows], dt, noise[step, rows]))
+        if cut is not None:
+            if masses is None:
+                masses = np.zeros((n_steps, paths.size, 2))
+            masses[step, rows] = cut
         if live.size < paths.size:
             ys[step + 1] = ys[step]  # exploded paths stay frozen
         ys[step + 1, rows] = y_next
@@ -231,20 +239,29 @@ def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath
                 exploded[k], exit_step[k] = True, step + 1
             live = live[kept]
     max_spill = np.zeros(paths.size)
-    if beyond is not None:
-        max_spill = np.maximum(max_spill, spill_ratios(beyond[:done], total[:done]).max(axis=0))
+    if masses is not None:
+        kept, beyond = np.moveaxis(masses[:done], -1, 0)
+        max_spill = np.maximum(max_spill, spill_ratios(beyond, kept + beyond).max(axis=0))
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
     return FullPath(times, ys[: done + 1], exploded, exit_step, max_spill, geo, order)
 
 
-def _state_sum(model, order, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    """``euler_sum`` for a model with only ``drift`` and ``diffusion``: both called
-    on one batch state of the rows c, their terms summed in the kernels' order."""
+def _state_sum(model, order, milstein: bool, c: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
+    """``step_sum`` for a model without it: ``drift`` and ``diffusion`` called on
+    one batch state of the rows c, and with ``milstein`` the term
+    1/2 sum_jk DA^k(y)[A^j(y)] (dW_j dW_k - delta_jk dt) from
+    ``diffusion_derivative``; a term that vanishes on every path is skipped."""
     y = model.geometry.state_from_flat(c.reshape(c.shape[:1] + (-1,)), order)
+    fields = model.diffusion(y)
     terms = [(model.drift(y).array, dt), (c, 1.0)]
-    for j, a_field in enumerate(model.diffusion(y)):
+    for j, a_field in enumerate(fields):
         if np.count_nonzero(dw[:, j]) and np.count_nonzero(a_field.array):
             terms.append((a_field.array, dw[:, j]))
+    for j, a_field in enumerate(fields if milstein else ()):
+        for k in range(len(fields)):
+            term = model.diffusion_derivative(y, a_field, k).array
+            if np.count_nonzero(term):
+                terms.append((term, 0.5 * (dw[:, j] * dw[:, k] - (dt if j == k else 0.0))))
     return weighted_sum(terms, c.ndim - 1)
 
 
@@ -267,49 +284,118 @@ class ReducedTableError(RuntimeError):
 @dataclass
 class ReducedTable:
     """Chebyshev coefficients (K,) * m + (F,) of a, beta and the weighted frame
-    columns; ``certified`` when no point of the box can fail ``rank_deficient``
-    on the interpolated columns (``_certified``)."""
+    columns, and ``step``, (K,) * m + (S m,), of the reduced step's outputs
+    against its S increment monomials (``_step_coeffs``); ``certified`` when no
+    point of the box can fail ``rank_deficient`` on the interpolated columns
+    (``_certified``)."""
 
     domain: np.ndarray
     coeffs: np.ndarray
     n_noise: int
     nodes: int
+    step: np.ndarray
     certified: bool = False
 
     def __post_init__(self):
         m = self.domain.shape[0]
-        # the a and beta outputs, contiguous, for ``coefficients``; at least two, since
-        # einsum sums a lone output's products in another order than those of several
-        self._ab = np.ascontiguousarray(self.coeffs[..., : max((self.n_noise + 1) * m, 2)])
+        # the columns and the step's outputs, contiguous, for ``columns`` and ``increment``;
+        # the step's padded to two outputs at least, since einsum sums a lone output's
+        # products in another order than those of several
+        self._cols = np.ascontiguousarray(self.coeffs[..., (self.n_noise + 1) * m :])
+        pad = np.zeros(self.step.shape[:-1] + (max(0, 2 - self.step.shape[-1]),))
+        self._step = np.ascontiguousarray(np.concatenate([self.step, pad], axis=-1))
         self._orders = np.arange(self.coeffs.shape[0])
         self._lo, self._hi = self.domain.T
         self._width = self._hi - self._lo
         axes = "ABCDEFGHIJKL"[:m]
-        self._spec = ",".join("p" + c for c in axes) + f",{axes}f->pf"
+        bases = ",".join("p" + c for c in axes)
+        self._spec = f"{bases},{axes}f->pf"
 
-    def _values(self, x, coeffs):
-        """The outputs of ``coeffs`` at a (P, m) batch of points."""
+    def basis(self, x) -> np.ndarray:
+        """The Chebyshev basis T_k at a (P, m) batch of points: (m, P, K), one (P, K)
+        array per axis."""
         # the clip absorbs rounding at the box edge, and holds a path that has left the
         # box, stepped on until its exit is settled, at the edge
         u = np.minimum(np.maximum((2.0 * x - self._lo - self._hi) / self._width, -1.0), 1.0)
-        t = np.cos(np.arccos(u)[..., None] * self._orders)
+        return np.cos(np.arccos(u).T[..., None] * self._orders)
+
+    def _values(self, t, coeffs):
+        """The outputs of ``coeffs`` on the basis t."""
         # einsum without optimize: a row's rounding does not depend on the row count,
         # nor, among two outputs or more, on the others
-        return np.einsum(self._spec, *t.swapaxes(0, 1), coeffs)
+        return np.einsum(self._spec, *t, coeffs)
 
     def __call__(self, x):
         """(a, beta, columns) at a (P, m) batch of points in the box."""
         (p, m), i = x.shape, self.n_noise * x.shape[1]
-        v = self._values(x, self.coeffs)
+        v = self._values(self.basis(x), self.coeffs)
         a, beta, cols = v[:, :i], v[:, i : i + m], v[:, i + m :]
         return a.reshape(p, self.n_noise, m), beta, cols.reshape(p, cols.shape[1] // m, m)
 
-    def coefficients(self, x):
-        """(a, beta) at a (P, m) batch of points, the values ``__call__`` gives,
-        from their coefficients alone."""
-        (p, m), i = x.shape, self.n_noise * x.shape[1]
-        v = self._values(x, self._ab)
-        return v[:, :i].reshape(p, self.n_noise, m), v[:, i : i + m]
+    def columns(self, t):
+        """The columns ``__call__`` gives, (P, n, m), on the basis t of ``basis``."""
+        cols = self._values(t, self._cols)
+        return cols.reshape(cols.shape[0], -1, self.domain.shape[0])
+
+    def increment(self, t, monomials):
+        """One reduced step's increment (P, m) on the basis t of ``basis``: the step's
+        outputs there contracted with its (P, S) increment monomials (``_monomials``)."""
+        outputs = self._values(t, self._step)
+        if outputs.shape[1] > self.step.shape[-1]:  # the padding
+            outputs = outputs[:, : self.step.shape[-1]]
+        return (monomials[:, None, :] @ outputs.reshape(monomials.shape + (-1,)))[:, 0]
+
+
+def _chebyshev_coeffs(values: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Chebyshev coefficients (k,) * m + (F,) of values (k^m, F) at the first-kind
+    tensor nodes: c_k = (2/K) sum_j f_j T_k(u_j), c_0 halved, axis by axis, a DCT-II
+    from the FFT of the values and their mirror image."""
+    phase = np.exp(-0.5j * np.pi * np.arange(k) / k) / k
+    phase[0] *= 0.5
+    coeffs = values.reshape((k,) * m + (-1,))
+    for axis in range(m):
+        spectrum = np.fft.fft(np.concatenate([coeffs, np.flip(coeffs, axis)], axis), axis=axis)
+        coeffs = (spectrum.take(range(k), axis) * phase.reshape((k,) + (1,) * (m - axis))).real
+    return coeffs
+
+
+def _monomials(noise: np.ndarray, dt: float, milstein: bool) -> np.ndarray:
+    """The reduced step's increment monomials for increments (..., n): dt, each dW_j,
+    and with ``milstein`` each dW_j dW_k (j-major), on a last axis."""
+    parts = [np.full(noise.shape[:-1] + (1,), dt), noise]
+    if milstein:
+        parts.append((noise[..., :, None] * noise[..., None, :]).reshape(noise.shape[:-1] + (-1,)))
+    return np.concatenate(parts, axis=-1)
+
+
+def _step_coeffs(values, coeffs, domain, n_noise: int, milstein: bool) -> np.ndarray:
+    """Chebyshev coefficients (k,) * m + (S m,) of what the reduced step contracts
+    with ``_monomials``: beta - 1/2 sum_j (Da_j) a_j, each a_j and each 1/2 (Da_k) a_j,
+    so that x + dt beta + sum_j a_j dW_j + 1/2 sum_jk (Da_k) a_j (dW_j dW_k - delta_jk dt)
+    is one contraction; without ``milstein`` beta and each a_j.  Those of beta and a
+    are the table's own, ``coeffs``; Da is their series differentiated term by term,
+    read at the table nodes, where its products with a's ``values`` are fitted."""
+    m, k = domain.shape[0], coeffs.shape[0]
+    n_a = n_noise * m
+    beta, a = coeffs[..., n_a : n_a + m], coeffs[..., :n_a]
+    if not (milstein and n_noise):
+        return np.concatenate([beta, a], axis=-1)
+    # T_k and T_k' = k sin(k theta) / sin(theta) at the first-kind nodes cos(theta)
+    theta = (2 * np.arange(k) + 1) * np.pi / (2 * k)
+    at_nodes = np.cos(theta[:, None] * np.arange(k))
+    slope_at_nodes = np.arange(k) * np.sin(theta[:, None] * np.arange(k)) / np.sin(theta)[:, None]
+    slopes = []
+    for axis in range(m):  # d a / d x_axis at the nodes
+        v = a * (2.0 / (domain[axis, 1] - domain[axis, 0]))
+        for ax in range(m):
+            basis = slope_at_nodes if ax == axis else at_nodes
+            v = np.moveaxis(np.tensordot(basis, v, axes=([1], [ax])), 0, ax)
+        slopes.append(v.reshape(-1, n_noise, m))
+    slopes = np.stack(slopes, axis=1)  # (nodes, axis l, j, i): d a_ji / d x_l
+    half = 0.5 * np.einsum("nlki,njl->njki", slopes, values[:, :n_a].reshape(-1, n_noise, m))
+    half = _chebyshev_coeffs(half.reshape(half.shape[0], -1), k, m)  # 1/2 (Da_k) a_j, (j, k, i)
+    diagonal = half.reshape(half.shape[:-1] + (n_noise, n_noise, m)).diagonal(0, -3, -2).sum(-1)
+    return np.concatenate([beta - diagonal, a, half], axis=-1)
 
 
 def _singular_values(cols: np.ndarray) -> np.ndarray:
@@ -354,9 +440,10 @@ def _certified(cols: np.ndarray) -> bool:
 
 def reduced_table(model, param: Parametrization) -> ReducedTable:
     """Tabulate (a, beta) and the frame columns over the chart box, from one
-    ``reduced_coefficients`` call per row block of nodes, and certify the
-    columns' rank over the box.  A node whose frame degenerates, or a tail that
-    does not decay within the node budget, raises ReducedTableError."""
+    ``reduced_coefficients`` call per row block of nodes, certify the columns'
+    rank over the box, and tabulate the outputs of the model's scheme's step
+    (``_step_coeffs``) from the same nodes.  A node whose frame degenerates, or a
+    tail that does not decay within the node budget, raises ReducedTableError."""
     geo, m, (lo, hi) = model.geometry, param.m, param.domain.T
     n_a, k = model.n_noise * m, TABLE_FIRST_NODES
     while k > 4 and k**m > TABLE_NODE_BUDGET:  # 4 per axis still resolve a linear field
@@ -378,22 +465,16 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
             cols = np.broadcast_to(cols, (idx.size,) + cols.shape[-2:])
             values.append(np.hstack([v.reshape(idx.size, -1) for v in (a, beta, cols)]))
         values = np.concatenate(values)
-        # c_k = (2/K) sum_j f_j T_k(u_j), c_0 halved, axis by axis: a DCT-II,
-        # from the FFT of the values and their mirror image
-        phase = np.exp(-0.5j * np.pi * np.arange(k) / k) / k
-        phase[0] *= 0.5
-        coeffs = values.reshape((k,) * m + (-1,))
-        for axis in range(m):
-            spectrum = np.fft.fft(np.concatenate([coeffs, np.flip(coeffs, axis)], axis), axis=axis)
-            coeffs = (spectrum.take(range(k), axis) * phase.reshape((k,) + (1,) * (m - axis))).real
+        coeffs = _chebyshev_coeffs(values, k, m)
         tail = np.abs(coeffs[np.indices((k,) * m).max(axis=0) >= k - 2]).max(axis=0)
         scale = np.abs(values).max(axis=0)
         groups = (slice(0, n_a), slice(n_a, n_a + m), slice(n_a + m, None))
         tails = [(tail[g].max(initial=0.0), scale[g].max(initial=0.0)) for g in groups]
         if all(t <= TABLE_TAIL_TOL * s for t, s in tails):
             certified = _certified(coeffs[..., n_a + m :].reshape(coeffs.shape[:-1] + (-1, m)))
+            step = _step_coeffs(values, coeffs, param.domain, model.n_noise, _scheme(model) == "milstein")
             # .real is a strided view; every reduced step's einsum reads a contiguous copy faster
-            return ReducedTable(param.domain, np.ascontiguousarray(coeffs), model.n_noise, k**m, certified)
+            return ReducedTable(param.domain, np.ascontiguousarray(coeffs), model.n_noise, k**m, step, certified)
         k *= 2
     raise ReducedTableError(
         f"no Chebyshev table of at most {TABLE_NODE_BUDGET} nodes ({k // 2} per axis) resolves the "
@@ -417,15 +498,19 @@ class ReducedPath:
 def simulate_reduced(
     model, param: Parametrization, x0, cfg: SimConfig, paths, increments=None
 ) -> ReducedPath:
-    """Euler paths of the chart-coordinate equation dX = beta dt + a dW.
+    """Paths of the chart-coordinate equation dX = beta dt + a dW, in the scheme
+    of the full run: the Milstein step x + beta dt + a dW
+    + 1/2 sum_jk (Da_k) a_j (dW_j dW_k - delta_jk dt), or Euler's.
 
     The paths are stepped at once from x0 (one start for every path, or (P, m)
     starts), on increments as in ``simulate_full``.  Every live path reads its
-    coefficients from the table ``reduced_table`` builds once for the run.  A
-    path stops, flagged as exited, where it leaves the chart domain or where
+    step from the table ``reduced_table`` builds once for the run, as one
+    contraction of the Chebyshev basis at its point against the step's
+    increment monomials, formed for the whole run before the loop.  A path
+    stops, flagged as exited, where it leaves the chart domain or where
     the relative smallest singular value of its columns is at most
     ``RANK_FLOOR``, as in ``jacobian``; on a certified table no point can do
-    the latter, so the run reads only a and beta.  The live
+    the latter, so the run reads no columns.  The live
     paths take ``SETTLE_STEPS`` steps at a time, with the rank flags recorded
     per step where the table is not certified; then each path's first event
     in those steps, a degenerate frame before a step or a position outside
@@ -439,23 +524,21 @@ def simulate_reduced(
     if not param.contains(x).all():
         raise ValueError(f"x0 must lie in the chart box {param.domain.tolist()}, got {x0!r}")
     table = reduced_table(model, param)
+    monomials = _monomials(noise, cfg.dt, _scheme(model) == "milstein")
     traj = np.empty((n_steps + 1,) + x.shape)
     traj[0] = x
     degenerate = np.zeros(paths.size, dtype=bool)
     exit_step: list = [None] * paths.size
-    live, dt = np.arange(paths.size), cfg.dt
+    live = np.arange(paths.size)
     for start in range(0, n_steps, SETTLE_STEPS):
         stop = min(start + SETTLE_STEPS, n_steps)
         rows = slice(None) if live.size == paths.size else live  # no gather while all live
         bad = None if table.certified else np.zeros((stop - start, live.size), dtype=bool)
         for step in range(start, stop):
-            if bad is None:
-                a, beta = table.coefficients(x)
-            else:
-                a, beta, cols = table(x)
-                bad[step - start] = rank_deficient(_singular_values(cols))
-            dw = noise[step, rows]
-            x = x + beta * dt + (dw[:, None, :] @ a)[:, 0, :]
+            t = table.basis(x)
+            if bad is not None:
+                bad[step - start] = rank_deficient(_singular_values(table.columns(t)))
+            x = x + table.increment(t, monomials[step, rows])
             traj[step + 1, rows] = x
         # the first event of each path in these steps: a degenerate frame at a step
         # comes before that step's exit
@@ -616,6 +699,7 @@ def coupled_compare(
             float(path_err.std(ddof=1) / np.sqrt(path_err.size)) if path_err.size > 1 else None
         ),
         "max_spill": float(full.max_spill.max()),
+        "scheme": _scheme(model),
         "n_unconverged_distance": int(unconverged.sum()),
         "distance_iterations": iterations,
         "distance_newton_steps": newton_steps,

@@ -138,8 +138,9 @@ def test_criterion_6():
     runs, D(2dt)^2 / D(4dt); the recorded chart distance of the tangent
     preset must stay within ten times that, while the preset with one
     off-chart noise component must blow through the same bound on at
-    least 90% of paths by half the horizon.  The per-entry counter noise
-    makes the half-horizon run the exact first half of a full run.
+    least 90% of paths by half the horizon.  The counter noise, one stream
+    per path and component, makes the half-horizon run the exact first half
+    of a full run.
     """
     start = time.monotonic()
     cfg = load_config("ito_translation_d1")

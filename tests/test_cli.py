@@ -176,6 +176,21 @@ def test_unwritable_output_root_exit_one(command, tmp_path, capsys):
     assert str(blocker / "x") in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_unwritable_output_root_fails_before_the_work(command, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before making its output root")
+
+    monkeypatch.setattr(cli, "sweep", no_work)
+    monkeypatch.setattr(cli, "coupled_compare", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main([command, "--config", "ito_translation_d1", "--out", str(blocker / "x")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and str(blocker / "x") in captured.err
+
+
 def test_threads_option_is_gone(out_root, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", "ito_zero", "--threads", "2", "--out", str(out_root)])

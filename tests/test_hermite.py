@@ -14,9 +14,11 @@ from spde_manifold.hermite import (
     SpectralState,
     check_embedding,
     derivative,
+    derivative_stack,
     evaluate,
     gauss_hermite_rule,
     hermite_values,
+    ladder_stack,
     norm_at,
     pair,
     second_derivative,
@@ -196,6 +198,24 @@ def test_second_derivative_axes_commute():
     a = second_derivative(s, (0, 1))
     b = second_derivative(s, (1, 0))
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_derivative_stack_is_the_state_and_its_derivatives(rng, d):
+    n, rows = 5, 3
+    c = rng.standard_normal((rows,) + (n + 1,) * d)
+    y = SpectralState(d, n, c)
+    c = y.coeffs  # masked to the simplex
+    pairs = [(i, l) for i in range(d) for l in range(i, d)]
+    want = [y] + [derivative(y, i) for i in range(d)] + [second_derivative(y, p) for p in pairs]
+    got = derivative_stack(c, d, n)
+    assert got.shape == (rows, len(want), (n + 3) ** d)
+    for k, state in enumerate(want):
+        pad = np.zeros((rows,) + (n + 3,) * d)
+        pad[(Ellipsis,) + (slice(0, state.N + 1),) * d] = state.coeffs
+        np.testing.assert_allclose(got[:, k], pad.reshape(rows, -1), rtol=0.0, atol=1e-13)
+    if d == 1:  # one product against the stacked ladder matrices
+        np.testing.assert_allclose(c @ ladder_stack(n), got.reshape(rows, -1), rtol=0.0, atol=1e-13)
 
 
 def test_derivative_axis_out_of_range():

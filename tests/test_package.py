@@ -2,8 +2,10 @@
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import spde_manifold
@@ -96,3 +98,24 @@ def test_bench_tracer_observes_one_coupled_run():
     assert tracer.counts["simulate.simulate_reduced.steps"] == 5
     assert counts["simulate.wiener_increments.entries"] == 2 * 5 * model.n_noise
     assert counts["manifold.distance.calls"] > 0
+
+
+def test_bench_transport_outputs_pass_their_checks(tmp_path, capsys, monkeypatch):
+    """The benchmark's coupled_transport commands, run through the CLI on five
+    fixed seeds, write artifacts its own output checks accept."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["coupled_transport"]
+    for seed in (1, 2, 3, 4, 5):
+        outputs = {}
+        for cmd in workload.commands:
+            config = tmp_path / f"{cmd.label}.json"
+            config.write_text(json.dumps(cmd.config))
+            out = tmp_path / f"seed{seed}-{cmd.label}"
+            argv = [cmd.verb, "--config", str(config), "--out", str(out), "--seed", str(seed)]
+            assert spde_manifold.cli.main(argv) == cmd.exit_code, (seed, cmd.label)
+            outputs[cmd.label] = workloads.read_outputs(cmd.verb, out)
+        assert workload.check(outputs) == [], seed
+    capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Noise streams, Euler paths in both spaces, and the coupled comparison."""
+"""Noise streams, Milstein paths in both spaces, and the coupled comparison."""
 
 import csv
 import functools
@@ -142,7 +142,7 @@ def test_runs_reject_an_increment_table_of_another_shape_before_any_work(case, s
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=4)
     incr = wiener_increments(cfg.seed, np.arange(shape[0]), shape[1], shape[2], cfg.dt)
     monkeypatch.setattr(simulate, "reduced_table", no_work)
-    monkeypatch.setattr(ItoTypeModel, "euler_sum", no_work)
+    monkeypatch.setattr(ItoTypeModel, "step_sum", no_work)
     y0 = chart.eval(np.array([0.2]))
     for run in (
         lambda: simulate_full(model, y0, cfg, [0, 1], incr),
@@ -258,15 +258,24 @@ def test_full_path_explosion_freezes_trajectory():
 # -- reduced paths ----------------------------------------------------------------------
 
 
+def _exact_coefficients(model, chart, x):
+    return reduced_coefficients(model, chart, jacobian(chart, x, model.geometry))
+
+
 def test_reduced_path_single_step_hand_check():
+    # Milstein: x + beta dt + a dW + (a' a / 2) (dW^2 - dt), with a' a central
+    # difference of the exact coefficient, good to about 1e-10 at this step
     model, chart = transport_setup(24)
-    x0 = np.array([0.2])
+    x0, h = np.array([0.2]), 1e-5
     cfg = SimConfig(horizon=1e-3, dt=1e-3, seed=9)
-    a, beta = reduced_coefficients(model, chart, jacobian(chart, x0, model.geometry))
+    a, beta = _exact_coefficients(model, chart, x0)
+    up, down = (_exact_coefficients(model, chart, x0 + s)[0] for s in (h, -h))
+    slope = (up - down)[0, 0] / (2 * h)
     dw = wiener_increments(9, [0], 1, 1, 1e-3)[0, 0]
     path = simulate_reduced(model, chart, x0, cfg, [0])
-    want = x0 + beta * 1e-3 + a.T @ dw
-    np.testing.assert_allclose(path.xs[1, 0], want, atol=1e-14)
+    milstein = 0.5 * slope * a[0, 0] * (dw @ dw - 1e-3)
+    assert abs(milstein) > 1e-6  # a term the check resolves
+    np.testing.assert_allclose(path.xs[1, 0], x0 + beta * 1e-3 + a.T @ dw + milstein, atol=1e-12)
     assert not path.exited[0]
 
 
@@ -477,24 +486,43 @@ def test_a_certified_table_has_no_rank_deficient_point_in_its_box(case, certifie
 
 @pytest.mark.parametrize("preset", ["heat_equation", "ito_translation_d1", "ito_translation_d1_negative"])
 def test_table_coefficients_are_the_full_tables_values(preset):
-    # heat_equation has no noise: its a-and-beta outputs are a single column
+    # the step table's increment is the Milstein step of the full table's a and beta,
+    # x + beta dt + a dW + 1/2 sum_jk (Da_k) a_j (dW_j dW_k - delta_jk dt), with Da a
+    # central difference of the table's a (error about 1e-10, times dW^2 ~ 1e-3);
+    # heat_equation has no noise: its increment is beta dt alone
     cfg = load_config(preset)
     model, chart = build_model(cfg), build_manifold(cfg)
     table = reduced_table(model, chart)
+    dt, h = 1e-3, 1e-6
+    rng = np.random.default_rng(5)
     for rows in (1, 3, 64):
-        x = np.linspace(*chart.domain[0], rows)[:, None]
+        x = np.linspace(*chart.domain[0] * (1.0 - 1e-5), rows)[:, None]
         a, beta, _ = table(x)
-        got_a, got_beta = table.coefficients(x)
-        np.testing.assert_array_equal(got_a, a)
-        np.testing.assert_array_equal(got_beta, beta)
+        slope = (table(x + h)[0] - table(x - h)[0]) / (2 * h)  # (P, n_noise, 1)
+        dw = rng.standard_normal((rows, model.n_noise)) * np.sqrt(dt)
+        h_jk = dw[:, :, None] * dw[:, None, :] - dt * np.eye(model.n_noise)
+        want = x + beta * dt + (dw[:, None, :] @ a)[:, 0]
+        want += 0.5 * np.einsum("pk,pj,pjk->p", slope[..., 0], a[..., 0], h_jk)[:, None]
+        pairs = (dw[:, :, None] * dw[:, None, :]).reshape(rows, -1)
+        monomials = np.concatenate([np.full((rows, 1), dt), dw, pairs], axis=1)
+        got = x + table.increment(table.basis(x), monomials)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def _reference_reduced(model, chart, x0, cfg, incr):
-    """The reduced Euler loop one step at a time: the rank test and the box test
-    on every live path at every step, the live paths gathered at every step."""
+    """The reduced loop one step at a time: the rank test and the box test on every
+    live path at every step, the live paths gathered at every step, each step the
+    table's Milstein increment (``ReducedTable.increment``) of its monomials dt,
+    dW_j and dW_j dW_k, or Euler's dt and dW_j for a model without the noise
+    derivative."""
     table = reduced_table(model, chart)
     n_steps, m = cfg.n_steps, chart.m
     noise = np.swapaxes(incr, 0, 1)
+    pairs = noise[..., :, None] * noise[..., None, :]
+    parts = [np.full(noise.shape[:-1] + (1,), cfg.dt), noise]
+    if hasattr(model, "diffusion_derivative"):
+        parts.append(pairs.reshape(noise.shape[:-1] + (-1,)))
+    monomials = np.concatenate(parts, axis=-1)
     n_paths = incr.shape[0]
     xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, m)))
     traj = np.empty((n_steps + 1,) + xs.shape)
@@ -505,16 +533,15 @@ def _reference_reduced(model, chart, x0, cfg, incr):
     live = np.arange(n_paths)
     done = 0
     for step in range(n_steps):
-        a, beta, cols = table(xs[live])
+        cols = table(xs[live])[2]
         sv = np.sqrt((cols * cols).sum(-2)) if m == 1 else np.linalg.svd(cols, compute_uv=False)
         bad = rank_deficient(sv)
         for k in live[bad]:
             exited[k], degenerate[k], exit_step[k] = True, True, step
-        a, beta, live = a[~bad], beta[~bad], live[~bad]
+        live = live[~bad]
         if not live.size:
             break
-        dw = noise[step, live]
-        xs[live] = xs[live] + beta * cfg.dt + (dw[:, None, :] @ a)[:, 0, :]
+        xs[live] = xs[live] + table.increment(table.basis(xs[live]), monomials[step, live])
         traj[step + 1] = xs
         done = step + 1
         out = ~chart.contains(xs[live])
@@ -532,10 +559,11 @@ def _reduced_mix(case):
     lam = laplace_eigenvalue(m, 1)
     if case == "certified":
         # decay with noise on the span of one mode: one path leaves the box in the third
-        # settling chunk, two run to the end
+        # settling chunk, two run to the end (seed 16: at seed 0 the per-stream noise
+        # table takes two paths out)
         model = PLaplaceModel(2.0, 16, fields=(sine_mode(16, 1) * 0.5,))
         chart = linear_span_chart([sine_mode(16, 1)], [[0.3, 2.0]])
-        return model, chart, [[1.0]] * 3, SimConfig(horizon=0.1, dt=1e-3, paths=3, seed=0)
+        return model, chart, [[1.0]] * 3, SimConfig(horizon=0.1, dt=1e-3, paths=3, seed=16)
     if case == "square":
         # x -> x^2 v with reduced drift lambda x / 2 at a step that multiplies x by -1.05:
         # a box exit after the first chunk, a degenerate frame at the origin, a path that finishes
@@ -576,7 +604,7 @@ def test_reduced_run_matches_the_per_step_reference_loop(case):
     assert got.exit_step == exit_step
     assert cfg.n_steps > SETTLE_STEPS
     stops = {
-        "certified": [None, 78, None],
+        "certified": [None, 91, None],
         "square": [33, 0, None],
         "edge": [0, None, None],
         "cubic": [32, 0, 29],
@@ -591,6 +619,48 @@ def test_reduced_run_matches_the_per_step_reference_loop(case):
         np.testing.assert_array_equal(one.xs[:, 0], xs[:, 0])
         flags = (one.exited[0], one.exit_step[0], one.degenerate[0])
         assert flags == (exited[0], exit_step[0], degenerate[0])
+
+
+# -- strong order ------------------------------------------------------------------------
+
+
+class _EulerOnly:
+    """A model seen through ``drift`` and ``diffusion`` alone: both runs take Euler's step."""
+
+    def __init__(self, model):
+        self.geometry, self.n_noise = model.geometry, model.n_noise
+        self.drift, self.diffusion = model.drift, model.diffusion
+
+
+def _halving_factor(model, chart, run, seed=2, paths=32, horizon=0.128, dt=8e-3):
+    """Mean strong error at the horizon of runs at dt and dt / 2 against a run at
+    dt / 16, on coarse increments summed from the fine run's table: their ratio."""
+    fine_dt, p = dt / 16, np.arange(paths)
+    n_fine = int(round(horizon / fine_dt))
+    fine = wiener_increments(seed, p, n_fine, model.n_noise, fine_dt)
+    x0 = np.array([0.2])
+
+    def end(k):  # steps of k fine steps each, on their summed increments
+        incr = fine.reshape(paths, n_fine // k, k, model.n_noise).sum(2)
+        cfg = SimConfig(horizon=horizon, dt=fine_dt * k, paths=paths)
+        if run == "full":
+            return simulate_full(model, chart.eval(x0), cfg, p, incr).ys[-1]
+        return simulate_reduced(model, chart, x0, cfg, p, incr).xs[-1]
+
+    reference = end(1)
+    coarse, half = (np.sqrt(((end(k) - reference) ** 2).sum(-1)).mean() for k in (16, 8))
+    return coarse / half
+
+
+@pytest.mark.parametrize("run", ["full", "reduced"])
+def test_strong_error_halves_with_the_step_under_commutative_noise(run):
+    # ito_translation_d1 has one noise component, so its noise commutes and the
+    # Milstein step has strong order 1: the error halves with the step; Euler's
+    # (order 1/2, about 1.41 per halving) reads 1.38 and 1.53 here
+    cfg = load_config("ito_translation_d1")
+    model, chart = build_model(cfg), build_manifold(cfg)
+    assert 1.6 <= _halving_factor(model, chart, run) <= 2.5
+    assert _halving_factor(_EulerOnly(model), chart, run) < 1.6
 
 
 # -- coupled comparison -------------------------------------------------------------------
@@ -800,7 +870,8 @@ def test_batched_grid_span_with_exits_and_explosions_matches_per_path():
     s1, s2 = sine_mode(m, 1), sine_mode(m, 2)
     model = PLaplaceModel(2.0, m, fields=(s1 * 3.0, s2 * 0.5))
     chart = linear_span_chart([s1, s2], [[0.2, 2.0], [-2.0, 2.0]])
-    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=3, explosion_ceiling=1.5)
+    # seed 0: under the per-stream noise table seed 3 no longer explodes any path
+    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=0, explosion_ceiling=1.5)
     rec = _assert_matches_per_path(model, chart, [1.0, 0.5], cfg)
     exploded = [r.exploded for r in rec.records]
     exited = [r.exited for r in rec.records]
@@ -818,12 +889,14 @@ def test_ensemble_increments_are_the_per_path_tables():
 
 
 def test_increments_match_a_fresh_generator_per_entry():
+    # one stream per (seed, path, component): entry (step, j) is draw step of the
+    # generator keyed by the seed from counter [0, path, j, 0]
     table = wiener_increments(2024, [3], 4, 2, 1e-3)[0]
-    for step in range(4):
-        for j in range(2):
-            bits = np.random.Philox(key=2024, counter=[0, 3, step, j])
-            want = np.random.Generator(bits).standard_normal() * np.sqrt(1e-3)
-            assert table[step, j] == want
+    for j in range(2):
+        bits = np.random.Philox(key=2024, counter=[0, 3, j, 0])
+        want = np.random.Generator(bits).standard_normal(4) * np.sqrt(1e-3)
+        for step in range(4):
+            assert table[step, j] == want[step]
 
 
 def test_unconverged_distance_solves_are_flagged_and_counted(monkeypatch):
@@ -908,7 +981,7 @@ def test_summary_reports_the_ensemble_spill():
     assert rec.summary["max_spill"] > 0.0
 
 
-# -- the array Euler step against the state arithmetic --------------------------------
+# -- the array Milstein step against the state arithmetic ------------------------------
 
 
 def _reference_pairings(model, y):
@@ -951,6 +1024,21 @@ def _reference_diffusion(model, y):
     return fields + list(model.extra_fields)
 
 
+def _reference_noise_derivative(model, y, u, k):
+    """DA^k(y)[u] = -sum_i (<sigma[k][i], u> d_i y + <sigma[k][i], y> d_i u) from
+    pairings and ladder derivatives; other models answer for themselves, and a
+    model without ``diffusion_derivative`` has none (Euler)."""
+    if not isinstance(model, ItoTypeModel):
+        derivative_of = getattr(model, "diffusion_derivative", None)
+        return None if derivative_of is None else derivative_of(y, u, k)
+    if k >= model.J:
+        return None  # a constant field
+    terms = []
+    for i, dual in enumerate(model.sigma[k]):
+        terms += [(derivative(y, axis=i), -pair(dual, u)), (derivative(u, axis=i), -pair(dual, y))]
+    return SpectralState.combine(terms)
+
+
 def _reference_spill(geo, y):
     """Relative mid-norm mass of y above the working order, summed over the
     indices of total order above it."""
@@ -964,8 +1052,10 @@ def _reference_spill(geo, y):
 
 
 def _reference_full(model, y0, cfg, incr):
-    """The Euler loop on states: combine, spill, truncation and explosion
-    test through the state API, every path of the ensemble stepped at once."""
+    """The Milstein loop on states: combine, spill, truncation and explosion
+    test through the state API, every path of the ensemble stepped at once;
+    the term 1/2 sum_jk DA^k(y)[A^j(y)] (dW_j dW_k - delta_jk dt) is summed
+    field by field."""
     geo = model.geometry
     y = geo.truncate_to_work(y0)
     order = geo.embed_order([y])
@@ -983,9 +1073,14 @@ def _reference_full(model, y0, cfg, incr):
         y = geo.state_from_flat(ys[live], order)
         dw = incr[live, step]
         terms = [(y, 1.0), (_reference_drift(model, y), cfg.dt)]
-        for j, a_field in enumerate(_reference_diffusion(model, y)):
+        fields = _reference_diffusion(model, y)
+        for j, a_field in enumerate(fields):
             if dw[:, j].any() and geo.flat(a_field).any():
                 terms.append((a_field, dw[:, j]))
+            for k in range(len(fields)):
+                term = _reference_noise_derivative(model, y, a_field, k)
+                if term is not None and geo.flat(term).any():
+                    terms.append((term, 0.5 * (dw[:, j] * dw[:, k] - (cfg.dt if j == k else 0.0))))
         y_next = type(y).combine(terms)
         max_spill[live] = np.maximum(max_spill[live], _reference_spill(geo, y_next))
         y = geo.truncate_to_work(y_next)
@@ -1000,17 +1095,20 @@ def _reference_full(model, y0, cfg, incr):
 
 
 def _assert_full_matches_reference(model, y0, cfg):
+    """The run against ``_reference_full`` at rounding level: the array step groups
+    its sums in another order than the reference's term-by-term combine."""
     paths = np.arange(cfg.paths)
     incr = wiener_increments(cfg.seed, paths, cfg.n_steps, model.n_noise, cfg.dt)
     path = simulate_full(model, y0, cfg, paths, incr)
     rows, exploded, exit_step, max_spill = _reference_full(model, y0, cfg, incr)
-    np.testing.assert_array_equal(path.ys, rows)
+    scale = max(1.0, float(np.abs(rows).max()))
+    np.testing.assert_allclose(path.ys, rows, rtol=0.0, atol=1e-13 * scale)
     np.testing.assert_array_equal(path.exploded, exploded)
     assert path.exit_step == exit_step
-    np.testing.assert_array_equal(path.max_spill, max_spill)
+    np.testing.assert_allclose(path.max_spill, max_spill, rtol=1e-9, atol=1e-300)
     assert len(path.states) == len(rows)
     for k in (0, len(rows) // 2, -1):
-        np.testing.assert_array_equal(model.geometry.flat(path.states[k], path.order), rows[k])
+        np.testing.assert_array_equal(model.geometry.flat(path.states[k], path.order), path.ys[k])
     return path
 
 
@@ -1046,6 +1144,7 @@ class _StateMethodsOnly:
     def __init__(self, model):
         self.geometry, self.n_noise = model.geometry, model.n_noise
         self.drift, self.diffusion = model.drift, model.diffusion
+        self.diffusion_derivative = model.diffusion_derivative
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1068,8 +1167,9 @@ def test_array_kernel_matches_the_state_methods_with_two_noise_rows(rng, d):
     paths = np.arange(cfg.paths)
     path = simulate_full(model, y0, cfg, paths)
     summed = simulate_full(_StateMethodsOnly(model), y0, cfg, paths)
-    np.testing.assert_array_equal(path.ys, summed.ys)
-    np.testing.assert_array_equal(path.max_spill, summed.max_spill)
+    # the kernel's one contraction groups the sums apart from the state methods' terms
+    np.testing.assert_allclose(path.ys, summed.ys, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(path.max_spill, summed.max_spill, rtol=1e-9)
     assert model.n_noise == 3 and (path.max_spill > 0.0).all()
     # the reference pairs each dual alone and multiplies its own covariance,
     # which rounds the sum over two noise rows apart
@@ -1083,7 +1183,8 @@ def test_array_step_matches_state_step_on_the_grid_with_explosions():
     m = 16
     s1, s2 = sine_mode(m, 1), sine_mode(m, 2)
     model = PLaplaceModel(2.0, m, fields=(s1 * 3.0, s2 * 0.5))
-    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=3, explosion_ceiling=1.5)
+    # seed 0: under the per-stream noise table seed 3 no longer explodes any path
+    cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=0, explosion_ceiling=1.5)
     path = _assert_full_matches_reference(model, s1 * 1.0 + s2 * 0.5, cfg)
     assert path.exploded.any() and not path.exploded.all()
 
@@ -1183,3 +1284,11 @@ def test_trajectory_csv_is_the_csv_writers_bytes(record_distance, tmp_path):
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows([header, *rows])
     assert (tmp_path / "trajectory.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_summary_reports_the_scheme():
+    model, chart = transport_setup(16)
+    cfg = SimConfig(horizon=4e-3, dt=1e-3, paths=2, seed=1, record_distance=False)
+    assert coupled_compare(model, chart, [0.2], cfg).summary["scheme"] == "milstein"
+    # without step_sum and diffusion_derivative both runs take Euler's step
+    assert coupled_compare(_EulerOnly(model), chart, [0.2], cfg).summary["scheme"] == "euler"
