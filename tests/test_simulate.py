@@ -518,10 +518,9 @@ def _reference_reduced(model, chart, x0, cfg, incr):
     table = reduced_table(model, chart)
     n_steps, m = cfg.n_steps, chart.m
     noise = np.swapaxes(incr, 0, 1)
-    pairs = noise[..., :, None] * noise[..., None, :]
     parts = [np.full(noise.shape[:-1] + (1,), cfg.dt), noise]
     if hasattr(model, "diffusion_derivative"):
-        parts.append(pairs.reshape(noise.shape[:-1] + (-1,)))
+        parts.append((noise[..., :, None] * noise[..., None, :]).reshape(noise.shape[:-1] + (-1,)))
     monomials = np.concatenate(parts, axis=-1)
     n_paths = incr.shape[0]
     xs = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, m)))
