@@ -643,8 +643,8 @@ def _halving_factor(model, chart, run, seed=2, paths=32, horizon=0.128, dt=8e-3)
         incr = fine.reshape(paths, n_fine // k, k, model.n_noise).sum(2)
         cfg = SimConfig(horizon=horizon, dt=fine_dt * k, paths=paths)
         if run == "full":
-            return simulate_full(model, chart.eval(x0), cfg, p, incr).ys[-1]
-        return simulate_reduced(model, chart, x0, cfg, p, incr).xs[-1]
+            return simulate_full(model, chart.eval(x0), cfg, p, increments=incr).ys[-1]
+        return simulate_reduced(model, chart, x0, cfg, p, increments=incr).xs[-1]
 
     reference = end(1)
     coarse, half = (np.sqrt(((end(k) - reference) ** 2).sum(-1)).mean() for k in (16, 8))
