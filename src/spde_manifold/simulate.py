@@ -305,8 +305,10 @@ class ReducedTable:
         pad = np.zeros(self.step.shape[:-1] + (max(0, 2 - self.step.shape[-1]),))
         self._step = np.ascontiguousarray(np.concatenate([self.step, pad], axis=-1))
         self._orders = np.arange(self.coeffs.shape[0])
-        self._lo, self._hi = self.domain.T
-        self._width = self._hi - self._lo
+        lo, hi = self.domain.T
+        if m == 1:  # numpy scalars broadcast as one-entry arrays do, at less cost per step
+            lo, hi = lo[0], hi[0]
+        self._lo, self._hi, self._width = lo, hi, hi - lo
         axes = "ABCDEFGHIJKL"[:m]
         bases = ",".join("p" + c for c in axes)
         self._spec = f"{bases},{axes}f->pf"
