@@ -217,6 +217,7 @@ def test_full_path_single_step_hand_check():
     cfg = SimConfig(horizon=1e-3, dt=1e-3, seed=3)
     dw = wiener_increments(3, [0], 1, 1, 1e-3)[0, 0, 0]
     path = simulate_full(model, y0, cfg, [0])
+    # the field is constant, so the Milstein term 1/2 DA[A] (dW^2 - dt) vanishes
     want = (
         y0.values * (1.0 + laplace_eigenvalue(m, 2) * 1e-3)
         + sine_mode(m, 1).values * dw
