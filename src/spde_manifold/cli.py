@@ -45,13 +45,20 @@ ARTIFACT_VERSION = 1
 __all__ = ["main", "entrypoint"]
 
 
-def _timestamp() -> str:
+def _pinned_moment():
+    """The UTC time ``SOURCE_DATE_EPOCH`` pins, None when it is unset; a value that
+    is not an integer number of seconds within datetime's range raises ConfigError."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(timezone.utc)
-    return moment.isoformat()
+    if epoch is None:
+        return None
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as err:
+        raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a Unix time in seconds: {err}") from err
+
+
+def _timestamp() -> str:
+    return (_pinned_moment() or datetime.now(timezone.utc)).isoformat()
 
 
 def _out_root(arg) -> Path:
@@ -108,7 +115,9 @@ def _manifest(command: str, cfg: dict, seed: int, outputs, summary) -> dict:
 
 def _made_root(arg) -> Path:
     """The output root, made before any work, so that one that cannot be made
-    fails first; the run directory under it is made only once the work is done."""
+    fails first, as does a bad ``SOURCE_DATE_EPOCH`` before it; the run
+    directory under the root is made only once the work is done."""
+    _pinned_moment()
     root = _out_root(arg)
     root.mkdir(parents=True, exist_ok=True)
     return root

@@ -530,7 +530,6 @@ def sweep_config(cfg: dict) -> dict:
     return {"sampling": build_sampling(cfg), **check}
 
 
-def build_sim_config(cfg: dict, seed=None) -> SimConfig:
-    """The config's SimConfig: its ``sim`` section but the start ``x0``, at ``seed`` if given."""
-    sim = {key: val for key, val in cfg["sim"].items() if key != "x0"}
-    return SimConfig(**sim) if seed is None else SimConfig(**{**sim, "seed": int(seed)})
+def build_sim_config(cfg: dict) -> SimConfig:
+    """The config's SimConfig: its ``sim`` section but the start ``x0``."""
+    return SimConfig(**{key: val for key, val in cfg["sim"].items() if key != "x0"})

@@ -42,7 +42,6 @@ FD_STEP_JACOBIAN = 1e-4
 FD_STEP_HESSIAN = 1e-3
 RANK_FLOOR = 1e-10  # relative singular value at or below which a frame is degenerate
 NEWTON_FLOOR = 0.1  # a Newton step needs J'WJ + S above this multiple of J'WJ
-SHIFT_MEMO_ENTRIES = 2 ** 16  # coefficient entries a translation chart keeps memoized
 JAC_MODES = ("auto", "analytic", "fd")
 
 
@@ -144,13 +143,15 @@ class TangentFrame:
     """Chart derivative columns at one point, held at the geometry's working
     order: ``sqrt_w`` is sqrt of the weight vector there, ``weighted`` the
     columns times it, shape (..., n, m), and ``q``, ``r`` their one thin QR,
-    computed once by ``jacobian``.
+    computed once by ``jacobian``.  ``image`` is the chart state phi(x) at
+    the frame's point, evaluated once there, untruncated.
 
-    At a (P, m) batch of points the columns are batched states and every
-    factor carries a leading path axis.
+    At a (P, m) batch of points the image and the columns are batched states
+    and every factor carries a leading path axis.
     """
 
     x: np.ndarray
+    image: object
     columns: list
     geometry: object
     singular_values: np.ndarray
@@ -206,10 +207,12 @@ def jacobian(param: Parametrization, x, geometry, *, mode: str = "auto") -> Tang
     """Tangent frame at a chart point, or one frame per row of a (P, m) batch.
 
     ``mode`` is "auto" (analytic when the chart supplies it), "analytic",
-    or "fd" (central differences at step ``FD_STEP_JACOBIAN``).  Columns are truncated to the geometry's working order and
-    factorized once there; the frame raises for rank collapse (with the
-    mask of degenerate paths for a batch) and reports the Gram condition
-    number per point in ``cond``.
+    or "fd" (central differences at step ``FD_STEP_JACOBIAN``).  Columns
+    are truncated to the geometry's working order and factorized once
+    there; the frame raises for rank collapse (with the mask of degenerate
+    paths for a batch) and reports the Gram condition number per point in
+    ``cond``.  Only a frame that passes the rank test evaluates the chart
+    image it carries.
     """
     if mode not in JAC_MODES:
         raise ValueError(f"jacobian mode must be one of {'/'.join(JAC_MODES)}, got {mode!r}")
@@ -240,7 +243,7 @@ def jacobian(param: Parametrization, x, geometry, *, mode: str = "auto") -> Tang
         raise DegenerateChartError(messages[0], rows=bad if batch else None, messages=messages)
     cond = (sv[..., 0] / sv[..., -1]) ** 2
     cond = float(cond) if cond.ndim == 0 else cond
-    return TangentFrame(x, cols, geometry, sv, cond, sw, b, q, r)
+    return TangentFrame(x, param.eval(x), cols, geometry, sv, cond, sw, b, q, r)
 
 
 def block_frame(param: Parametrization, x: np.ndarray, geometry, *, mode: str = "auto"):
@@ -382,7 +385,7 @@ def distance_to_manifold(
             break
         x_act = x[act]
         y_act = y if act.size == paths else y.rows(act)
-        fit = geometry.flat(geometry.truncate_to_work(param.eval(x_act)), geometry.work_order)
+        fit = geometry.flat(geometry.truncate_to_work(frame.image), geometry.work_order)
         resid = frame.sqrt_w * (fit - y_work[act])
         grad = _vecmat(resid, frame.q)  # R^-T J'Wr
         step = -_solve(frame.r, grad)
@@ -431,44 +434,24 @@ def distance_to_manifold(
 # -- built-in charts ---------------------------------------------------------
 
 
-class _ShiftMemo:
-    """Shifted profiles keyed by point (or batch of points).
-
-    eval/jac/hess at one point, or one batch of points, share the shift.
-    The table holds at most ``SHIFT_MEMO_ENTRIES`` coefficient entries in
-    total: it is cleared when the next shift would pass that, and a shift
-    larger than the cap on its own is not kept.
-    """
-
-    def __init__(self, profile: SpectralState):
-        self.profile = profile
-        self.table: dict = {}
-        self.entries = 0
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        got = self.table.get(key)
-        if got is None:
-            got = translate(self.profile, x)
-            size = got.coeffs.size
-            if self.entries + size > SHIFT_MEMO_ENTRIES:
-                self.table.clear()
-                self.entries = 0
-            if size <= SHIFT_MEMO_ENTRIES:
-                self.table[key] = got
-                self.entries += size
-        return got
-
-
 def translation_chart(profile: SpectralState, domain) -> Parametrization:
     """Chart x -> profile shifted by x, with analytic ladder derivatives.
 
     The tangent columns are minus the partial derivatives of the shifted
     profile, and the chart Hessian is the matrix of second derivatives.
+    The chart keeps its last point (or batch of points) and shifted
+    profile, so eval/jac/hess at one batch share one ``translate``.
     """
     d = profile.d
-    shifted = _ShiftMemo(profile)
+    key = state = None
+
+    def shifted(x):
+        nonlocal key, state
+        x = np.asarray(x, dtype=float)
+        seen = (x.shape, x.tobytes())
+        if seen != key:
+            key, state = seen, translate(profile, x)
+        return state
 
     def _jac(x):
         base = shifted(x)

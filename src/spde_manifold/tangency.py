@@ -216,9 +216,8 @@ class DriftCheck:
 
 
 def check_diffusion_tangency(model, param: Parametrization, frame: TangentFrame) -> DiffusionCheck:
-    """Project every diffusion component at phi(frame.x) onto the frame."""
-    state = param.eval(frame.x)
-    fields = model.diffusion(state)
+    """Project every diffusion component at the frame's image phi(frame.x) onto the frame."""
+    fields = model.diffusion(frame.image)
     n = len(fields)
     batch = frame.x.shape[:-1]
     a = np.zeros(batch + (n, param.m))
@@ -242,9 +241,9 @@ def _bracket_drift(param, frame, drift, a):
     return type(drift).combine(terms) if len(terms) > 1 else drift
 
 
-def _noise_coords(model, frame, state) -> np.ndarray:
-    """Frame coordinates (..., n_noise, m) of the diffusion fields at ``state``."""
-    fields = model.diffusion(state)
+def _noise_coords(model, frame) -> np.ndarray:
+    """Frame coordinates (..., n_noise, m) of the diffusion fields at the frame's image."""
+    fields = model.diffusion(frame.image)
     a = np.zeros(frame.x.shape[:-1] + (len(fields), frame.m))
     for j, f in enumerate(fields):
         a[..., j, :] = frame.coordinates(f)
@@ -257,7 +256,7 @@ def _shifted_coords(model, param, x, jac_mode):
     kept, frame, dropped = block_frame(param, x, model.geometry, mode=jac_mode)
     a = np.full((x.shape[0], model.n_noise, param.m), np.nan)
     if kept.size:
-        a[kept] = _noise_coords(model, frame, param.eval(frame.x))
+        a[kept] = _noise_coords(model, frame)
     return a, dropped
 
 
@@ -282,14 +281,13 @@ def check_drift_tangency(
     """
     if diffusion is None:
         diffusion = check_diffusion_tangency(model, param, frame)
-    state = param.eval(frame.x)
-    drift = model.drift(state)
+    drift = model.drift(frame.image)
     if form == "bracket":
         proj = frame.project(_bracket_drift(param, frame, drift, diffusion.a))
         spill = np.maximum(diffusion.spill, proj.spill)
         return DriftCheck(proj.coords, proj.rel_residual, spill, form)
     if form == "stratonovich":
-        corr = stratonovich_correction(model, state, da_mode=da_mode)
+        corr = stratonovich_correction(model, frame.image, da_mode=da_mode)
         w = drift - corr.value * 0.5
         proj = frame.project(w)
         # recover the reduced drift: add back half of (Da^j a^j) per component
@@ -324,9 +322,8 @@ def reduced_coefficients(model, param: Parametrization, frame: TangentFrame):
 
     At a (P, m) batch of points a is (P, n_noise, m) and beta is (P, m).
     """
-    state = param.eval(frame.x)
-    a = _noise_coords(model, frame, state)
-    beta = frame.coordinates(_bracket_drift(param, frame, model.drift(state), a))
+    a = _noise_coords(model, frame)
+    beta = frame.coordinates(_bracket_drift(param, frame, model.drift(frame.image), a))
     return a, beta
 
 
@@ -494,9 +491,8 @@ def sweep(
                 f"ill-conditioned tangent Gram matrix at x={pts[rows[k]].tolist()}: "
                 f"cond={cond[k]:.3e}"
             )
-        state = param.eval(frame.x)
-        if isinstance(state, SpectralState):
-            tail = np.broadcast_to(top_band_ratio(state), rows.shape)
+        if isinstance(frame.image, SpectralState):
+            tail = np.broadcast_to(top_band_ratio(frame.image), rows.shape)
             for k in np.flatnonzero(tail > TAIL_WARN):
                 notes[rows[k]].append(
                     f"chart state poorly resolved at x={pts[rows[k]].tolist()}: "

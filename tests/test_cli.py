@@ -358,6 +358,17 @@ def test_pinned_epoch_pins_timestamp(out_root, monkeypatch, capsys):
     assert manifest["timestamp"] == "2023-11-14T22:13:20+00:00"
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("epoch", ["abc", "1e9", "-1000000000000", "99999999999999999999"])
+def test_bad_source_date_epoch_fails_before_the_work(out_root, monkeypatch, capsys, command, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(cli, "sweep", None)  # the sweep is never reached
+    rc = main([command, "--config", "ito_zero", "--out", str(out_root)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: SOURCE_DATE_EPOCH={epoch!r} ")
+    assert not any(out_root.iterdir())
+
+
 # -- report ------------------------------------------------------------------------
 
 

@@ -411,7 +411,6 @@ def test_dual_builders():
 
 def test_sim_config_seed_override():
     cfg = load_config("ito_zero")
-    assert build_sim_config(cfg, seed=99).seed == 99
     assert build_sim_config(cfg).seed == cfg["sim"]["seed"]
 
 

@@ -15,7 +15,7 @@ from spde_manifold import (
 from spde_manifold import manifold
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
-from spde_manifold.manifold import SHIFT_MEMO_ENTRIES, bracket, distance_to_manifold, jacobian
+from spde_manifold.manifold import block_frame, bracket, distance_to_manifold, jacobian
 from spde_manifold.tangency import COND_WARN
 
 
@@ -64,22 +64,54 @@ def test_translation_jacobian_is_minus_shifted_derivative():
     np.testing.assert_allclose(got.coeffs, want.coeffs[: got.N + 1], atol=1e-14)
 
 
-def test_translation_memo_is_bounded_by_coefficient_entries():
+def test_translation_chart_shifts_once_per_batch(monkeypatch):
     profile = basis([0], 64)
     chart = translation_chart(profile, BOX1)
-    memo = chart.eval
-    grid = np.linspace(-1.5, 1.5, 252)[:, None]
-    for k in range(8):  # eight 252-point batches are twice the cap
-        x = grid + 1e-3 * k
-        np.testing.assert_array_equal(chart.eval(x).coeffs, translate(profile, x).coeffs)
-        chart.jac(x)
-        assert memo.table  # the last batch is kept for the jacobian
-        assert memo.entries == sum(v.coeffs.size for v in memo.table.values())
-        assert memo.entries <= SHIFT_MEMO_ENTRIES
-    # a batch larger than the cap on its own is computed but not kept
-    wide = np.linspace(-1.5, 1.5, SHIFT_MEMO_ENTRIES // 65 + 1)[:, None]
-    np.testing.assert_array_equal(chart.eval(wide).coeffs, translate(profile, wide).coeffs)
-    assert memo.entries <= SHIFT_MEMO_ENTRIES
+    geo = HermiteGeometry(1, 64)
+    shifts = []
+
+    def counted(state, x):
+        shifts.append(np.array(x))
+        return translate(state, x)
+
+    monkeypatch.setattr(manifold, "translate", counted)
+    first = np.linspace(-1.5, 1.5, 252)[:, None]
+    second = first + 1e-3
+    coords = np.ones_like(first)
+    frame = jacobian(chart, first, geo)
+    bracket(chart, first, coords, coords)
+    assert len(shifts) == 1  # eval, jac and hess at one batch share its shift
+    np.testing.assert_array_equal(chart.eval(second).coeffs, translate(profile, second).coeffs)
+    jacobian(chart, second, geo)
+    assert len(shifts) == 2
+    np.testing.assert_array_equal(chart.eval(first).coeffs, frame.image.coeffs)
+    assert len(shifts) == 3  # only the last batch is kept
+    np.testing.assert_array_equal(shifts[2], first)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("kind", ["translation", "span"])
+def test_frame_image_is_the_chart_state_at_its_points(kind, mode):
+    geo = HermiteGeometry(1, 12)
+    if kind == "translation":
+        chart = translation_chart(basis([0], 12), BOX1)
+        x = np.array([[-0.4], [0.1], [0.7]])
+    else:
+        chart = linear_span_chart([basis([0], 12), basis([2], 12)], BOX2)
+        x = np.array([[0.3, -0.2], [1.0, 0.5]])
+    for point in (x[0], x):
+        frame = jacobian(chart, point, geo, mode=mode)
+        np.testing.assert_array_equal(frame.image.coeffs, chart.eval(frame.x).coeffs)
+
+
+def test_frame_image_holds_only_the_rows_a_block_frame_kept():
+    # x -> x^2 v has a vanishing column at the origin
+    v = basis([1], 4)
+    chart = Parametrization(m=1, domain=BOX1, eval=lambda x: v * x[..., 0] ** 2)
+    x = np.array([[-1.0], [0.0], [0.5]])
+    kept, frame, dropped = block_frame(chart, x, HermiteGeometry(1, 4))
+    assert kept.tolist() == [0, 2] and list(dropped) == [1]
+    np.testing.assert_array_equal(frame.image.coeffs, chart.eval(x[kept]).coeffs)
 
 
 def test_fd_jacobian_close_to_analytic():

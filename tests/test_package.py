@@ -69,6 +69,15 @@ def _bench_tracer():
     return tracer_module.Tracer()
 
 
+def _bench_workloads(monkeypatch):
+    """``bench/workloads.py`` loaded unedited, as a module of its own."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_bench_tracer_finds_every_target():
     original = spde_manifold.manifold.distance_to_manifold
     tracer = _bench_tracer()
@@ -103,10 +112,7 @@ def test_bench_tracer_observes_one_coupled_run():
 def test_bench_transport_outputs_pass_their_checks(tmp_path, capsys, monkeypatch):
     """The benchmark's coupled_transport commands, run through the CLI on five
     fixed seeds, write artifacts its own output checks accept."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
+    workloads = _bench_workloads(monkeypatch)
     workload = workloads.WORKLOADS["coupled_transport"]
     for seed in (1, 2, 3, 4, 5):
         outputs = {}
@@ -119,3 +125,23 @@ def test_bench_transport_outputs_pass_their_checks(tmp_path, capsys, monkeypatch
             outputs[cmd.label] = workloads.read_outputs(cmd.verb, out)
         assert workload.check(outputs) == [], seed
     capsys.readouterr()
+
+
+def test_bench_tracer_observes_the_check_sweep(tmp_path, capsys, monkeypatch):
+    """The benchmark's check_sweep commands, run through the CLI under the tracer,
+    record calls in every layer that workload names as one it must reach."""
+    workload = _bench_workloads(monkeypatch).WORKLOADS["check_sweep"]
+    tracer = _bench_tracer()
+    try:
+        tracer.install()
+        for cmd in workload.commands:
+            config = tmp_path / f"{cmd.label}.json"
+            config.write_text(json.dumps(cmd.config))
+            argv = [cmd.verb, "--config", str(config), "--out", str(tmp_path / cmd.label)]
+            assert spde_manifold.cli.main(argv) == cmd.exit_code, cmd.label
+        counts, _ = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    silent = [layer for layer in workload.nonzero_layers if not counts[f"{layer}.calls"]]
+    assert not silent
