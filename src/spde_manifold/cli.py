@@ -178,12 +178,13 @@ def _cmd_simulate(args) -> int:
     root = _made_root(args.out)
     model, param, _ = cfg.built
     report = sweep(model, param, **sweep_config(cfg))
-    record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg, verdict=report.verdict)
+    record = coupled_compare(model, param, cfg["sim"]["x0"], sim_cfg)
     # the table against the sweep's coefficients off its nodes (beta from the bracket form);
     # null under jac_mode fd, whose frames the table's need not share
     a, beta, _ = record.table(report.points)
     gaps = [a - report.a_coords] + [beta - report.beta] * (cfg["check"]["form"] != "stratonovich")
     summary = record.summary
+    summary["verdict"] = report.verdict
     summary["reduced_table_error"] = None if cfg["check"]["jac_mode"] == "fd" else max(
         float(np.nanmax(abs(g), initial=0.0)) for g in gaps
     )

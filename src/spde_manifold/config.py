@@ -432,7 +432,7 @@ def load_config(source) -> LoadedConfig:
                 raise ConfigError(f"config source {text!r} is neither a preset nor a file")
             try:
                 raw = json.loads(path.read_text())
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
                 raise ConfigError(f"config file {text!r} is not valid JSON: {err}") from err
             if not isinstance(raw, dict):
                 raise ConfigError(f"config file {text!r} must hold a JSON object")

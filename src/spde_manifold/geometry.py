@@ -47,9 +47,7 @@ def spill_ratios(out, total):
 
 @lru_cache(maxsize=None)
 def _outband(d: int, order: int, work_order: int):
-    """The flat indices above the working order: a suffix slice at d = 1, a mask otherwise."""
-    if d == 1:
-        return slice(work_order + 1, None)
+    """The flat mask of the indices above the working order."""
     out = (order_grid(d, order) > work_order).ravel()
     out.setflags(write=False)
     return out
@@ -127,11 +125,9 @@ class HermiteGeometry:
         if order <= self.work_order:
             return f, _sqrt((self.weight_vector(order) * f * f).sum(-1)), None
         masses = (f * f) @ _mass_split(self.d, order, self.work_order, self.scale.q_mid)
-        if self.d == 1:
-            kept = f[..., : self.work_order + 1]
-        else:  # the working-order block, masked as a state at that order is
-            kept = c[(Ellipsis,) + (slice(0, self.work_order + 1),) * self.d]
-            kept = _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
+        # the working-order block, masked as a state at that order is
+        kept = c[(Ellipsis,) + (slice(0, self.work_order + 1),) * self.d]
+        kept = _mask_simplex(kept, self.d, self.work_order).reshape(lead + (-1,))
         return kept, np.sqrt(masses[..., 0]), masses
 
     def tensor(self, f: np.ndarray, order: int) -> np.ndarray:

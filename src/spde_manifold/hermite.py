@@ -168,9 +168,12 @@ class ArrayState:
         """Sum of weight * state over (state, weight) pairs, in order.
 
         A weight is a scalar or a per-path (P,) vector.  One state is
-        built instead of one per operation.
+        built instead of one per operation: ``weighted_sum`` of the arrays
+        at their common order, or state * weight for a single term.
         """
         first = terms[0][0]
+        if len(terms) == 1:
+            return first * terms[0][1]
         _same_paths([s.batch for s, _ in terms] + [getattr(w, "shape", ()) for _, w in terms])
         arrays = first._aligned([s for s, _ in terms])
         return first._like(weighted_sum(zip(arrays, (w for _, w in terms)), first._core_ndim))

@@ -15,6 +15,7 @@ every path at once with per-path convergence and backtracking.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -299,21 +300,21 @@ def bracket(
 
     Symmetric and bilinear in the coordinate arguments; uses the analytic
     chart Hessian when available, otherwise central differences.  At a
-    (P, m) batch of points the coordinates are (P, m) as well.
+    (P, m) batch of points the coordinates are (P, m) as well.  One
+    ``combine`` over the diagonal Hessian states, then the off-diagonal
+    ones, builds the result.
     """
     x = _points(param, x)
     ca = _points(param, coords_a)
     cb = _points(param, coords_b)
-    hmat = _hessian_states(param, x, FD_STEP_HESSIAN)
-    out = None
-    for k in range(param.m):
-        term = hmat[k][k] * (ca[..., k] * cb[..., k])
-        out = term if out is None else out + term
-    for k in range(param.m):
-        for l in range(k + 1, param.m):
-            weight = ca[..., k] * cb[..., l] + ca[..., l] * cb[..., k]
-            out = out + hmat[k][l] * weight
-    return out
+    hmat, m = _hessian_states(param, x, FD_STEP_HESSIAN), param.m
+    terms = [(hmat[k][k], ca[..., k] * cb[..., k]) for k in range(m)]
+    terms += [
+        (hmat[k][l], ca[..., k] * cb[..., l] + ca[..., l] * cb[..., k])
+        for k in range(m)
+        for l in range(k + 1, m)
+    ]
+    return type(hmat[0][0]).combine(terms)
 
 
 @dataclass
@@ -471,7 +472,7 @@ def translation_chart(profile: SpectralState, domain) -> Parametrization:
 
 
 def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
-    """Chart x -> sum_k x_k v_k with exact constant derivatives."""
+    """Chart x -> sum_k x_k v_k, one ``combine``, with exact constant derivatives."""
     vectors = list(vectors)
     if not vectors:
         raise ValueError("linear span needs at least one vector")
@@ -479,16 +480,16 @@ def linear_span_chart(vectors: Sequence, domain) -> Parametrization:
 
     def _eval(x):
         x = np.asarray(x, dtype=float)
-        out = vectors[0] * x[..., 0]
-        for k in range(1, m):
-            out = out + vectors[k] * x[..., k]
-        return out
+        return type(vectors[0]).combine([(v, x[..., k]) for k, v in enumerate(vectors)])
 
     def _jac(x):
         return list(vectors)
 
+    @functools.cache
+    def _zero():  # the Hessian's one state, built at its first use
+        return vectors[0] * 0.0
+
     def _hess(x):
-        zero = vectors[0] * 0.0
-        return [[zero for _ in range(m)] for _ in range(m)]
+        return [[_zero()] * m for _ in range(m)]
 
     return Parametrization(m=m, domain=domain, eval=_eval, jac=_jac, hess=_hess)

@@ -21,9 +21,11 @@ The families:
   whose additive noise has no Milstein term.
 
 Each family computes on arrays once, in its kernel pieces (the
-transport model's stacked pairings, drift and paired fields over ladder
-derivatives, the grid model's flux differences); its state methods only
-wrap arrays into states at the edge.
+transport model's stacked pairings, the grid model's flux differences);
+every linear combination of derivatives, the transport drift and each
+paired noise field -sum_i <sigma[j][i], y> d_i y, is one
+``hermite.weighted_sum``, the rule ``ArrayState.combine`` applies to
+states.  The state methods only wrap arrays into states at the edge.
 
 The Stratonovich-style drift correction sum_j DA^j(y) A^j(y) is
 available analytically where the model supplies the derivative and by
@@ -122,7 +124,7 @@ class ItoTypeModel:
 
     def drift(self, y: SpectralState) -> SpectralState:
         c = self._coeffs(y)
-        return _state(self.d, _drift(self, c, _pairings(self, c, y.N))[0])
+        return _state(self.d, _drift(self, c, _pairings(self, c, y.N)))
 
     @cached_property
     def _step_tables(self) -> dict:
@@ -170,7 +172,8 @@ class ItoTypeModel:
         d, n, c = self.d, y.N, self._coeffs(y)
         partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
         p = _pairings(self, c, n)
-        fields = [_paired_field(partials, p[d + j * d : d + j * d + d]) for j in range(self.J)]
+        s = -p[d:].reshape((self.J, d) + p.shape[1:])  # s[j][i] = -<sigma[j][i], y>
+        fields = [weighted_sum(zip(partials, s[j]), d) for j in range(self.J)]
         return [_state(d, f) for f in fields] + list(self.extra_fields)
 
     def diffusion_derivative(self, y: SpectralState, u: SpectralState, j: int) -> SpectralState:
@@ -210,11 +213,6 @@ def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
     return np.matmul(c, stack)[..., 0]
 
 
-def _rows(w, d: int):
-    """A per-path weight (P,), or a scalar, shaped to scale d-axis tensors."""
-    return w.reshape(w.shape + (1,) * d)
-
-
 def _covariance(model: ItoTypeModel, p: np.ndarray) -> np.ndarray:
     """The sigma pairings' covariance sum_j <sigma[j][i], y> <sigma[j][k], y>,
     shape (..., d, d), from the pairings p."""
@@ -223,36 +221,24 @@ def _covariance(model: ItoTypeModel, p: np.ndarray) -> np.ndarray:
     return s_t @ s_t.swapaxes(-1, -2)
 
 
-def _drift(model: ItoTypeModel, c: np.ndarray, p: np.ndarray):
+def _drift(model: ItoTypeModel, c: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The transport drift of the order-n tensors c from their pairings p, in a
-    new array, and the first derivatives it used.  Half the pairing covariance
-    against second derivatives minus the paired first-order transport term; a
-    term whose weight vanishes on every path is skipped."""
+    new array: one ``weighted_sum`` of the second derivatives against half the
+    pairing covariance (the full covariance off the diagonal), then of the first
+    derivatives against minus their drift pairings.  A term whose weight
+    vanishes on every path is skipped, unless no term is left."""
     d, n = model.d, c.shape[-1] - 1
     cov = _covariance(model, p)
-    partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
-    acc = None
+    terms = []
     for i in range(d):
         for j in range(i, d):
             w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
             if np.count_nonzero(w):
-                term = second_derivative_coeffs(c, d, n, (i, j)) * _rows(w, d)
-                acc = term if acc is None else add_block(acc, term, d)
+                terms.append((second_derivative_coeffs(c, d, n, (i, j)), w))
     for i in range(d):
-        if np.count_nonzero(p[i]) or acc is None:
-            term = partials[i] * _rows(-p[i], d)
-            acc = term if acc is None else add_block(acc, term, d)
-    return acc, partials
-
-
-def _paired_field(partials: list, s: np.ndarray) -> np.ndarray:
-    """The noise field -sum_i s[i] d_i y of one sigma row, from the first
-    derivatives d_i y and that row's pairings s[i]."""
-    d = len(partials)
-    field = partials[0] * _rows(-s[0], d)
-    for i in range(1, d):
-        field += partials[i] * _rows(-s[i], d)
-    return field
+        if np.count_nonzero(p[i]) or not terms:
+            terms.append((derivative_coeffs(c, d, n, i), -p[i]))
+    return weighted_sum(terms, d)
 
 
 def _state(d: int, c: np.ndarray) -> SpectralState:

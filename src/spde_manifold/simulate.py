@@ -590,7 +590,6 @@ class PathRecord:
 @dataclass
 class TrajectoryRecord:
     records: list
-    verdict: Optional[str]
     summary: dict = field(default_factory=dict)
     table: Optional[ReducedTable] = None  # the reduced run's coefficient table
 
@@ -612,7 +611,6 @@ def coupled_compare(
     param: Parametrization,
     x0,
     cfg: SimConfig,
-    verdict: Optional[str] = None,
 ) -> TrajectoryRecord:
     """Drive full and reduced dynamics with shared noise and compare.
 
@@ -712,6 +710,5 @@ def coupled_compare(
         "n_exploded": sum(r.exploded for r in records),
         "reduced_table_nodes": reduced.table.nodes,
         "reduced_table_certified": reduced.table.certified,
-        "verdict": verdict,
     }
-    return TrajectoryRecord(records, verdict, summary, reduced.table)
+    return TrajectoryRecord(records, summary, reduced.table)

@@ -288,8 +288,7 @@ def check_drift_tangency(
         return DriftCheck(proj.coords, proj.rel_residual, spill, form)
     if form == "stratonovich":
         corr = stratonovich_correction(model, frame.image, da_mode=da_mode)
-        w = drift - corr.value * 0.5
-        proj = frame.project(w)
+        proj = frame.project(type(drift).combine([(drift, 1.0), (corr.value, -0.5)]))
         # recover the reduced drift: add back half of (Da^j a^j) per component
         beta = proj.coords
         degenerate = {}

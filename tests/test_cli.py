@@ -1,9 +1,11 @@
 """End-to-end command line flows and their on-disk artifacts."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,9 @@ import pytest
 
 from spde_manifold import cli
 from spde_manifold.cli import _write_csv, main
-from spde_manifold.config import config_hash, load_config
+from spde_manifold.config import config_hash, load_config, preset_names
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MANIFEST_KEYS = {
     "artifact_version", "command", "config", "config_hash", "model_hash",
@@ -163,6 +167,21 @@ def test_config_its_sim_config_rejects_exit_one(command, out_root, tmp_path, cap
     assert rc == 1
     assert captured.err == "error: sim.dt must be finite and positive, got nan\n"
     assert not any(out_root.iterdir())
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_a_config_file_json_cannot_decode_exit_one(command, content, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "runs"
+    rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: config file ") and captured.err.count("\n") == 1
+    assert str(cfg_path) in captured.err and "not valid JSON" in captured.err
+    assert not out.exists()  # no output root, so no run directory
 
 
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -516,3 +535,27 @@ def test_report_resolution_refinement_is_monotone(out_root, tmp_path, capsys):
     assert len(rows) == len(orders)
     assert residuals[16] > residuals[32] > residuals[64]
     assert residuals[64] < 1e-12
+
+
+# -- the artifact digest tool --------------------------------------------------------
+
+
+def test_artifact_digests_tool_lists_every_preset_run(monkeypatch):
+    """``tools/artifact_digests.py`` run once: one line per preset, command and seed,
+    each with the exit code the CLI gives and a SHA-256, and the environment as it was."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", ROOT / "tools" / "artifact_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    lines = tool.digest_lines()
+    assert "SOURCE_DATE_EPOCH" not in os.environ
+    assert len(lines) == 24
+    labels = []
+    for line in lines:
+        verb, name, seed, code, sha = line.split()
+        labels.append((verb, name, seed))
+        not_tangent = verb == "check" and name in ("ito_translation_d1_negative", "negative_control")
+        assert code == f"exit={2 if not_tangent else 0}", line
+        assert re.fullmatch(r"sha256=[0-9a-f]{64}", sha), line
+    want = [(v, n, s) for n in preset_names() for v in ("check", "simulate") for s in ("seed=preset", "seed=2")]
+    assert labels == want

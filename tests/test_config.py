@@ -115,6 +115,21 @@ def test_invalid_json_file(tmp_path):
         load_config(path)
 
 
+UNDECODABLE = {
+    "not-utf8": b"\xff\xfe{}",  # a UnicodeDecodeError
+    "too-deep": b"[" * 100000 + b"]" * 100000,  # a RecursionError in the decoder
+}
+
+
+@pytest.mark.parametrize("content", list(UNDECODABLE.values()), ids=list(UNDECODABLE))
+def test_a_file_json_cannot_decode_is_a_config_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="not valid JSON") as err:
+        load_config(path)
+    assert str(path) in str(err.value)
+
+
 def test_unknown_keys_are_named():
     with pytest.raises(ConfigError, match="'bogus' in config"):
         load_config({"preset": "ito_zero", "bogus": 1})

@@ -14,6 +14,7 @@ from spde_manifold import (
 )
 from spde_manifold import manifold
 from spde_manifold.geometry import HermiteGeometry
+from spde_manifold.grid import GridState, sine_mode
 from spde_manifold.hermite import SpectralState, derivative, second_derivative, translate
 from spde_manifold.manifold import block_frame, bracket, distance_to_manifold, jacobian
 from spde_manifold.tangency import COND_WARN
@@ -330,6 +331,103 @@ def test_bracket_mixed_terms_d2():
     chart = Parametrization(m=2, domain=BOX2, eval=_eval)
     out = bracket(chart, [0.3, 0.5], [1.0, 0.0], [0.0, 1.0])
     np.testing.assert_allclose(out.coeffs, v.coeffs, atol=1e-8)
+
+
+# -- one combine per sum ----------------------------------------------------------------
+
+PATHS = 5
+
+
+def _count_states(monkeypatch):
+    """A one-item list counting every ``GridState`` and ``SpectralState`` built from now on."""
+    built = [0]
+    for cls in (GridState, SpectralState):
+        def counted(self, _init=cls.__post_init__):
+            built[0] += 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def _random_state(kind, rng, n, paths=None):
+    """A grid state on 32 points, or a d = 1 spectral state of order n; a batch given paths."""
+    lead = () if paths is None else (paths,)
+    if kind == "grid":
+        return GridState(rng.standard_normal(lead + (32,)))
+    return SpectralState(1, n, rng.standard_normal(lead + (n + 1,)))
+
+
+def _span_vectors(kind, m, rng):
+    if kind == "grid":
+        return [sine_mode(32, k + 1) * (1.0 + k) for k in range(m)]
+    return [_random_state(kind, rng, 3 + 2 * k) for k in range(m)]  # orders meet by padding
+
+
+def _term_by_term_span(vectors, x):
+    """x -> sum_k x_k v_k as the span chart summed it before: one state per term and sum."""
+    out = vectors[0] * x[..., 0]
+    for k in range(1, len(vectors)):
+        out = out + vectors[k] * x[..., k]
+    return out
+
+
+def _term_by_term_bracket(hmat, ca, cb):
+    """``bracket``'s contraction as it was summed before: one state per term and sum."""
+    m, out = len(hmat), None
+    for k in range(m):
+        term = hmat[k][k] * (ca[..., k] * cb[..., k])
+        out = term if out is None else out + term
+    for k in range(m):
+        for l in range(k + 1, m):
+            out = out + hmat[k][l] * (ca[..., k] * cb[..., l] + ca[..., l] * cb[..., k])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["grid", "spectral"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_span_chart_eval_and_bracket_build_one_state(kind, m, rng, monkeypatch):
+    chart = linear_span_chart(_span_vectors(kind, m, rng), [[-1.0, 1.0]] * m)
+    x, a, b = rng.uniform(-1.0, 1.0, (3, PATHS, m))
+    built = _count_states(monkeypatch)
+    image = chart.eval(x)
+    assert built[0] == 1  # summed term by term: 2m - 1 states
+    chart.hess(x)
+    built[0] = 0
+    chart.hess(x)
+    assert built[0] == 0  # the chart's zero Hessian state is built once, at its first use
+    out = bracket(chart, x, a, b)
+    assert built[0] == 1  # summed term by term: 2 at m = 1, 5 at m = 2
+    assert image.batch == out.batch == (PATHS,)
+
+
+@pytest.mark.parametrize("kind", ["grid", "spectral"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_span_eval_and_bracket_equal_the_term_by_term_sums(kind, m, rng):
+    vectors = _span_vectors(kind, m, rng)
+    chart = linear_span_chart(vectors, [[-1.0, 1.0]] * m)
+    x, a, b = rng.uniform(-1.0, 1.0, (3, PATHS, m))
+    for point in (x, x[0]):  # per-path weights, then one point
+        np.testing.assert_array_equal(chart.eval(point).array, _term_by_term_span(vectors, point).array)
+    # a curved chart: per-path Hessian states on the diagonal, one state for every path off it
+    hmat = [[None] * m for _ in range(m)]
+    for k in range(m):
+        hmat[k][k] = _random_state(kind, rng, 6, PATHS)
+        for l in range(k + 1, m):
+            hmat[k][l] = hmat[l][k] = _random_state(kind, rng, 6)
+    curved = Parametrization(m=m, domain=[[-1.0, 1.0]] * m, eval=chart.eval, hess=lambda _: hmat)
+    got = bracket(curved, x, a, b)
+    np.testing.assert_array_equal(got.array, _term_by_term_bracket(hmat, a, b).array)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_translation_bracket_equals_the_term_by_term_sum(d, rng):
+    n = 8
+    profile = SpectralState(d, n, rng.standard_normal((n + 1,) * d))
+    chart = translation_chart(profile, [[-1.0, 1.0]] * d)
+    x, a, b = rng.uniform(-1.0, 1.0, (3, PATHS, d))
+    want = _term_by_term_bracket(chart.hess(x), a, b)
+    np.testing.assert_array_equal(bracket(chart, x, a, b).coeffs, want.coeffs)
 
 
 # -- distances --------------------------------------------------------------------------

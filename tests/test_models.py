@@ -8,7 +8,16 @@ import pytest
 from spde_manifold import models
 from spde_manifold.geometry import HermiteGeometry
 from spde_manifold.grid import GridState, laplace_eigenvalue, sine_mode
-from spde_manifold.hermite import DualField, SpectralState, derivative, pair, second_derivative
+from spde_manifold.hermite import (
+    DualField,
+    SpectralState,
+    add_block,
+    derivative,
+    derivative_coeffs,
+    pair,
+    second_derivative,
+    second_derivative_coeffs,
+)
 from spde_manifold.models import ItoTypeModel, PLaplaceModel, _pairings, stratonovich_correction
 from spde_manifold.tangency import FD_SENSITIVITY_TOL
 
@@ -233,6 +242,63 @@ def test_transport_kernels_with_duals_above_and_below_the_state_order(rng, d, pa
     for field, want in zip(got_fields, fields):
         assert (field.N, field.batch) == (n + 1, y.batch)
         np.testing.assert_allclose(field.coeffs, want.coeffs, rtol=1e-12, atol=1e-13)
+
+
+def _term_by_term_kernels(model, c):
+    """The transport drift and paired noise fields of the order-n tensors c as they
+    were summed before: one array per term, added one term at a time, with the
+    model's own pairings and covariance and its skip rules."""
+    d, n = model.d, c.shape[-1] - 1
+    p = models._pairings(model, c, n)
+    cov = models._covariance(model, p)
+
+    def scaled(t, w):
+        return t * np.reshape(w, np.shape(w) + (1,) * d)
+
+    drift = None
+    for i in range(d):
+        for j in range(i, d):
+            w = 0.5 * cov[..., i, j] if i == j else cov[..., i, j]
+            if np.count_nonzero(w):
+                term = scaled(second_derivative_coeffs(c, d, n, (i, j)), w)
+                drift = term if drift is None else add_block(drift, term, d)
+    partials = [derivative_coeffs(c, d, n, i) for i in range(d)]
+    for i in range(d):
+        if np.count_nonzero(p[i]) or drift is None:
+            term = scaled(partials[i], -p[i])
+            drift = term if drift is None else add_block(drift, term, d)
+    fields = []
+    for j in range(model.J):
+        s = p[d + j * d : d + j * d + d]
+        field = scaled(partials[0], -s[0])
+        for i in range(1, d):
+            field += scaled(partials[i], -s[i])
+        fields.append(field)
+    return drift, fields
+
+
+@pytest.mark.parametrize("paths", [None, 3])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("duals", ["full", "sparse"])
+def test_transport_drift_and_fields_equal_the_term_by_term_sums(rng, d, paths, duals):
+    n, z = 5, [0.2, -0.1][:d]
+    if duals == "full":
+        b = tuple(DualField.dirac(z, n=n + 3) for _ in range(d))
+        sigma = (
+            tuple(DualField.dirac(z[::-1], n=n - 2) for _ in range(d)),
+            tuple(DualField.constant(d, n + 1, 0.5) for _ in range(d)),
+        )
+    else:  # no noise pairing and a zero first drift dual: the skip rules decide the terms
+        b = (DualField.zero(d),) + tuple(DualField.dirac(z, n=n) for _ in range(d - 1))
+        sigma = (tuple(DualField.zero(d) for _ in range(d)),)
+    model = ItoTypeModel(d=d, J=len(sigma), N=n, b=b, sigma=sigma)
+    y = SpectralState(d, n, rng.standard_normal(((paths,) if paths else ()) + (n + 1,) * d))
+    drift, fields = _term_by_term_kernels(model, y.coeffs)
+    np.testing.assert_array_equal(model.drift(y).coeffs, drift)
+    got = model.diffusion(y)
+    assert len(got) == len(fields)
+    for field, want in zip(got, fields):
+        np.testing.assert_array_equal(field.coeffs, want)
 
 
 # -- divergence-form grid model -----------------------------------------------------
