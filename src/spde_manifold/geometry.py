@@ -96,11 +96,9 @@ class HermiteGeometry:
     def norm_diff(self, u: SpectralState, v: SpectralState):
         """norm_mid(u - v) without building the intermediate state."""
         _same_paths([u.batch, v.batch])
-        if u.N == v.N:
-            diff = u.coeffs - v.coeffs
-            f = diff.reshape(diff.shape[: diff.ndim - self.d] + (-1,))
-            return _sqrt(self._mass(f, u.N))
-        return self.norm_mid(u - v)
+        a, b = u._aligned([u, v])
+        diff = a - b
+        return _sqrt(self._mass(diff.reshape(diff.shape[: diff.ndim - self.d] + (-1,)), max(u.N, v.N)))
 
     def spill_ratio(self, state: SpectralState):
         """Relative mid-norm mass beyond the working order."""

@@ -208,8 +208,7 @@ def _pairings(model: ItoTypeModel, c: np.ndarray, n: int) -> np.ndarray:
         got = model._dual_stacks[n] = (top, np.stack(rows))
     top, stack = got
     c = _pad_tensor(c, d, n, top)
-    if d > 1:  # flat coefficient rows
-        c = c.reshape(c.shape[: c.ndim - d] + (-1,))
+    c = c.reshape(c.shape[: c.ndim - d] + (-1,))  # flat coefficient rows
     return np.matmul(c, stack)[..., 0]
 
 

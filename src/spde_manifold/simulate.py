@@ -62,7 +62,6 @@ __all__ = [
     "reduced_table",
     "ReducedPath",
     "simulate_reduced",
-    "PathRecord",
     "TrajectoryRecord",
     "coupled_compare",
 ]
@@ -87,6 +86,8 @@ class SimConfig:
             raise ValueError(f"horizon {self.horizon!r} over dt {self.dt!r} overflows the step count")
         if self.n_steps < 1:
             raise ValueError(f"horizon shorter than one step: {self.horizon!r} < dt {self.dt!r}")
+        if abs(self.horizon / self.dt - self.n_steps) > 1e-9 * self.n_steps:
+            raise ValueError(f"horizon {self.horizon!r} is not a whole number of steps of dt {self.dt!r}")
         if not self.explosion_ceiling > 0:
             raise ValueError(f"explosion_ceiling must be positive, got {self.explosion_ceiling!r}")
         # a bool is an Integral, and a float seed would key the stream of its integer part
@@ -149,11 +150,6 @@ def _ensemble(paths, cfg: SimConfig, n_noise: int, increments):
     return paths, np.ascontiguousarray(np.swapaxes(increments, 0, 1))
 
 
-def _recorded(exit_steps, n_steps: int) -> np.ndarray:
-    """Recorded instants per path: up to the exit step, or the whole run."""
-    return np.array([n_steps + 1 if k is None else k + 1 for k in exit_steps])
-
-
 class _RecordedStates(Sequence):
     """A full run's state at each recorded step, read from its trajectory on access."""
 
@@ -171,13 +167,14 @@ class _RecordedStates(Sequence):
 @dataclass
 class FullPath:
     """P full paths: the trajectory ``ys`` (steps + 1, P, n), flat at the working order
-    ``order``, and per path the flags, exit steps (None: ran to the end) and spills;
-    ``states`` reads one batch state per recorded step from ``ys``."""
+    ``order``, and per path the flags, the step each stopped at (the run's step
+    count where it ran to the end) and spills; ``states`` reads one batch state
+    per recorded step from ``ys``."""
 
     times: np.ndarray
     ys: np.ndarray
     exploded: np.ndarray
-    exit_step: list
+    exit_step: np.ndarray
     max_spill: np.ndarray
     geometry: object
     order: Optional[int]
@@ -217,7 +214,7 @@ def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath
     # from the first step that cuts any; zero where nothing was recorded: no spill
     masses = None
     exploded = np.zeros(paths.size, dtype=bool)
-    exit_step: list = [None] * paths.size
+    exit_step = np.full(paths.size, n_steps)
     live = np.arange(paths.size)
     done, dt, ceiling = 0, cfg.dt, cfg.explosion_ceiling
     for step in range(n_steps):
@@ -235,8 +232,8 @@ def simulate_full(model, y0, cfg: SimConfig, paths, increments=None) -> FullPath
         done = step + 1
         kept = size <= ceiling  # not NaN sizes either
         if np.count_nonzero(kept) < live.size:
-            for k in live[~kept]:
-                exploded[k], exit_step[k] = True, step + 1
+            gone = live[~kept]
+            exploded[gone], exit_step[gone] = True, step + 1
             live = live[kept]
     max_spill = np.zeros(paths.size)
     if masses is not None:
@@ -487,12 +484,13 @@ def reduced_table(model, param: Parametrization) -> ReducedTable:
 @dataclass
 class ReducedPath:
     """P reduced paths: ``xs`` (steps + 1, P, m), and per path the flags (``degenerate``:
-    stopped at a degenerate frame) and exit steps (None: ran to the end)."""
+    stopped at a degenerate frame) and the step each stopped at (the run's step
+    count where it ran to the end)."""
 
     times: np.ndarray
     xs: np.ndarray
     exited: np.ndarray
-    exit_step: list
+    exit_step: np.ndarray
     degenerate: np.ndarray
     table: ReducedTable
 
@@ -529,8 +527,9 @@ def simulate_reduced(
     monomials = _monomials(noise, cfg.dt, _scheme(model) == "milstein")
     traj = np.empty((n_steps + 1,) + x.shape)
     traj[0] = x
+    exited = np.zeros(paths.size, dtype=bool)
     degenerate = np.zeros(paths.size, dtype=bool)
-    exit_step: list = [None] * paths.size
+    exit_step = np.full(paths.size, n_steps)
     live = np.arange(paths.size)
     for start in range(0, n_steps, SETTLE_STEPS):
         stop = min(start + SETTLE_STEPS, n_steps)
@@ -548,22 +547,21 @@ def simulate_reduced(
         hit = out.any(0) if bad is None else out.any(0) | bad.any(0)
         if not np.count_nonzero(hit):
             continue
-        for i in np.flatnonzero(hit):
-            first_out = out[:, i].argmax() if out[:, i].any() else stop - start
-            first_bad = bad[:, i].argmax() if bad is not None and bad[:, i].any() else stop - start
-            k = live[i]
-            degenerate[k] = first_bad <= first_out
-            exit_step[k] = start + (int(first_bad) if degenerate[k] else int(first_out) + 1)
+        n = stop - start
+        first_out = np.where(out.any(0), out.argmax(0), n)[hit]
+        first_bad = n if bad is None else np.where(bad.any(0), bad.argmax(0), n)[hit]
+        k = live[hit]
+        exited[k] = True
+        degenerate[k] = first_bad <= first_out
+        exit_step[k] = start + np.where(degenerate[k], first_bad, first_out + 1)
         x, live = x[~hit], live[~hit]
         if not live.size:
             break
-    done = max(n_steps if e is None else e for e in exit_step)
-    for k, e in enumerate(exit_step):
-        if e is not None:
-            traj[e + 1 : done + 1, k] = traj[e, k]  # a path stays where it stopped
-    exited = np.array([e is not None for e in exit_step])
+    done = exit_step.max()
+    # a path stays where it stopped
+    traj = traj[np.minimum(np.arange(done + 1)[:, None], exit_step), np.arange(paths.size)]
     times = np.linspace(0.0, n_steps * cfg.dt, n_steps + 1)[: done + 1]
-    return ReducedPath(times, traj[: done + 1], exited, exit_step, degenerate, table)
+    return ReducedPath(times, traj, exited, exit_step, degenerate, table)
 
 
 # step tolerance of the recorded distances' solve: the distance error
@@ -575,34 +573,37 @@ DIST_SEED_POINTS = 161
 
 
 @dataclass
-class PathRecord:
-    path_index: int
+class TrajectoryRecord:
+    """The coupled ensemble of P paths over R recorded instants: ``times`` (R,), the
+    reduced coordinates ``xs`` (R, P, m), and per row ``dist``, ``coupled_err`` and
+    ``unconverged`` (R, P), each path's first ``recorded`` rows its own (later
+    ones hold a NaN distance, a zero gap and no flag); per path the flags and the
+    step it stopped at, as in ``ReducedPath`` where it exited and ``FullPath``
+    otherwise."""
+
     times: np.ndarray
     xs: np.ndarray
     dist: np.ndarray
     coupled_err: np.ndarray
-    exited: bool
-    exploded: bool
-    exit_step: Optional[int]
-    unconverged: np.ndarray  # per recorded step: the distance solve did not converge
-
-
-@dataclass
-class TrajectoryRecord:
-    records: list
+    unconverged: np.ndarray  # the row's distance solve did not converge
+    recorded: np.ndarray
+    exited: np.ndarray
+    exploded: np.ndarray
+    exit_step: np.ndarray
     summary: dict = field(default_factory=dict)
     table: Optional[ReducedTable] = None  # the reduced run's coefficient table
 
     def to_csv_rows(self):
-        """Header and one row per path and recorded step; floats as ``repr_words`` text."""
-        recs = self.records
-        m = recs[0].xs.shape[1]
+        """Header and one row per path and recorded step, path by path; floats as
+        ``repr_words`` text."""
+        rows, n_paths, m = self.xs.shape
         header = ["path", "step", "time", *(f"x_{k}" for k in range(m)), "dist", "coupled_err"]
-        stacked = [np.column_stack([r.times, r.xs, r.dist, r.coupled_err]) for r in recs]
-        (cells,) = repr_words(np.concatenate(stacked))
-        counts = [len(r.times) for r in recs]
-        paths = np.repeat([str(r.path_index) for r in recs], counts).astype(object)
-        steps = np.concatenate([int_words(n) for n in counts])
+        times = np.broadcast_to(self.times[:, None, None], (rows, n_paths, 1))
+        table = np.concatenate([times, self.xs, self.dist[..., None], self.coupled_err[..., None]], -1)
+        own = np.arange(rows) < self.recorded[:, None]  # (P, R): path-major
+        (cells,) = repr_words(table.swapaxes(0, 1)[own])
+        paths = np.repeat(int_words(n_paths), self.recorded)
+        steps = np.concatenate([int_words(n) for n in self.recorded])
         return header, np.column_stack([paths, steps, cells]).tolist()
 
 
@@ -636,7 +637,7 @@ def coupled_compare(
     incr = wiener_increments(cfg.seed, paths, n_steps, model.n_noise, cfg.dt)
     reduced = simulate_reduced(model, param, x0, cfg, paths, incr)
     full = simulate_full(model, param.eval(x0), cfg, paths, incr)
-    n_rec = np.minimum(_recorded(reduced.exit_step, n_steps), _recorded(full.exit_step, n_steps))
+    n_rec = np.minimum(reduced.exit_step, full.exit_step) + 1
     # every recorded (step, path) row is known now: work on them in blocks
     live = np.arange(n_rec.max())[:, None] < n_rec
     xs = reduced.xs[: live.shape[0]].reshape(live.size, -1)
@@ -668,21 +669,6 @@ def coupled_compare(
         backtracks += res.backtracks
         seeded_starts += int(seeded.sum())
     err, dist, unconverged = (v.reshape(live.shape) for v in (err, dist, unconverged))
-    records = [
-        PathRecord(
-            int(p),
-            reduced.times[:n],
-            reduced.xs[:n, p],
-            dist[:n, p],
-            err[:n, p],
-            bool(reduced.exited[p]),
-            bool(full.exploded[p]),
-            reduced.exit_step[p] if reduced.exited[p] else full.exit_step[p],
-            unconverged[:n, p],
-        )
-        for p, n in zip(paths, n_rec)
-    ]
-
     # rows past a path's end hold a zero gap and a NaN distance
     path_err = err.max(axis=0)
     solved = live & ~unconverged
@@ -705,10 +691,14 @@ def coupled_compare(
         "distance_newton_steps": newton_steps,
         "distance_backtracks": backtracks,
         "distance_seeded_starts": seeded_starts,
-        "n_exited": sum(r.exited for r in records),
+        "n_exited": int(reduced.exited.sum()),
         "n_degenerate_frame": int(np.sum(reduced.degenerate)),
-        "n_exploded": sum(r.exploded for r in records),
+        "n_exploded": int(full.exploded.sum()),
         "reduced_table_nodes": reduced.table.nodes,
         "reduced_table_certified": reduced.table.certified,
     }
-    return TrajectoryRecord(records, summary, reduced.table)
+    exit_step = np.where(reduced.exited, reduced.exit_step, full.exit_step)
+    return TrajectoryRecord(
+        reduced.times[: live.shape[0]], reduced.xs[: live.shape[0]], dist, err, unconverged,
+        n_rec, reduced.exited, full.exploded, exit_step, summary, reduced.table,
+    )

@@ -169,6 +169,16 @@ def test_config_its_sim_config_rejects_exit_one(command, out_root, tmp_path, cap
     assert not any(out_root.iterdir())
 
 
+def test_simulate_horizon_off_the_step_grid_exits_one(out_root, tmp_path, capsys):
+    cfg_path = tmp_path / "off_grid.json"
+    cfg_path.write_text(json.dumps({"preset": "ito_zero", "sim": {"horizon": 0.1, "dt": 0.03}}))
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out_root)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: sim.horizon 0.1 is not a whole number of steps")
+    assert not any(out_root.iterdir())
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
                          ids=["not-utf8", "too-deep"])
 @pytest.mark.parametrize("command", ["check", "simulate"])
@@ -559,3 +569,17 @@ def test_artifact_digests_tool_lists_every_preset_run(monkeypatch):
         assert re.fullmatch(r"sha256=[0-9a-f]{64}", sha), line
     want = [(v, n, s) for n in preset_names() for v in ("check", "simulate") for s in ("seed=preset", "seed=2")]
     assert labels == want
+
+
+def test_preset_reach_tool_lists_what_a_run_does_not_enter():
+    """``tools/preset_reach.py``'s core on one ``check``: the full run's state fallback
+    is unreached, the sweep the check makes is not, and the profile hook is restored."""
+    spec = importlib.util.spec_from_file_location("preset_reach", ROOT / "tools" / "preset_reach.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    before = sys.getprofile()
+    names = tool.unreached(lambda root: [["check", "--config", "ito_zero", "--out", root]])
+    assert sys.getprofile() is before
+    assert "simulate._state_sum" in names
+    assert "tangency.sweep" not in names
+    assert "simulate.simulate_full" in names  # a check steps no path

@@ -326,6 +326,11 @@ def test_out_of_range_settings_fail_at_load(section, key, value):
         ({"preset": "ito_zero", "sim": {"horizon": float("inf")}},
          "sim.horizon must be finite and positive"),
         ({"preset": "ito_zero", "sim": {"horizon": -0.1}}, "sim.horizon must be finite and positive"),
+        # a horizon off the step grid, which rounding would cut short or run past
+        ({"preset": "ito_zero", "sim": {"horizon": 0.1, "dt": 0.03}},
+         "sim.horizon 0.1 is not a whole number of steps"),
+        ({"preset": "ito_zero", "sim": {"horizon": 0.5, "dt": 0.3}},
+         "sim.horizon 0.5 is not a whole number of steps"),
     ],
 )
 def test_settings_the_built_objects_reject_fail_at_load(source, match):

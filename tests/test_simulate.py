@@ -204,7 +204,7 @@ def test_full_path_constant_without_dynamics():
     cfg = SimConfig(horizon=0.01, dt=1e-3, seed=1)
     path = simulate_full(model, y0, cfg, [0])
     assert len(path.states) == 11
-    assert not path.exploded[0] and path.exit_step[0] is None
+    assert not path.exploded[0] and path.exit_step[0] == cfg.n_steps
     for st in path.states:
         np.testing.assert_array_equal(st.rows(0).coeffs, y0.coeffs)
     assert path.max_spill[0] == 0.0
@@ -312,7 +312,7 @@ def test_reduced_path_stops_where_its_frame_degenerates():
     alone = simulate_reduced(model, chart, [0.5], cfg, [0])
     assert not both.table.certified  # the rank test runs at every step
     assert list(both.exited) == [False, True]
-    assert both.exit_step == [None, 0]
+    assert list(both.exit_step) == [cfg.n_steps, 0]
     np.testing.assert_array_equal(both.xs[:, 0], alone.xs[:, 0])
     assert not alone.exited[0]
 
@@ -426,7 +426,7 @@ def test_summary_counts_degenerate_frame_exits_apart():
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=2, seed=0, record_distance=False)
     rec = coupled_compare(PLaplaceModel(2.0, m), chart, [0.0], cfg)
     assert rec.summary["n_degenerate_frame"] == rec.summary["n_exited"] == 2
-    assert all(r.exit_step == 0 for r in rec.records)
+    assert (rec.exit_step == 0).all()
     assert rec.summary["reduced_table_certified"] is False
 
     # a path that leaves the box exits without a degenerate frame
@@ -459,8 +459,8 @@ def test_certified_and_uncertified_tables_step_the_same_ensemble(monkeypatch):
         (checked.times, checked.xs, checked.exited, checked.degenerate),
     ):
         np.testing.assert_array_equal(got, want)
-    assert certified.exit_step == checked.exit_step
-    exits = [k for k in certified.exit_step if k is not None]
+    np.testing.assert_array_equal(certified.exit_step, checked.exit_step)
+    exits = certified.exit_step[certified.exited].tolist()
     assert 1 < len(exits) < cfg.paths and len(set(exits)) > 2  # several box exits, some finish
     assert not certified.degenerate.any()
 
@@ -529,7 +529,7 @@ def _reference_reduced(model, chart, x0, cfg, incr):
     traj[0] = xs
     exited = np.zeros(n_paths, dtype=bool)
     degenerate = np.zeros(n_paths, dtype=bool)
-    exit_step = [None] * n_paths
+    exit_step = np.full(n_paths, n_steps)
     live = np.arange(n_paths)
     done = 0
     for step in range(n_steps):
@@ -601,15 +601,16 @@ def test_reduced_run_matches_the_per_step_reference_loop(case):
     np.testing.assert_array_equal(got.xs, xs)
     np.testing.assert_array_equal(got.exited, exited)
     np.testing.assert_array_equal(got.degenerate, degenerate)
-    assert got.exit_step == exit_step
-    assert cfg.n_steps > SETTLE_STEPS
+    np.testing.assert_array_equal(got.exit_step, exit_step)
+    n = cfg.n_steps
+    assert n > SETTLE_STEPS
     stops = {
-        "certified": [None, 91, None],
-        "square": [33, 0, None],
-        "edge": [0, None, None],
+        "certified": [n, 91, n],
+        "square": [33, 0, n],
+        "edge": [0, n, n],
         "cubic": [32, 0, 29],
     }[case]
-    assert exit_step == stops
+    assert exit_step.tolist() == stops
     for p in paths:  # each path alone
         one = simulate_reduced(model, chart, x0[p], cfg, [p], incr[p : p + 1])
         times, xs, exited, exit_step, degenerate = _reference_reduced(
@@ -682,7 +683,7 @@ def test_coupled_distance_can_be_skipped():
     cfg = SimConfig(horizon=5e-3, dt=1e-3, paths=1, seed=1, record_distance=False)
     rec = coupled_compare(model, chart, [0.0], cfg)
     assert rec.summary["max_distance"] is None
-    assert np.isnan(rec.records[0].dist).all()
+    assert np.isnan(rec.dist[:, 0]).all()
 
 
 def test_coupled_runs_are_reproducible():
@@ -728,10 +729,10 @@ def test_trajectory_csv_cells_parse_back_to_the_record(record_distance):
     cells = np.array([[float(c) for c in row] for row in rows])
     want = np.concatenate([
         np.column_stack([
-            np.full(len(r.times), r.path_index), np.arange(len(r.times)),
-            r.times, r.xs, r.dist, r.coupled_err,
+            np.full(n, p), np.arange(n),
+            rec.times[:n], rec.xs[:n, p], rec.dist[:n, p], rec.coupled_err[:n, p],
         ])
-        for r in rec.records
+        for p, n in enumerate(rec.recorded)
     ])
     np.testing.assert_array_equal(cells, want)  # NaN distances read back as NaN
     assert np.isnan(cells[:, -2]).all() != record_distance
@@ -774,15 +775,17 @@ def _assert_matches_per_path(model, chart, x0, cfg, dist_atol=1e-12):
     """The batched run against one solve per row of each path; distances
     are compared on the rows whose solve converged."""
     rec = coupled_compare(model, chart, x0, cfg)
-    assert len(rec.records) == cfg.paths
-    for p, r in enumerate(rec.records):
+    assert len(rec.recorded) == cfg.paths
+    for p, n in enumerate(rec.recorded):
         xs, err, dist, unconverged, flags = _per_path(model, chart, x0, cfg, p)
-        assert (r.exited, r.exploded, r.exit_step) == flags
-        assert r.xs.shape == xs.shape
-        np.testing.assert_allclose(r.xs, xs, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(r.coupled_err, err, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(r.unconverged, unconverged)
-        np.testing.assert_allclose(r.dist[~unconverged], dist[~unconverged], rtol=0.0, atol=dist_atol)
+        assert (rec.exited[p], rec.exploded[p], rec.exit_step[p]) == flags
+        assert n == len(xs)  # the rows the path records alone
+        assert rec.xs[:n, p].shape == xs.shape
+        np.testing.assert_allclose(rec.xs[:n, p], xs, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rec.coupled_err[:n, p], err, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(rec.unconverged[:n, p], unconverged)
+        got = rec.dist[:n, p]
+        np.testing.assert_allclose(got[~unconverged], dist[~unconverged], rtol=0.0, atol=dist_atol)
     return rec
 
 
@@ -828,11 +831,12 @@ def test_off_chart_distances_lie_below_a_dense_scan_of_the_box(seed):
     images = chart.eval(np.linspace(*chart.domain[0], 4001)[:, None])
     top = geo.embed_order([images])
     z, w = geo.flat(images, top), geo.weight_vector(top)
-    for p, r in enumerate(rec.records):
-        y = geo.flat(geo.state_from_flat(full.ys[: len(r.times), p], full.order), top)
+    for p, n in enumerate(rec.recorded):
+        dist, unconverged = rec.dist[:n, p], rec.unconverged[:n, p]
+        y = geo.flat(geo.state_from_flat(full.ys[:n, p], full.order), top)
         square = (w * y * y).sum(-1)[:, None] - 2.0 * (y * w) @ z.T + (w * z * z).sum(-1)
         scan = np.sqrt(np.maximum(square, 0.0)).min(axis=1)
-        assert (r.dist[~r.unconverged] <= scan[~r.unconverged] + 1e-6).all()
+        assert (dist[~unconverged] <= scan[~unconverged] + 1e-6).all()
 
 
 def test_summary_counts_no_newton_steps_on_a_span_chart():
@@ -858,7 +862,7 @@ def test_summary_counts_rows_started_from_a_seed_image():
     model, chart = build_model(cfg_dict), build_manifold(cfg_dict)
     cfg = SimConfig(horizon=0.05, dt=1e-3, paths=2, seed=2)
     rec = coupled_compare(model, chart, [0.2], cfg)
-    rows = sum(len(r.times) for r in rec.records)
+    rows = int(rec.recorded.sum())
     assert 0 < rec.summary["distance_seeded_starts"] < rows
     skipped = SimConfig(horizon=0.05, dt=1e-3, paths=2, seed=2, record_distance=False)
     assert coupled_compare(model, chart, [0.2], skipped).summary["distance_seeded_starts"] == 0
@@ -872,12 +876,19 @@ def test_batched_grid_span_with_exits_and_explosions_matches_per_path():
     # seed 0: under the per-stream noise table seed 3 no longer explodes any path
     cfg = SimConfig(horizon=0.1, dt=1e-3, paths=8, seed=0, explosion_ceiling=1.5)
     rec = _assert_matches_per_path(model, chart, [1.0, 0.5], cfg)
-    exploded = [r.exploded for r in rec.records]
-    exited = [r.exited for r in rec.records]
     # the ensemble mixes paths that explode, leave the chart, and finish
-    assert any(exploded) and any(exited)
-    assert not all(a or b for a, b in zip(exploded, exited))
-    assert len({r.exit_step for r in rec.records}) > 2
+    assert rec.exploded.any() and rec.exited.any()
+    assert not (rec.exploded | rec.exited).all()
+    assert len(set(rec.exit_step.tolist())) > 2
+    # past its recorded rows a path holds a NaN distance, a zero gap and no flag
+    past = np.arange(len(rec.times))[:, None] >= rec.recorded
+    assert past.any()
+    assert np.isnan(rec.dist[past]).all()
+    assert (rec.coupled_err[past] == 0.0).all() and not rec.unconverged[past].any()
+    # a path with neither flag ran to the end
+    ran = ~(rec.exploded | rec.exited)
+    assert ((rec.exit_step == cfg.n_steps) == ran).all()
+    assert len(rec.to_csv_rows()[1]) == rec.recorded.sum()
 
 
 def test_ensemble_increments_are_the_per_path_tables():
@@ -905,17 +916,17 @@ def test_unconverged_distance_solves_are_flagged_and_counted(monkeypatch):
     cfg = SimConfig(horizon=0.02, dt=1e-3, paths=2, seed=12)
     rec = coupled_compare(model, chart, [0.2], cfg)
     assert rec.summary["n_unconverged_distance"] == 0
-    assert not any(r.unconverged.any() for r in rec.records)
+    assert not rec.unconverged.any()
 
     # one Gauss-Newton iteration cannot confirm convergence once the
     # full state has moved off the warm start
     capped = functools.partial(distance_to_manifold, max_iter=1)
     monkeypatch.setattr(simulate, "distance_to_manifold", capped)
     rec = coupled_compare(model, chart, [0.2], cfg)
-    flagged = sum(int(r.unconverged.sum()) for r in rec.records)
+    flagged = int(rec.unconverged.sum())
     assert flagged > 0
     assert rec.summary["n_unconverged_distance"] == flagged
-    assert all(not r.unconverged[0] for r in rec.records)  # starts on the chart
+    assert not rec.unconverged[0].any()  # starts on the chart
 
 
 def test_max_distance_leaves_out_unconverged_rows(monkeypatch):
@@ -938,8 +949,9 @@ def test_max_distance_leaves_out_unconverged_rows(monkeypatch):
     monkeypatch.setattr(simulate, "distance_to_manifold", solve)
     rec = coupled_compare(model, chart, x0, cfg)
     assert rec.summary["n_unconverged_distance"] == 1
-    assert rec.records[1].unconverged[5] and rec.records[1].dist[5] == 1e3
-    converged = np.concatenate([r.dist[~r.unconverged] for r in rec.records])
+    assert rec.unconverged[5, 1] and rec.dist[5, 1] == 1e3
+    own = np.arange(len(rec.times))[:, None] < rec.recorded
+    converged = rec.dist[own & ~rec.unconverged]
     assert rec.summary["max_distance"] == converged.max() < 1e3
 
     def fail(param, y, start, geometry, **kwargs):
@@ -955,13 +967,13 @@ def test_summary_reports_the_coupled_gap_spread_and_solver_work():
     model, chart = transport_setup(16)
     cfg = SimConfig(horizon=0.01, dt=1e-3, paths=3, seed=12)
     rec = coupled_compare(model, chart, [0.2], cfg)
-    gaps = np.array([r.coupled_err.max() for r in rec.records])
+    gaps = np.array([rec.coupled_err[:n, p].max() for p, n in enumerate(rec.recorded)])
     assert rec.summary["max_coupled_err"] == gaps.max()
     assert rec.summary["coupled_err_mean"] == pytest.approx(gaps.mean(), rel=1e-12)
     sem = gaps.std(ddof=1) / np.sqrt(gaps.size)
     assert rec.summary["coupled_err_sem"] == pytest.approx(sem, rel=1e-12)
     iterations = rec.summary["distance_iterations"]
-    assert isinstance(iterations, int) and iterations >= sum(r.dist.size for r in rec.records)
+    assert isinstance(iterations, int) and iterations >= rec.recorded.sum()
     assert coupled_compare(model, chart, [0.2], cfg).summary == rec.summary
 
     one = coupled_compare(model, chart, [0.2], SimConfig(horizon=0.01, dt=1e-3, seed=12))
@@ -1063,7 +1075,7 @@ def _reference_full(model, y0, cfg, incr):
     ys = np.array(np.broadcast_to(flat, (n_paths,) + flat.shape[-1:]))
     rows = [ys.copy()]
     exploded = np.zeros(n_paths, dtype=bool)
-    exit_step = [None] * n_paths
+    exit_step = np.full(n_paths, cfg.n_steps)
     max_spill = np.zeros(n_paths)
     live = np.arange(n_paths)
     for step in range(cfg.n_steps):
@@ -1103,7 +1115,7 @@ def _assert_full_matches_reference(model, y0, cfg):
     scale = max(1.0, float(np.abs(rows).max()))
     np.testing.assert_allclose(path.ys, rows, rtol=0.0, atol=1e-13 * scale)
     np.testing.assert_array_equal(path.exploded, exploded)
-    assert path.exit_step == exit_step
+    np.testing.assert_array_equal(path.exit_step, exit_step)
     np.testing.assert_allclose(path.max_spill, max_spill, rtol=1e-9, atol=1e-300)
     assert len(path.states) == len(rows)
     for k in (0, len(rows) // 2, -1):
@@ -1267,14 +1279,15 @@ def test_trajectory_csv_is_the_csv_writers_bytes(record_distance, tmp_path):
     model, chart = transport_setup(16)
     cfg = SimConfig(horizon=4e-3, dt=1e-3, paths=3, seed=12, record_distance=record_distance)
     rec = coupled_compare(model, chart, [0.2], cfg)
-    first, last = rec.records[0], rec.records[-1]
-    first.coupled_err[1], last.coupled_err[1] = -0.0, 0.0  # signed zeros in one column
-    first.dist[-1], last.dist[-1] = np.inf, -np.inf
+    rec.coupled_err[1, 0], rec.coupled_err[1, -1] = -0.0, 0.0  # signed zeros in one column
+    rec.dist[rec.recorded[0] - 1, 0], rec.dist[rec.recorded[-1] - 1, -1] = np.inf, -np.inf
     header, rows = rec.to_csv_rows()
     want = [
-        [str(r.path_index), str(k), *map(repr, values)]
-        for r in rec.records
-        for k, values in enumerate(np.column_stack([r.times, r.xs, r.dist, r.coupled_err]).tolist())
+        [str(p), str(k), *map(repr, values)]
+        for p, n in enumerate(rec.recorded)
+        for k, values in enumerate(
+            np.column_stack([rec.times[:n], rec.xs[:n, p], rec.dist[:n, p], rec.coupled_err[:n, p]]).tolist()
+        )
     ]
     assert rows == want
     assert rows[1][-1] == "-0.0" and rows[-4][-1] == "0.0"
